@@ -50,10 +50,8 @@ from .noise import (
     DensityMatrix,
     NoiseConfigError,
     NoiseModel,
-    evolve_noisy_exact,
     load_noise_config,
     load_noise_file,
-    sample_noisy,
 )
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .records import (

@@ -16,7 +16,6 @@ record file, noise config), 4 simulation failure, 5 I/O failure.
 """
 
 import argparse
-import math
 import os
 import sys
 from importlib import resources
@@ -149,31 +148,36 @@ def _cmd_campaign_run(args):
         jobs=args.jobs if args.jobs else (os.cpu_count() or 1),
     )
 
-    qvfs = []
-    improved = 0
-    baseline = None
+    records = []
 
     def _stream():
-        nonlocal improved, baseline
         for record in run_campaign(circuit, config):
-            if record.site_index < 0:
-                baseline = record
-            else:
-                qvfs.append(record.qvf)
-                improved += record.improved
+            records.append(record)
             yield record
 
+    # a failed campaign leaves no partial file and keeps an existing one
     out_path = _resolve_out(args.out)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        write_records(fh, _stream())
+    tmp_path = f"{out_path}.{os.getpid()}.tmp"
+    fh = open(tmp_path, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            write_records(fh, _stream())
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        os.remove(tmp_path)
+        raise
 
-    n = len(qvfs)
-    mean = sum(qvfs) / n if n else 0.0
-    var = sum((v - mean) ** 2 for v in qvfs) / n if n else 0.0
+    baseline, faults = records[0], records[1:]
+    n = len(faults)
+    mean = stddev = 0.0
+    if faults:
+        stats = metrics.histogram_stats(faults)
+        mean, stddev = stats.mean, stats.stddev
+    improved = sum(r.improved for r in faults)
     print(f"wrote {out_path}")
     print(f"fault records: {n} (+1 baseline), mode {config.mode}")
     print(f"baseline qvf: {baseline.qvf:.6f}")
-    print(f"mean qvf: {mean:.6f}  stddev: {math.sqrt(var):.6f}")
+    print(f"mean qvf: {mean:.6f}  stddev: {stddev:.6f}")
     print(f"improved faults: {improved} ({100.0 * improved / n if n else 0.0:.2f}%)")
     return 0
 

@@ -24,16 +24,10 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .circuit import Circuit, Gate
-from .metrics import qvf_of_distribution
-from .noise import measured_probabilities_noisy
+from .circuit import Circuit, Gate, bitstring_to_index
+from .metrics import score
 from .records import QvfRecord
-from .simulator import (
-    SimulationError,
-    distribution_from_vector,
-    measured_probabilities,
-    sample_vector,
-)
+from .simulator import PROB_FLOOR, SimulationError, draw_counts, measured_probabilities
 
 import numpy as np
 
@@ -94,8 +88,7 @@ class CampaignConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if 360 % self.grid_step != 0:
-            raise ValueError(f"grid step {self.grid_step} does not divide 360")
+        grid_degrees(self.grid_step)  # validates the step
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if self.jobs < 1:
@@ -113,26 +106,24 @@ def enumerate_sites(circuit: Circuit):
     return sites
 
 
-def build_grid(step: int = 15):
-    """Fault parameters on the sweep lattice.
+def grid_degrees(step: int = 15):
+    """(theta_deg, phi_deg) integer pairs of the sweep lattice.
 
     phi runs over {0, step, ..., 360 - step} degrees and theta over
     {0, step, ..., 180}; theta is the outer (slower) axis, so the first
-    element is (theta=0, phi=0).  A 15 degree step gives 13 * 24 = 312
-    points.
+    element is (0, 0).  A 15 degree step gives 13 * 24 = 312 points.
+    ``step`` must be a positive divisor of 360.
     """
-    if 360 % step != 0:
-        raise ValueError(f"grid step {step} does not divide 360")
-    params = []
-    for t in range(0, 181, step):
-        for p in range(0, 360, step):
-            params.append(FaultParams(math.radians(t), math.radians(p)))
-    return params
-
-
-def grid_degrees(step: int = 15):
-    """(theta_deg, phi_deg) integer pairs in the same order as build_grid."""
+    if step < 1 or 360 % step != 0:
+        raise ValueError(f"grid step {step} is not a positive divisor of 360")
     return [(t, p) for t in range(0, 181, step) for p in range(0, 360, step)]
+
+
+def build_grid(step: int = 15):
+    """Fault parameters on the sweep lattice, in grid_degrees order."""
+    return [
+        FaultParams(math.radians(t), math.radians(p)) for t, p in grid_degrees(step)
+    ]
 
 
 def inject(circuit: Circuit, faults) -> Circuit:
@@ -166,12 +157,15 @@ def inject(circuit: Circuit, faults) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-def _correct_states(circuit: Circuit):
+def _correct_mask(circuit: Circuit) -> np.ndarray:
+    """Boolean mask over measured-outcome indices marking the correct states."""
     if not circuit.correct_states:
         raise CampaignError(
             "circuit has no correct_states metadata; derive or supply one"
         )
-    return circuit.correct_states
+    mask = np.zeros(2 ** len(circuit.measured), dtype=bool)
+    mask[[bitstring_to_index(s) for s in circuit.correct_states]] = True
+    return mask
 
 
 def _record_seed(campaign_seed: int, site_index: int, grid_index: int):
@@ -179,69 +173,25 @@ def _record_seed(campaign_seed: int, site_index: int, grid_index: int):
     return np.random.SeedSequence([campaign_seed, site_index + 1, grid_index])
 
 
-def _measure(circuit, config, seed_seq):
+def _measure(circuit, config, mask, seed_seq):
     """Metric summary of one circuit run under the campaign settings."""
-    if config.noise is not None:
-        probs = measured_probabilities_noisy(circuit, config.noise)
-    else:
-        probs = measured_probabilities(circuit)
-    width = len(circuit.measured)
+    probs = measured_probabilities(circuit, config.noise)
     if config.mode == "sampled":
-        dist = sample_vector(probs, width, config.shots, seed_seq)
+        probs = draw_counts(probs, config.shots, seed_seq) / config.shots
     else:
-        dist = distribution_from_vector(probs, width)
-    return qvf_of_distribution(dist, _correct_states(circuit))
+        probs = np.where(probs > PROB_FLOOR, probs, 0.0)
+    return score(probs, mask)
 
 
-def _site_worker(args):
-    """All grid records for one site; runs in a worker process."""
-    circuit, config, circuit_id, site_index, site, degs, baseline_qvf = args
-    records = []
-    for grid_index, (t_deg, p_deg) in enumerate(degs):
-        params = FaultParams(math.radians(t_deg), math.radians(p_deg))
-        faulted = inject(circuit, [FaultSpec(site, params)])
-        try:
-            summary = _measure(
-                faulted, config, _record_seed(config.seed, site_index, grid_index)
-            )
-        except SimulationError as exc:
-            raise CampaignError(
-                f"simulation failed at site {site_index} "
-                f"(gate {site.gate_index}, qubit {site.qubit}), "
-                f"theta={t_deg} phi={p_deg}: {exc}"
-            ) from exc
-        records.append(
-            QvfRecord(
-                circuit_id=circuit_id,
-                site_index=site_index,
-                gate_index=site.gate_index,
-                qubit=site.qubit,
-                theta_deg=float(t_deg),
-                phi_deg=float(p_deg),
-                mode=config.mode,
-                shots=config.shots if config.mode == "sampled" else 0,
-                seed=config.seed,
-                pst=summary.pst,
-                p_b=summary.p_b,
-                contrast=summary.contrast,
-                qvf=summary.qvf,
-                baseline_qvf=baseline_qvf,
-                improved=summary.qvf < baseline_qvf,
-            )
-        )
-    return records
-
-
-def baseline_record(circuit: Circuit, config: CampaignConfig, circuit_id=None) -> QvfRecord:
-    """Fault-free reference row, evaluated with the campaign settings."""
-    summary = _measure(circuit, config, _record_seed(config.seed, -1, 0))
+def _record(circuit_id, config, site_index, site, angles, summary, baseline_qvf):
+    """One campaign row; the baseline passes site None and its own qvf."""
     return QvfRecord(
-        circuit_id=circuit_id or circuit.name or "circuit",
-        site_index=-1,
-        gate_index=-1,
-        qubit=-1,
-        theta_deg=0.0,
-        phi_deg=0.0,
+        circuit_id=circuit_id,
+        site_index=site_index,
+        gate_index=site.gate_index if site else -1,
+        qubit=site.qubit if site else -1,
+        theta_deg=float(angles[0]),
+        phi_deg=float(angles[1]),
         mode=config.mode,
         shots=config.shots if config.mode == "sampled" else 0,
         seed=config.seed,
@@ -249,8 +199,44 @@ def baseline_record(circuit: Circuit, config: CampaignConfig, circuit_id=None) -
         p_b=summary.p_b,
         contrast=summary.contrast,
         qvf=summary.qvf,
-        baseline_qvf=summary.qvf,
-        improved=False,
+        baseline_qvf=baseline_qvf,
+        improved=summary.qvf < baseline_qvf,
+    )
+
+
+def _site_worker(args):
+    """All grid records for one site; runs in a worker process."""
+    circuit, config, mask, circuit_id, site_index, site, degs, baseline_qvf = args
+    records = []
+    for grid_index, (t_deg, p_deg) in enumerate(degs):
+        params = FaultParams(math.radians(t_deg), math.radians(p_deg))
+        faulted = inject(circuit, [FaultSpec(site, params)])
+        try:
+            summary = _measure(
+                faulted, config, mask, _record_seed(config.seed, site_index, grid_index)
+            )
+        except SimulationError as exc:
+            raise CampaignError(
+                f"simulation failed at site {site_index} "
+                f"(gate {site.gate_index}, qubit {site.qubit}), "
+                f"theta={t_deg} phi={p_deg}: {exc}"
+            ) from exc
+        records.append(_record(
+            circuit_id, config, site_index, site, (t_deg, p_deg), summary, baseline_qvf
+        ))
+    return records
+
+
+def _baseline(circuit, config, mask, circuit_id):
+    summary = _measure(circuit, config, mask, _record_seed(config.seed, -1, 0))
+    return _record(circuit_id, config, -1, None, (0, 0), summary, summary.qvf)
+
+
+def baseline_record(circuit: Circuit, config: CampaignConfig, circuit_id=None) -> QvfRecord:
+    """Fault-free reference row, evaluated with the campaign settings."""
+    return _baseline(
+        circuit, config, _correct_mask(circuit),
+        circuit_id or circuit.name or "circuit",
     )
 
 
@@ -261,11 +247,7 @@ def run_campaign(circuit: Circuit, config: CampaignConfig = CampaignConfig()):
     count is len(sites) * len(grid).  Output order and values depend only
     on the circuit and config, never on worker scheduling.
     """
-    _correct_states(circuit)
-    circuit_id = circuit.name or "circuit"
-    base = baseline_record(circuit, config, circuit_id)
-    yield base
-
+    mask = _correct_mask(circuit)
     all_sites = enumerate_sites(circuit)
     if config.sites is None:
         picked = list(enumerate(all_sites))
@@ -274,9 +256,13 @@ def run_campaign(circuit: Circuit, config: CampaignConfig = CampaignConfig()):
             if not 0 <= s < len(all_sites):
                 raise CampaignError(f"site index {s} out of range")
         picked = [(s, all_sites[s]) for s in config.sites]
+    circuit_id = circuit.name or "circuit"
+    base = _baseline(circuit, config, mask, circuit_id)
+    yield base
+
     degs = grid_degrees(config.grid_step)
     jobs = [
-        (circuit, config, circuit_id, idx, site, degs, base.qvf)
+        (circuit, config, mask, circuit_id, idx, site, degs, base.qvf)
         for idx, site in picked
     ]
     if config.jobs > 1 and len(jobs) > 1:

@@ -1,6 +1,7 @@
 """Vulnerability metrics and campaign aggregations.
 
-The per-distribution chain:
+The per-distribution chain, computed by :func:`score` on a probability
+vector and a mask of correct outcomes (the dict API builds both):
 
 * ``pst``: total mass on the designated correct states.
 * ``michelson_contrast``: (P(A) - P(B)) / (P(A) + P(B)) where P(A) is the
@@ -24,46 +25,41 @@ class MetricsError(ValueError):
     """Raised for degenerate distributions or out-of-range inputs."""
 
 
-def _normalized(dist):
-    entries = dist.entries
-    shots = dist.shots
-    if shots is None:
-        return entries
-    return {k: v / shots for k, v in entries.items()}
-
-
-def _check_lengths(dist, correct):
+def _vector(dist, correct):
+    """A distribution's entry probabilities and their correct-state mask."""
     if not correct:
         raise MetricsError("correct-state set is empty")
     widths = {len(s) for s in correct} | {len(s) for s in dist.entries}
     if len(widths) > 1:
         raise MetricsError(f"mixed bitstring lengths {sorted(widths)}")
+    probs = dist.probabilities()
+    return (
+        np.array(list(probs.values()), dtype=float),
+        np.array([state in correct for state in probs], dtype=bool),
+    )
+
+
+def _masses(probs, correct_mask):
+    """(P(A), P(B)): correct mass summed in entry order, largest other entry."""
+    pa = sum(probs[correct_mask].tolist())
+    incorrect = probs[~correct_mask]
+    pb = float(incorrect.max()) if incorrect.size else 0.0
+    return pa, pb
 
 
 def pst(dist, correct) -> float:
     """Probability of a successful trial: mass on the correct states."""
-    _check_lengths(dist, correct)
-    probs = _normalized(dist)
-    return sum(p for state, p in probs.items() if state in correct)
+    return _masses(*_vector(dist, correct))[0]
 
 
 def highest_incorrect(dist, correct) -> float:
     """Largest single-state mass outside the correct set (0 if none)."""
-    _check_lengths(dist, correct)
-    probs = _normalized(dist)
-    return max(
-        (p for state, p in probs.items() if state not in correct),
-        default=0.0,
-    )
+    return _masses(*_vector(dist, correct))[1]
 
 
 def michelson_contrast(dist, correct) -> float:
     """(P(A) - P(B)) / (P(A) + P(B)); in [-1, 1]."""
-    pa = pst(dist, correct)
-    pb = highest_incorrect(dist, correct)
-    if pa + pb == 0.0:
-        raise MetricsError("contrast undefined: no mass on any counted state")
-    return (pa - pb) / (pa + pb)
+    return score(*_vector(dist, correct)).contrast
 
 
 def qvf(contrast: float) -> float:
@@ -81,14 +77,19 @@ class MetricSummary:
     qvf: float
 
 
-def qvf_of_distribution(dist, correct) -> MetricSummary:
-    """Full metric chain for one distribution."""
-    pa = pst(dist, correct)
-    pb = highest_incorrect(dist, correct)
+def score(probs, correct_mask) -> MetricSummary:
+    """Full metric chain for a probability vector and a boolean mask of the
+    correct outcomes; entries to be ignored must already be zero."""
+    pa, pb = _masses(probs, correct_mask)
     if pa + pb == 0.0:
         raise MetricsError("contrast undefined: no mass on any counted state")
     contrast = (pa - pb) / (pa + pb)
     return MetricSummary(pa, pb, contrast, qvf(contrast))
+
+
+def qvf_of_distribution(dist, correct) -> MetricSummary:
+    """Full metric chain for one distribution."""
+    return score(*_vector(dist, correct))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ Durations are nanoseconds, T1/T2 microseconds.  Absent settings are ideal
 (infinite coherence, zero duration, zero probabilities), so an empty
 config is exactly noiseless.
 
+Noisy outcome distributions come from :mod:`qvf.simulator`'s entry points
+called with a model as ``noise``.
+
 Config document format (INI)::
 
     [qubits]
@@ -41,13 +44,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .gates import SIGNATURES, X, Y, Z, gate_matrix
-from .simulator import (
-    OutcomeDistribution,
-    SimulationError,
-    _marginal_keys,
-    distribution_from_vector,
-    sample_vector,
-)
+from .simulator import SimulationError
 
 US_PER_NS = 1e-3
 
@@ -344,26 +341,3 @@ def apply_readout_flips(probs: np.ndarray, model: NoiseModel, measured) -> np.nd
         moved = flip @ moved
         out = np.moveaxis(moved.reshape([2] * m), 0, axis)
     return out.reshape(-1)
-
-
-def measured_probabilities_noisy(circuit: Circuit, model: NoiseModel) -> np.ndarray:
-    """Deterministic noisy probability vector over measured-qubit indices."""
-    rho = evolve_density(circuit, model)
-    diag = np.clip(np.diag(rho.entries).real, 0.0, None)
-    keys = _marginal_keys(circuit.n_qubits, circuit.measured)
-    marginal = np.bincount(
-        keys, weights=diag, minlength=2 ** len(circuit.measured)
-    )
-    return apply_readout_flips(marginal, model, circuit.measured)
-
-
-def evolve_noisy_exact(circuit: Circuit, model: NoiseModel) -> OutcomeDistribution:
-    """Exact-mode noisy distribution (gate channels plus readout flips)."""
-    probs = measured_probabilities_noisy(circuit, model)
-    return distribution_from_vector(probs, len(circuit.measured))
-
-
-def sample_noisy(circuit: Circuit, model: NoiseModel, shots: int, seed) -> OutcomeDistribution:
-    """Seeded multinomial draw from the noisy exact distribution."""
-    probs = measured_probabilities_noisy(circuit, model)
-    return sample_vector(probs, len(circuit.measured), shots, seed)

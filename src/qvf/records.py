@@ -13,11 +13,13 @@ are degrees (integers whenever they sit on a degree lattice, which covers
 every sweep grid); other floats use shortest round-trip formatting, so
 parse(write(rows)) reproduces the rows exactly.  ``shots`` is 0 for
 exact-mode rows.  ``improved_flag`` is 1 when the fault scored strictly
-below the campaign baseline.
+below the campaign baseline.  A file holds one campaign: every row shares
+circuit_id, mode, shots and seed, and every metric value is finite.
 """
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 SCHEMA_LINE = "# qvf-csv v1"
@@ -106,7 +108,7 @@ def _parse_row(row, lineno):
             f"line {lineno}: expected {len(COLUMNS)} fields, got {len(row)}"
         )
     try:
-        return QvfRecord(
+        record = QvfRecord(
             circuit_id=row[0],
             site_index=int(row[1]),
             gate_index=int(row[2]),
@@ -125,6 +127,14 @@ def _parse_row(row, lineno):
         )
     except ValueError as exc:
         raise RecordFileError(f"line {lineno}: {exc}") from None
+    metrics = (record.pst, record.p_b, record.contrast, record.qvf, record.baseline_qvf)
+    if not all(map(math.isfinite, metrics)):
+        raise RecordFileError(f"line {lineno}: non-finite metric value")
+    return record
+
+
+def _campaign_key(record: QvfRecord):
+    return (record.circuit_id, record.mode, record.shots, record.seed)
 
 
 def read_records(stream):
@@ -142,6 +152,11 @@ def read_records(stream):
     if tuple(header) != COLUMNS:
         raise RecordFileError(f"unexpected header {header!r}")
     records = [_parse_row(row, lineno) for lineno, row in enumerate(reader, start=3)]
+    for lineno, record in enumerate(records, start=3):
+        if _campaign_key(record) != _campaign_key(records[0]):
+            raise RecordFileError(
+                f"line {lineno}: circuit_id, mode, shots or seed differ from line 3"
+            )
     baselines = [r for r in records if r.site_index < 0]
     if len(baselines) > 1:
         raise RecordFileError(f"{len(baselines)} baseline rows (expected at most 1)")

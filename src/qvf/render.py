@@ -15,6 +15,7 @@ T (0, 45), S (0, 90), Z (0, 180).
 from xml.sax.saxutils import escape as _esc
 
 from .metrics import HeatmapGrid, HistogramStats
+from .records import _fmt_angle
 
 GREEN = (0, 153, 0)
 WHITE = (255, 255, 255)
@@ -57,10 +58,6 @@ def delta_color(value: float, vmax: float):
 
 def _rgb(color) -> str:
     return f"rgb({color[0]},{color[1]},{color[2]})"
-
-
-def _fmt_angle(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
 def grid_csv(grid: HeatmapGrid) -> str:

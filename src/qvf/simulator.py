@@ -1,10 +1,14 @@
-"""Exact state-vector simulation and seeded shot sampling.
+"""Outcome distributions of a circuit: exact or sampled, with or without noise.
 
 Amplitudes are stored in a dense complex vector of length 2^n with
 little-endian indexing (bit q of index i = (i >> q) & 1).  Gates are
 applied with vectorized index arithmetic: for each gate the basis indices
 are split into groups that agree on every non-target bit, and the 2x2 or
 4x4 matrix mixes the group members in place.
+
+Every distribution comes from :func:`measured_probabilities`, which takes
+an optional noise model (density-matrix evolution in :mod:`qvf.noise`);
+:func:`draw_counts` is the one seeded multinomial draw.
 
 >>> from .circuit import Circuit
 >>> run_exact(Circuit(1, [("h", (0,), ())], (0,))).entries
@@ -104,11 +108,22 @@ def _marginal_keys(n_qubits: int, measured: tuple) -> np.ndarray:
     return keys
 
 
-def measured_probabilities(circuit: Circuit) -> np.ndarray:
-    """Probability vector over measured-qubit indices (exact, no RNG)."""
-    probs = np.abs(statevector(circuit)) ** 2
+def measured_probabilities(circuit: Circuit, noise=None) -> np.ndarray:
+    """Probability vector over measured-qubit indices (exact, no RNG).
+
+    With ``noise``, every gate is followed by the model's channels and the
+    vector passes through its readout flips."""
+    if noise is None:
+        probs = np.abs(statevector(circuit)) ** 2
+    else:
+        from .noise import apply_readout_flips, evolve_density
+
+        probs = np.clip(np.diag(evolve_density(circuit, noise).entries).real, 0.0, None)
     keys = _marginal_keys(circuit.n_qubits, circuit.measured)
-    return np.bincount(keys, weights=probs, minlength=2 ** len(circuit.measured))
+    marginal = np.bincount(keys, weights=probs, minlength=2 ** len(circuit.measured))
+    if noise is None:
+        return marginal
+    return apply_readout_flips(marginal, noise, circuit.measured)
 
 
 def distribution_from_vector(probs: np.ndarray, width: int) -> OutcomeDistribution:
@@ -121,20 +136,18 @@ def distribution_from_vector(probs: np.ndarray, width: int) -> OutcomeDistributi
     return OutcomeDistribution(entries)
 
 
-def run_exact(circuit: Circuit) -> OutcomeDistribution:
+def run_exact(circuit: Circuit, noise=None) -> OutcomeDistribution:
     """Exact output distribution marginalized onto the measured qubits."""
     return distribution_from_vector(
-        measured_probabilities(circuit), len(circuit.measured)
+        measured_probabilities(circuit, noise), len(circuit.measured)
     )
 
 
-def sample_vector(
-    probs: np.ndarray, width: int, shots: int, seed
-) -> OutcomeDistribution:
-    """Multinomial draw from a probability vector; seed-deterministic.
+def draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Multinomial shot counts per index of a probability vector.
 
     ``seed`` may be anything ``numpy.random.default_rng`` accepts,
-    including a SeedSequence.
+    including a SeedSequence; equal inputs give equal counts.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -142,8 +155,14 @@ def sample_vector(
     total = pvals.sum()
     if abs(total - 1.0) > NORM_TOL:
         raise SimulationError(f"probabilities sum to {total!r}")
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, pvals / total)
+    return np.random.default_rng(seed).multinomial(shots, pvals / total)
+
+
+def sample_vector(
+    probs: np.ndarray, width: int, shots: int, seed
+) -> OutcomeDistribution:
+    """Sampled distribution from a probability vector; seed-deterministic."""
+    counts = draw_counts(probs, shots, seed)
     entries = {
         index_to_bitstring(i, width): int(c)
         for i, c in enumerate(counts)
@@ -157,10 +176,6 @@ def sample(circuit: Circuit, shots: int, seed, noise=None) -> OutcomeDistributio
 
     With ``noise`` given, sampling draws from the noisy exact distribution.
     """
-    if noise is not None:
-        from .noise import measured_probabilities_noisy
-
-        probs = measured_probabilities_noisy(circuit, noise)
-    else:
-        probs = measured_probabilities(circuit)
-    return sample_vector(probs, len(circuit.measured), shots, seed)
+    return sample_vector(
+        measured_probabilities(circuit, noise), len(circuit.measured), shots, seed
+    )

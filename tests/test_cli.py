@@ -254,12 +254,30 @@ class TestExitCodes:
         assert main(["campaign", "run", "grover", "--grid-step", "90",
                      "--noise", str(bad_noise), "--out", str(out)]) == EXIT_PARSE
 
+    def test_bad_grid_step(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        for step in ("0", "-15"):
+            code = main(["campaign", "run", "grover", "--grid-step", step,
+                         "--out", str(out)])
+            assert code == EXIT_PARSE
+            assert "error:" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_simulation_error(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         code = main(["campaign", "run", "grover", "--grid-step", "90",
                      "--sites", "99", "--out", str(out)])
         assert code == EXIT_SIMULATION
         assert "site index 99" in capsys.readouterr().err
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+        out.write_bytes(b"previous campaign\n")
+        code = main(["campaign", "run", "grover", "--grid-step", "90",
+                     "--sites", "99", "--out", str(out)])
+        assert code == EXIT_SIMULATION
+        assert out.read_bytes() == b"previous campaign\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_io_errors(self, tmp_path, capsys):
         assert main(["report", "heatmap", "--in", str(tmp_path / "missing.csv"),

@@ -3,9 +3,11 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import oracles
+from support import random_circuit
 from qvf.benchmarks import build_bernstein_vazirani, build_grover
 from qvf.circuit import Circuit
 from qvf.injector import (
@@ -61,6 +63,11 @@ class TestGrid:
             build_grid(7)
         with pytest.raises(ValueError):
             CampaignConfig(grid_step=50)
+        for step in (0, -15):
+            with pytest.raises(ValueError):
+                build_grid(step)
+            with pytest.raises(ValueError):
+                CampaignConfig(grid_step=step)
 
     def test_fault_params_ranges(self):
         FaultParams(math.pi, 0.0)
@@ -277,3 +284,82 @@ class TestThetaZeroFaults:
         )
         got = self.qvf_with_fault(c, FaultSite(first_h_on_q0, 0))
         assert got == pytest.approx(0.5, abs=1e-12)
+
+
+class TestCorrectMask:
+    """Campaign rows against the oracle on random circuits.
+
+    The circuits measure permuted subsets of their qubits and carry one or
+    two correct states, so a wrong bitstring-to-index mapping shows up;
+    the shipped benchmarks measure (0, 1, 2) in order with one correct
+    state and cannot catch it.
+    """
+
+    GRID_STEP = 90
+    SEED = 11
+    SHOTS = 256
+
+    @staticmethod
+    def circuits():
+        rng = np.random.default_rng(2111)
+        out = []
+        for _ in range(25):
+            c = random_circuit(rng, max_qubits=4, max_gates=8)
+            if c.correct_states is None:
+                width = len(c.measured)
+                size = int(rng.integers(1, min(2, 2 ** width) + 1))
+                picked = rng.choice(2 ** width, size=size, replace=False)
+                c = c.with_metadata(
+                    correct_states={oracles.bitstring(int(i), width) for i in picked}
+                )
+            out.append(c)
+        assert any(len(c.correct_states) == 2 for c in out)
+        assert any(list(c.measured) != sorted(c.measured) for c in out)
+        assert any(len(c.measured) < c.n_qubits for c in out)
+        return out
+
+    @staticmethod
+    def row_gates(circuit, r):
+        gates = [(g.name, g.qubits, g.params) for g in circuit.gates]
+        if r.site_index < 0:
+            return gates
+        return oracles.insert_fault(
+            gates, r.gate_index, r.qubit,
+            math.radians(r.theta_deg), math.radians(r.phi_deg),
+        )
+
+    @staticmethod
+    def assert_row(r, want):
+        got = (r.pst, r.p_b, r.contrast, r.qvf)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, (r, want)
+
+    def test_exact_rows_match_oracle(self):
+        for c in self.circuits():
+            for r in run_campaign(c, CampaignConfig(grid_step=self.GRID_STEP)):
+                dist = oracles.exact_distribution(
+                    c.n_qubits, self.row_gates(c, r), c.measured
+                )
+                self.assert_row(r, oracles.metrics_fold(dist, c.correct_states))
+
+    def test_sampled_rows_match_redraw(self):
+        degs = grid_degrees(self.GRID_STEP)
+        config = CampaignConfig(
+            grid_step=self.GRID_STEP, mode="sampled", shots=self.SHOTS, seed=self.SEED
+        )
+        for c in self.circuits():
+            width = len(c.measured)
+            keys = [oracles.bitstring(i, width) for i in range(2 ** width)]
+            for r in run_campaign(c, config):
+                dist = oracles.exact_distribution(
+                    c.n_qubits, self.row_gates(c, r), c.measured, tol=-1.0
+                )
+                probs = np.array([dist.get(k, 0.0) for k in keys])
+                grid_index = degs.index((int(r.theta_deg), int(r.phi_deg)))
+                seq = np.random.SeedSequence([self.SEED, r.site_index + 1, grid_index])
+                counts = np.random.default_rng(seq).multinomial(
+                    self.SHOTS, probs / probs.sum()
+                )
+                drawn = dict(zip(keys, counts.tolist()))
+                self.assert_row(
+                    r, oracles.metrics_fold(drawn, c.correct_states, shots=self.SHOTS)
+                )

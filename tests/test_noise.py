@@ -19,14 +19,13 @@ from qvf.noise import (
     apply_readout_flips,
     depolarizing_kraus,
     evolve_density,
-    evolve_noisy_exact,
     expand_operator,
     load_noise_config,
     load_noise_file,
     phase_damping_kraus,
-    sample_noisy,
 )
-from qvf.simulator import SimulationError, run_exact
+from qvf.simulator import SimulationError, run_exact, sample
+from qvf.simulator import run_exact as evolve_noisy_exact
 
 REPRESENTATIVE = """
 [qubits]
@@ -262,8 +261,8 @@ class TestNoisySampling:
     def test_deterministic_and_consistent(self):
         m = load_noise_config(REPRESENTATIVE)
         c = DEFAULTS["grover"]()
-        a = sample_noisy(c, m, 1024, seed=5)
-        assert a.entries == sample_noisy(c, m, 1024, seed=5).entries
+        a = sample(c, 1024, seed=5, noise=m)
+        assert a.entries == sample(c, 1024, seed=5, noise=m).entries
         assert a.shots == 1024
         exact = evolve_noisy_exact(c, m).entries
         for key, p in exact.items():

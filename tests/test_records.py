@@ -97,6 +97,27 @@ def test_row_shape_and_types_checked():
     reject("\n".join(bad_int[:2] + [",".join(row)]) + "\n")
 
 
+def test_metric_values_must_be_finite():
+    good = records_to_string(sample_records()[:2]).splitlines()
+    for column in ("pst", "p_b", "contrast", "qvf", "baseline_qvf"):
+        for value in ("nan", "inf", "-inf"):
+            row = good[3].split(",")
+            row[COLUMNS.index(column)] = value
+            reject("\n".join(good[:3] + [",".join(row)]) + "\n")
+
+
+def test_rows_must_share_the_campaign():
+    good = records_to_string(sample_records()[:3]).splitlines()
+    for column, value in (("circuit_id", "other"), ("mode", "sampled"),
+                          ("shots", "64"), ("seed", "1")):
+        row = good[4].split(",")
+        row[COLUMNS.index(column)] = value
+        reject("\n".join(good[:4] + [",".join(row)]) + "\n")
+    with pytest.raises(RecordFileError) as ei:
+        read_records(io.StringIO("\n".join(good[:4] + [",".join(row)]) + "\n"))
+    assert "line 5" in str(ei.value)
+
+
 def test_at_most_one_baseline():
     records = sample_records()
     reject(records_to_string([records[0], records[0]]))
