@@ -18,6 +18,16 @@ order (site-major, grid-minor) no matter how many workers run, and every
 sampled record draws from its own seed sequence derived from
 (campaign seed, site, grid point), so reruns and re-schedules are
 byte-identical.
+
+A noiseless site is swept as one state block: the state after the site's
+gate is computed once and copied into a (2^n, G) block with one column
+per grid point, the G fault rotations act on it in one broadcast step,
+and the remaining gates run on the whole block (in column chunks of at
+most ``BLOCK_AMPLITUDES`` amplitudes).  Every column undergoes exactly
+the floating-point operations that simulating its injected circuit alone
+would, so the records are bit-identical to the one-circuit-per-record
+route of :func:`inject` and :func:`qvf.simulator.measured_probabilities`.
+Under noise each injected circuit is evolved on its own.
 """
 
 import math
@@ -25,9 +35,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .circuit import Circuit, Gate, bitstring_to_index
+from .gates import gate_matrix
 from .metrics import score
 from .records import QvfRecord
-from .simulator import PROB_FLOOR, SimulationError, draw_counts, measured_probabilities
+from .simulator import (
+    PROB_FLOOR,
+    SimulationError,
+    apply_gate,
+    apply_matrix,
+    check_norm,
+    draw_counts,
+    marginalize,
+    measured_probabilities,
+    zero_state,
+)
 
 import numpy as np
 
@@ -63,8 +84,14 @@ class FaultSpec:
     params: FaultParams
 
 
+#: amplitudes in one noiseless state block: a site's grid is swept in
+#: column chunks of at most this size (one column at least), so peak
+#: memory does not grow with the grid
+BLOCK_AMPLITUDES = 1 << 16
+
+
 class CampaignError(RuntimeError):
-    """A campaign aborted; the offending fault is named in the message."""
+    """A campaign aborted; the offending site is named in the message."""
 
 
 @dataclass(frozen=True)
@@ -94,7 +121,10 @@ class CampaignConfig:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.sites is not None:
-            object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
+            sites = tuple(int(s) for s in self.sites)
+            if len(set(sites)) != len(sites):
+                raise ValueError(f"duplicate site indices in {list(sites)}")
+            object.__setattr__(self, "sites", sites)
 
 
 def enumerate_sites(circuit: Circuit):
@@ -173,63 +203,113 @@ def _record_seed(campaign_seed: int, site_index: int, grid_index: int):
     return np.random.SeedSequence([campaign_seed, site_index + 1, grid_index])
 
 
-def _measure(circuit, config, mask, seed_seq):
-    """Metric summary of one circuit run under the campaign settings."""
-    probs = measured_probabilities(circuit, config.noise)
-    if config.mode == "sampled":
-        probs = draw_counts(probs, config.shots, seed_seq) / config.shots
-    else:
-        probs = np.where(probs > PROB_FLOOR, probs, 0.0)
-    return score(probs, mask)
-
-
-def _record(circuit_id, config, site_index, site, angles, summary, baseline_qvf):
-    """One campaign row; the baseline passes site None and its own qvf."""
-    return QvfRecord(
-        circuit_id=circuit_id,
-        site_index=site_index,
-        gate_index=site.gate_index if site else -1,
-        qubit=site.qubit if site else -1,
-        theta_deg=float(angles[0]),
-        phi_deg=float(angles[1]),
-        mode=config.mode,
-        shots=config.shots if config.mode == "sampled" else 0,
-        seed=config.seed,
-        pst=summary.pst,
-        p_b=summary.p_b,
-        contrast=summary.contrast,
-        qvf=summary.qvf,
-        baseline_qvf=baseline_qvf,
-        improved=summary.qvf < baseline_qvf,
+def _fault_gates(degs):
+    """One canonical u(theta, phi, 0) gate on qubit 0 per grid point."""
+    return tuple(
+        Gate("u", (0,), (math.radians(t), math.radians(p), 0.0)) for t, p in degs
     )
+
+
+def _site_blocks(circuit, noise, site, faults, mats):
+    """(first grid index, probabilities) per column chunk of one site's grid.
+
+    Each block holds one measured-probability column per fault.  Noiseless,
+    the prefix state up to the site's gate is computed once and copied into
+    a (2^n, chunk) block, the fault rotations act on it as one broadcast
+    2x2 step and the suffix gates run on the whole block.  Under noise each
+    faulted circuit is evolved on its own and the vectors are stacked.
+    """
+    gates, cut = circuit.gates, site.gate_index + 1
+    if noise is not None:
+        yield 0, np.column_stack([
+            measured_probabilities(replace(
+                circuit,
+                gates=gates[:cut] + (replace(f, qubits=(site.qubit,)),) + gates[cut:],
+            ), noise)
+            for f in faults
+        ])
+        return
+    n = circuit.n_qubits
+    prefix = zero_state(n)
+    for gate in gates[:cut]:
+        apply_gate(prefix, n, gate)
+    chunk = max(1, BLOCK_AMPLITUDES >> n)
+    for start in range(0, len(mats), chunk):
+        rotations = mats[start:start + chunk]
+        block = np.repeat(prefix[:, None], len(rotations), axis=1)
+        apply_matrix(block, n, rotations, (site.qubit,))
+        for gate in gates[cut:]:
+            apply_gate(block, n, gate)
+        check_norm(block)
+        yield start, marginalize(np.abs(block) ** 2, n, circuit.measured)
+
+
+def _mode_probs(probs, config, site_index, start):
+    """Apply the campaign mode to a block of exact probabilities whose
+    columns are grid points ``start``, ``start + 1``, ... of a site: shot
+    frequencies from each record's own seed when sampled, else the entries
+    above PROB_FLOOR."""
+    if config.mode == "sampled":
+        counts = [
+            draw_counts(col, config.shots, _record_seed(config.seed, site_index, start + j))
+            for j, col in enumerate(probs.T)
+        ]
+        return np.column_stack(counts) / config.shots
+    return np.where(probs > PROB_FLOOR, probs, 0.0)
+
+
+def _records(circuit_id, config, site_index, site, angles, summary, baseline_qvf):
+    """Campaign rows from a block summary, one per (theta, phi) of ``angles``;
+    the baseline passes site None and its own qvf."""
+    columns = (summary.pst, summary.p_b, summary.contrast, summary.qvf)
+    return [
+        QvfRecord(
+            circuit_id=circuit_id,
+            site_index=site_index,
+            gate_index=site.gate_index if site else -1,
+            qubit=site.qubit if site else -1,
+            theta_deg=float(t_deg),
+            phi_deg=float(p_deg),
+            mode=config.mode,
+            shots=config.shots if config.mode == "sampled" else 0,
+            seed=config.seed,
+            pst=pst,
+            p_b=p_b,
+            contrast=contrast,
+            qvf=qvf,
+            baseline_qvf=baseline_qvf,
+            improved=qvf < baseline_qvf,
+        )
+        for (t_deg, p_deg), pst, p_b, contrast, qvf in zip(
+            angles, *(c.tolist() for c in columns)
+        )
+    ]
 
 
 def _site_worker(args):
     """All grid records for one site; runs in a worker process."""
-    circuit, config, mask, circuit_id, site_index, site, degs, baseline_qvf = args
+    circuit, config, mask, circuit_id, site_index, site, degs, faults, mats, baseline_qvf = args
     records = []
-    for grid_index, (t_deg, p_deg) in enumerate(degs):
-        params = FaultParams(math.radians(t_deg), math.radians(p_deg))
-        faulted = inject(circuit, [FaultSpec(site, params)])
-        try:
-            summary = _measure(
-                faulted, config, mask, _record_seed(config.seed, site_index, grid_index)
+    try:
+        for start, probs in _site_blocks(circuit, config.noise, site, faults, mats):
+            summary = score(_mode_probs(probs, config, site_index, start), mask)
+            angles = degs[start:start + probs.shape[1]]
+            records += _records(
+                circuit_id, config, site_index, site, angles, summary, baseline_qvf
             )
-        except SimulationError as exc:
-            raise CampaignError(
-                f"simulation failed at site {site_index} "
-                f"(gate {site.gate_index}, qubit {site.qubit}), "
-                f"theta={t_deg} phi={p_deg}: {exc}"
-            ) from exc
-        records.append(_record(
-            circuit_id, config, site_index, site, (t_deg, p_deg), summary, baseline_qvf
-        ))
+    except SimulationError as exc:
+        raise CampaignError(
+            f"simulation failed at site {site_index} "
+            f"(gate {site.gate_index}, qubit {site.qubit}): {exc}"
+        ) from exc
     return records
 
 
 def _baseline(circuit, config, mask, circuit_id):
-    summary = _measure(circuit, config, mask, _record_seed(config.seed, -1, 0))
-    return _record(circuit_id, config, -1, None, (0, 0), summary, summary.qvf)
+    probs = measured_probabilities(circuit, config.noise)[:, None]
+    summary = score(_mode_probs(probs, config, -1, 0), mask)
+    qvf = float(summary.qvf[0])
+    return _records(circuit_id, config, -1, None, [(0, 0)], summary, qvf)[0]
 
 
 def baseline_record(circuit: Circuit, config: CampaignConfig, circuit_id=None) -> QvfRecord:
@@ -261,8 +341,10 @@ def run_campaign(circuit: Circuit, config: CampaignConfig = CampaignConfig()):
     yield base
 
     degs = grid_degrees(config.grid_step)
+    faults = _fault_gates(degs)
+    mats = np.array([gate_matrix(g.name, g.params) for g in faults])
     jobs = [
-        (circuit, config, mask, circuit_id, idx, site, degs, base.qvf)
+        (circuit, config, mask, circuit_id, idx, site, degs, faults, mats, base.qvf)
         for idx, site in picked
     ]
     if config.jobs > 1 and len(jobs) > 1:

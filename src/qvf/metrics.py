@@ -1,7 +1,8 @@
 """Vulnerability metrics and campaign aggregations.
 
 The per-distribution chain, computed by :func:`score` on a probability
-vector and a mask of correct outcomes (the dict API builds both):
+vector, or column by column on a (2^m, G) block, and a mask of correct
+outcomes (the dict API builds both):
 
 * ``pst``: total mass on the designated correct states.
 * ``michelson_contrast``: (P(A) - P(B)) / (P(A) + P(B)) where P(A) is the
@@ -40,21 +41,26 @@ def _vector(dist, correct):
 
 
 def _masses(probs, correct_mask):
-    """(P(A), P(B)): correct mass summed in entry order, largest other entry."""
-    pa = sum(probs[correct_mask].tolist())
-    incorrect = probs[~correct_mask]
-    pb = float(incorrect.max()) if incorrect.size else 0.0
+    """(P(A), P(B)) per column of a vector or (2^m, G) block: the correct
+    rows summed one by one in row order, and the largest other row (0 if
+    there is none)."""
+    block = probs if probs.ndim == 2 else probs[:, None]
+    pa = np.zeros(block.shape[1])
+    for row in block[correct_mask]:
+        pa = pa + row
+    incorrect = block[~correct_mask]
+    pb = incorrect.max(axis=0) if len(incorrect) else np.zeros(block.shape[1])
     return pa, pb
 
 
 def pst(dist, correct) -> float:
     """Probability of a successful trial: mass on the correct states."""
-    return _masses(*_vector(dist, correct))[0]
+    return float(_masses(*_vector(dist, correct))[0][0])
 
 
 def highest_incorrect(dist, correct) -> float:
     """Largest single-state mass outside the correct set (0 if none)."""
-    return _masses(*_vector(dist, correct))[1]
+    return float(_masses(*_vector(dist, correct))[1][0])
 
 
 def michelson_contrast(dist, correct) -> float:
@@ -62,11 +68,15 @@ def michelson_contrast(dist, correct) -> float:
     return score(*_vector(dist, correct)).contrast
 
 
-def qvf(contrast: float) -> float:
-    """Map contrast in [-1, 1] to vulnerability in [0, 1]."""
-    if not -1.0 - 1e-12 <= contrast <= 1.0 + 1e-12:
-        raise MetricsError(f"contrast {contrast!r} out of range")
-    return 1.0 - (contrast + 1.0) / 2.0
+def qvf(contrast):
+    """Map contrast in [-1, 1] to vulnerability in [0, 1]; elementwise on
+    an array."""
+    c = np.asarray(contrast, dtype=float)
+    outside = ~((-1.0 - 1e-12 <= c) & (c <= 1.0 + 1e-12))
+    if outside.any():
+        raise MetricsError(f"contrast {float(c[outside][0])!r} out of range")
+    result = 1.0 - (c + 1.0) / 2.0
+    return float(result) if c.ndim == 0 else result
 
 
 @dataclass(frozen=True)
@@ -78,13 +88,19 @@ class MetricSummary:
 
 
 def score(probs, correct_mask) -> MetricSummary:
-    """Full metric chain for a probability vector and a boolean mask of the
-    correct outcomes; entries to be ignored must already be zero."""
+    """Full metric chain for a probability vector, or for each column of a
+    (2^m, G) block, and a boolean mask over the rows marking the correct
+    outcomes; entries to be ignored must already be zero.  A vector gives
+    float fields, a block arrays of G values."""
+    probs = np.asarray(probs, dtype=float)
     pa, pb = _masses(probs, correct_mask)
-    if pa + pb == 0.0:
+    if (pa + pb == 0.0).any():
         raise MetricsError("contrast undefined: no mass on any counted state")
     contrast = (pa - pb) / (pa + pb)
-    return MetricSummary(pa, pb, contrast, qvf(contrast))
+    fields = (pa, pb, contrast, qvf(contrast))
+    if probs.ndim == 1:
+        fields = tuple(float(v[0]) for v in fields)
+    return MetricSummary(*fields)
 
 
 def qvf_of_distribution(dist, correct) -> MetricSummary:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .gates import SIGNATURES, X, Y, Z, gate_matrix
-from .simulator import SimulationError
+from .simulator import SimulationError, check_size
 
 US_PER_NS = 1e-3
 
@@ -308,6 +308,7 @@ def _gate_channels(model: NoiseModel, gate):
 def evolve_density(circuit: Circuit, model: NoiseModel) -> DensityMatrix:
     """Exact noisy evolution of |0...0><0...0| through the circuit."""
     n = circuit.n_qubits
+    check_size(n, dims=2)
     n_states = 1 << n
     rho = np.zeros((n_states, n_states), dtype=complex)
     rho[0, 0] = 1.0

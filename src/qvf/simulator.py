@@ -4,7 +4,11 @@ Amplitudes are stored in a dense complex vector of length 2^n with
 little-endian indexing (bit q of index i = (i >> q) & 1).  Gates are
 applied with vectorized index arithmetic: for each gate the basis indices
 are split into groups that agree on every non-target bit, and the 2x2 or
-4x4 matrix mixes the group members in place.
+4x4 matrix mixes the group members in place.  The same kernels take a
+(2^n, G) block of G state columns, since they index axis 0 only; each
+column then undergoes exactly the floating-point operations it would as
+a lone vector.  States beyond :data:`MAX_QUBITS` are refused with a
+:class:`SimulationError` before anything is allocated.
 
 Every distribution comes from :func:`measured_probabilities`, which takes
 an optional noise model (density-matrix evolution in :mod:`qvf.noise`);
@@ -53,6 +57,31 @@ class OutcomeDistribution:
         return {k: v / self.shots for k, v in self.entries.items()}
 
 
+#: largest state a simulation may allocate, in qubits of a state vector
+#: (2^20 complex entries, 16 MiB); a density matrix holds 4^n entries, so
+#: noisy runs stop at MAX_QUBITS // 2
+MAX_QUBITS = 20
+
+
+def check_size(n_qubits: int, dims: int = 1):
+    """Refuse a state of 2^(n_qubits * dims) entries beyond the budget.
+
+    ``dims`` is 1 for a state vector and 2 for a density matrix."""
+    if n_qubits * dims > MAX_QUBITS:
+        raise SimulationError(
+            f"{n_qubits} qubits exceed the simulator's limit of "
+            f"{MAX_QUBITS // dims} for a {'density matrix' if dims > 1 else 'state vector'}"
+        )
+
+
+def zero_state(n_qubits: int) -> np.ndarray:
+    """|0...0> as a 2^n amplitude vector, after the size check."""
+    check_size(n_qubits)
+    state = np.zeros(2 ** n_qubits, dtype=complex)
+    state[0] = 1.0
+    return state
+
+
 @lru_cache(maxsize=None)
 def _group_indices(n_qubits: int, targets: tuple):
     """Basis indices with all target bits clear, plus per-target strides."""
@@ -62,39 +91,46 @@ def _group_indices(n_qubits: int, targets: tuple):
     return idx, tuple(1 << q for q in targets)
 
 
-def apply_gate(state: np.ndarray, n_qubits: int, gate) -> np.ndarray:
-    """Apply one gate in place and return the state."""
-    mat = gate_matrix(gate.name, gate.params)
-    base, strides = _group_indices(n_qubits, gate.qubits)
-    if len(strides) == 1:
-        s0 = strides[0]
-        a0 = state[base]
-        a1 = state[base + s0]
-        state[base] = mat[0, 0] * a0 + mat[0, 1] * a1
-        state[base + s0] = mat[1, 0] * a0 + mat[1, 1] * a1
-    else:
-        s0, s1 = strides
-        offs = (0, s0, s1, s0 + s1)  # sub-index bit a <-> targets[a]
-        amps = [state[base + o] for o in offs]
-        for row, o in enumerate(offs):
-            state[base + o] = (
-                mat[row, 0] * amps[0]
-                + mat[row, 1] * amps[1]
-                + mat[row, 2] * amps[2]
-                + mat[row, 3] * amps[3]
-            )
+def apply_matrix(state: np.ndarray, n_qubits: int, mat: np.ndarray, qubits) -> np.ndarray:
+    """Apply a 2x2 or 4x4 matrix on ``qubits`` in place and return the state.
+
+    ``state`` is a 2^n vector or a (2^n, G) block; ``mat`` may be a
+    (G, d, d) stack holding one matrix per block column.  Sub-index bit a
+    of the matrix is the value of ``qubits[a]``.
+    """
+    base, strides = _group_indices(n_qubits, tuple(qubits))
+    offs = [0]
+    for s in strides:
+        offs += [o + s for o in offs]
+    amps = [state[base + o] for o in offs]
+    for row, o in enumerate(offs):
+        acc = mat[..., row, 0] * amps[0]
+        for col in range(1, len(offs)):
+            acc = acc + mat[..., row, col] * amps[col]
+        state[base + o] = acc
     return state
+
+
+def apply_gate(state: np.ndarray, n_qubits: int, gate) -> np.ndarray:
+    """Apply one gate in place and return the state.
+
+    ``state`` may be a (2^n, G) block: every column gets the gate."""
+    return apply_matrix(state, n_qubits, gate_matrix(gate.name, gate.params), gate.qubits)
+
+
+def check_norm(state: np.ndarray):
+    """Raise SimulationError unless the state (or every block column) has unit norm."""
+    drift = float(np.max(np.abs(np.sum(np.abs(state) ** 2, axis=0) - 1.0)))
+    if drift > NORM_TOL:
+        raise SimulationError(f"state norm drifted by {drift!r}")
 
 
 def statevector(circuit: Circuit) -> np.ndarray:
     """Final amplitudes of the circuit applied to |0...0>."""
-    state = np.zeros(2 ** circuit.n_qubits, dtype=complex)
-    state[0] = 1.0
+    state = zero_state(circuit.n_qubits)
     for gate in circuit.gates:
         apply_gate(state, circuit.n_qubits, gate)
-    norm = float(np.sum(np.abs(state) ** 2))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise SimulationError(f"state norm drifted to {norm!r}")
+    check_norm(state)
     return state
 
 
@@ -108,21 +144,25 @@ def _marginal_keys(n_qubits: int, measured: tuple) -> np.ndarray:
     return keys
 
 
+def marginalize(probs: np.ndarray, n_qubits: int, measured) -> np.ndarray:
+    """Basis probabilities (a 2^n vector or a (2^n, G) block) summed onto the
+    measured-qubit indices, each sum taken in basis-index order."""
+    out = np.zeros((2 ** len(measured),) + probs.shape[1:])
+    np.add.at(out, _marginal_keys(n_qubits, tuple(measured)), probs)
+    return out
+
+
 def measured_probabilities(circuit: Circuit, noise=None) -> np.ndarray:
     """Probability vector over measured-qubit indices (exact, no RNG).
 
     With ``noise``, every gate is followed by the model's channels and the
     vector passes through its readout flips."""
     if noise is None:
-        probs = np.abs(statevector(circuit)) ** 2
-    else:
-        from .noise import apply_readout_flips, evolve_density
+        return marginalize(np.abs(statevector(circuit)) ** 2, circuit.n_qubits, circuit.measured)
+    from .noise import apply_readout_flips, evolve_density
 
-        probs = np.clip(np.diag(evolve_density(circuit, noise).entries).real, 0.0, None)
-    keys = _marginal_keys(circuit.n_qubits, circuit.measured)
-    marginal = np.bincount(keys, weights=probs, minlength=2 ** len(circuit.measured))
-    if noise is None:
-        return marginal
+    probs = np.clip(np.diag(evolve_density(circuit, noise).entries).real, 0.0, None)
+    marginal = marginalize(probs, circuit.n_qubits, circuit.measured)
     return apply_readout_flips(marginal, noise, circuit.measured)
 
 

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qvf
 from qvf.cli import EXIT_IO, EXIT_PARSE, EXIT_SIMULATION, EXIT_USAGE, main
 from qvf.qasm import parse_qasm
 from qvf.records import read_records_file
@@ -263,6 +265,32 @@ class TestExitCodes:
             assert "error:" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_duplicate_sites(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = main(["campaign", "run", "bv", "--sites", "0", "0",
+                     "--grid-step", "90", "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert "error: duplicate site" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n_qubits, extra", [
+        (40, []),
+        (40, ["--correct", "0"]),
+        (12, ["--correct", "0", "--noise", "representative"]),
+    ])
+    def test_oversized_circuit(self, tmp_path, capsys, n_qubits, extra):
+        # refused before any state is allocated: 2^40 amplitudes, or a
+        # 4^12-entry density matrix under noise
+        src = tmp_path / "wide.qasm"
+        src.write_text(f"qreg q[{n_qubits}]; creg c[1]; h q[0]; cx q[0],q[1]; "
+                       "measure q[0] -> c[0];")
+        out = tmp_path / "o.csv"
+        code = main(["campaign", "run", str(src), "--grid-step", "90",
+                     "--jobs", "1", "--out", str(out)] + extra)
+        assert code == EXIT_SIMULATION
+        assert "error:" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [src]
+
     def test_simulation_error(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         code = main(["campaign", "run", "grover", "--grid-step", "90",
@@ -287,9 +315,12 @@ class TestExitCodes:
 
 
 def test_console_script_installed():
+    # the child imports the package under test, installed or not
+    src = os.path.dirname(os.path.dirname(qvf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qvf.cli", "bench", "list"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "grover" in proc.stdout

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
-from support import random_circuit
+from support import random_circuit, random_gates
 from qvf.benchmarks import build_bernstein_vazirani, build_grover
-from qvf.circuit import Circuit
+from qvf.circuit import Circuit, bitstring_to_index
 from qvf.injector import (
+    BLOCK_AMPLITUDES,
     CampaignConfig,
     CampaignError,
     FaultParams,
@@ -23,9 +24,10 @@ from qvf.injector import (
     inject,
     run_campaign,
 )
-from qvf.metrics import qvf_of_distribution
+from qvf.metrics import qvf_of_distribution, score
 from qvf.noise import NoiseModel
-from qvf.simulator import run_exact
+from qvf.records import QvfRecord, records_to_string
+from qvf.simulator import PROB_FLOOR, draw_counts, measured_probabilities, run_exact
 
 
 class TestSites:
@@ -227,6 +229,14 @@ class TestCampaign:
         with pytest.raises(ValueError):
             CampaignConfig(jobs=0)
 
+    def test_duplicate_sites_rejected(self):
+        # a repeated index would double-weight that site in every aggregate
+        with pytest.raises(ValueError, match="duplicate"):
+            CampaignConfig(sites=(0, 0))
+        with pytest.raises(ValueError, match="duplicate"):
+            CampaignConfig(sites=[3, 1, 3])
+        assert CampaignConfig(sites=[3, 1]).sites == (3, 1)
+
     def test_fault_gates_feel_gate_noise(self):
         # an identity fault still adds a noisy gate, so it scores worse
         noise = NoiseModel(default_depolarizing=0.01)
@@ -363,3 +373,91 @@ class TestCorrectMask:
                 self.assert_row(
                     r, oracles.metrics_fold(drawn, c.correct_states, shots=self.SHOTS)
                 )
+
+
+class TestBlockKernel:
+    """The site-batched campaign kernel against a per-record reference.
+
+    The reference re-simulates one injected circuit per record, as the
+    campaign runner did before it swept a site's grid as one state block.
+    Every amplitude undergoes the same floating-point operations on both
+    routes, so the CSV text must match byte for byte; a drift of one ulp
+    changes the repr-formatted values or, in sampled mode, the draws.
+    """
+
+    @staticmethod
+    def reference_csv(circuit, config):
+        mask = np.zeros(2 ** len(circuit.measured), dtype=bool)
+        mask[[bitstring_to_index(s) for s in circuit.correct_states]] = True
+        circuit_id = circuit.name or "circuit"
+
+        def row(site_index, site, angles, faulted, grid_index, baseline_qvf):
+            probs = measured_probabilities(faulted)
+            if config.mode == "sampled":
+                seq = np.random.SeedSequence([config.seed, site_index + 1, grid_index])
+                probs = draw_counts(probs, config.shots, seq) / config.shots
+            else:
+                probs = np.where(probs > PROB_FLOOR, probs, 0.0)
+            summary = score(probs, mask)
+            if baseline_qvf is None:
+                baseline_qvf = summary.qvf
+            return QvfRecord(
+                circuit_id, site_index,
+                site.gate_index if site else -1, site.qubit if site else -1,
+                float(angles[0]), float(angles[1]), config.mode,
+                config.shots if config.mode == "sampled" else 0, config.seed,
+                summary.pst, summary.p_b, summary.contrast, summary.qvf,
+                baseline_qvf, summary.qvf < baseline_qvf,
+            )
+
+        base = row(-1, None, (0, 0), circuit, 0, None)
+        rows = [base]
+        sites = enumerate_sites(circuit)
+        picked = range(len(sites)) if config.sites is None else config.sites
+        for site_index in picked:
+            site = sites[site_index]
+            for grid_index, (t, p) in enumerate(grid_degrees(config.grid_step)):
+                fault = FaultSpec(site, FaultParams(math.radians(t), math.radians(p)))
+                rows.append(row(
+                    site_index, site, (t, p), inject(circuit, [fault]), grid_index, base.qvf
+                ))
+        return records_to_string(rows)
+
+    @staticmethod
+    def cases():
+        """(circuit, grid step, sites) triples: random circuits up to six
+        qubits, plus a nine-qubit one whose 15-degree grid needs several
+        column chunks per site."""
+        rng = np.random.default_rng(3031)
+        out = []
+        for _ in range(20):
+            c = random_circuit(rng, max_qubits=6, max_gates=10)
+            if c.correct_states is None:
+                width = len(c.measured)
+                c = c.with_metadata(correct_states={
+                    oracles.bitstring(int(rng.integers(2 ** width)), width)
+                })
+            out.append((c, int(rng.choice([45, 90])), None))
+        # a random rotation on every qubit first, so that each measured
+        # outcome sums 32 irregular nonzero amplitudes and the order of
+        # the sum shows in the last bits
+        spread = [("u", (q,), tuple(rng.uniform(0, 2 * math.pi, 3))) for q in range(9)]
+        wide = Circuit(9, spread + random_gates(rng, 9, 14), (4, 0, 7, 2),
+                       correct_states={"0110"})
+        assert len(grid_degrees(15)) * 2 ** wide.n_qubits > 2 * BLOCK_AMPLITUDES
+        out.append((wide, 15, (3, 11)))
+        assert any(len(c.measured) <= c.n_qubits - 2 for c, _, _ in out)
+        return out
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_csv_matches_per_record_reference(self, mode):
+        for circuit, step, sites in self.cases():
+            config = CampaignConfig(
+                grid_step=step, mode=mode, shots=200, seed=17, sites=sites
+            )
+            want = self.reference_csv(circuit, config)
+            for jobs in (1, 2):
+                got = records_to_string(
+                    run_campaign(circuit, dataclasses.replace(config, jobs=jobs))
+                )
+                assert got == want, (circuit, config, jobs)

@@ -18,6 +18,7 @@ from qvf.metrics import (
     pst,
     qvf,
     qvf_of_distribution,
+    score,
     timeline,
 )
 from qvf.records import QvfRecord
@@ -109,6 +110,32 @@ class TestMetricChain:
             michelson_contrast(dist({}), {"00"})
         with pytest.raises(MetricsError):
             qvf(1.5)
+
+    def test_block_scores_each_column_like_a_vector(self):
+        rng = np.random.default_rng(5)
+        block = rng.random((8, 40))
+        block[:, 3] = 0.0
+        block[5, 3] = 1.0
+        block /= block.sum(axis=0)
+        for mask_rows in ([1], [0, 2, 6], list(range(8))):
+            mask = np.zeros(8, dtype=bool)
+            mask[mask_rows] = True
+            summary = score(block, mask)
+            for j in range(block.shape[1]):
+                one = score(block[:, j], mask)
+                assert (one.pst, one.p_b, one.contrast, one.qvf) == (
+                    summary.pst[j], summary.p_b[j], summary.contrast[j], summary.qvf[j]
+                )
+                assert isinstance(one.qvf, float)
+
+    def test_block_errors(self):
+        mask = np.array([True, False])
+        with pytest.raises(MetricsError, match="no mass"):
+            score(np.array([[0.5, 0.0], [0.5, 0.0]]), mask)
+        with pytest.raises(MetricsError, match="out of range"):
+            score(np.array([[0.5, -2.0], [0.5, 1.0]]), mask)
+        with pytest.raises(MetricsError, match="out of range"):
+            qvf(np.array([0.0, 1.5]))
 
     @given(st.floats(min_value=-1.0, max_value=1.0))
     def test_qvf_is_affine_in_contrast(self, c):

@@ -9,9 +9,12 @@ import pytest
 import oracles
 import qvf.simulator
 from qvf.circuit import Circuit
+from qvf.noise import NoiseModel
 from qvf.simulator import (
+    MAX_QUBITS,
     OutcomeDistribution,
     SimulationError,
+    measured_probabilities,
     run_exact,
     sample,
     sample_vector,
@@ -132,3 +135,15 @@ def test_probabilities_normalizes_counts():
     dist = OutcomeDistribution({"0": 768, "1": 256}, shots=1024)
     probs = dist.probabilities()
     assert probs == {"0": 0.75, "1": 0.25}
+
+
+def test_oversized_states_are_refused():
+    # checked against the qubit count alone, before any allocation
+    wide = Circuit(MAX_QUBITS + 1, [("h", (0,), ())], (0,))
+    for run in (statevector, measured_probabilities):
+        with pytest.raises(SimulationError, match="limit"):
+            run(wide)
+    half = Circuit(MAX_QUBITS // 2 + 1, [("h", (0,), ())], (0,))
+    assert len(measured_probabilities(half)) == 2
+    with pytest.raises(SimulationError, match="density matrix"):
+        measured_probabilities(half, NoiseModel())
