@@ -19,15 +19,18 @@ sampled record draws from its own seed sequence derived from
 (campaign seed, site, grid point), so reruns and re-schedules are
 byte-identical.
 
-A noiseless site is swept as one state block: the state after the site's
-gate is computed once and copied into a (2^n, G) block with one column
-per grid point, the G fault rotations act on it in one broadcast step,
-and the remaining gates run on the whole block (in column chunks of at
-most ``BLOCK_AMPLITUDES`` amplitudes).  Every column undergoes exactly
-the floating-point operations that simulating its injected circuit alone
-would, so the records are bit-identical to the one-circuit-per-record
-route of :func:`inject` and :func:`qvf.simulator.measured_probabilities`.
-Under noise each injected circuit is evolved on its own.
+A site is swept as one block: the state after the site's gate is
+computed once and copied into a (2^n, G) block with one column per grid
+point, the G fault rotations act on it in one broadcast step, and the
+remaining gates run on the whole block (in column chunks of at most
+``BLOCK_AMPLITUDES`` amplitudes).  Under noise the block holds flat
+density matrices, (4^n, G) in the layout of :mod:`qvf.noise`: the
+rotations act on the row bits and, conjugated, on the column bits, then
+the fault gate's own noise follows, and every gate's steps are compiled
+once per campaign.  Every column undergoes exactly the floating-point
+operations that simulating its injected circuit alone would, so the
+records match the one-circuit-per-record route of :func:`inject` and
+:func:`qvf.simulator.measured_probabilities` bit for bit.
 """
 
 import math
@@ -37,6 +40,13 @@ from dataclasses import dataclass, replace
 from .circuit import Circuit, Gate, bitstring_to_index
 from .gates import gate_matrix
 from .metrics import score
+from .noise import (
+    check_density,
+    compile_steps,
+    evolve,
+    gate_steps,
+    readout_probabilities,
+)
 from .records import QvfRecord
 from .simulator import (
     PROB_FLOOR,
@@ -84,14 +94,19 @@ class FaultSpec:
     params: FaultParams
 
 
-#: amplitudes in one noiseless state block: a site's grid is swept in
-#: column chunks of at most this size (one column at least), so peak
+#: entries in one state (or flat density) block: a site's grid is swept
+#: in column chunks of at most this size (one column at least), so peak
 #: memory does not grow with the grid
 BLOCK_AMPLITUDES = 1 << 16
 
+#: a fault counts as improved only when its qvf is more than this below the
+#: baseline, so a rounding tie between two equal states never sets the flag
+IMPROVED_MARGIN = 1e-12
+
 
 class CampaignError(RuntimeError):
-    """A campaign aborted; the offending site is named in the message."""
+    """A campaign aborted; the message names the offending site, and the
+    grid point when one column of its block failed a check."""
 
 
 @dataclass(frozen=True)
@@ -203,45 +218,31 @@ def _record_seed(campaign_seed: int, site_index: int, grid_index: int):
     return np.random.SeedSequence([campaign_seed, site_index + 1, grid_index])
 
 
-def _fault_gates(degs):
-    """One canonical u(theta, phi, 0) gate on qubit 0 per grid point."""
-    return tuple(
-        Gate("u", (0,), (math.radians(t), math.radians(p), 0.0)) for t, p in degs
-    )
-
-
-def _site_blocks(circuit, noise, site, faults, mats):
-    """(first grid index, probabilities) per column chunk of one site's grid.
-
-    Each block holds one measured-probability column per fault.  Noiseless,
-    the prefix state up to the site's gate is computed once and copied into
-    a (2^n, chunk) block, the fault rotations act on it as one broadcast
-    2x2 step and the suffix gates run on the whole block.  Under noise each
-    faulted circuit is evolved on its own and the vectors are stacked.
-    """
-    gates, cut = circuit.gates, site.gate_index + 1
-    if noise is not None:
-        yield 0, np.column_stack([
-            measured_probabilities(replace(
-                circuit,
-                gates=gates[:cut] + (replace(f, qubits=(site.qubit,)),) + gates[cut:],
-            ), noise)
-            for f in faults
-        ])
-        return
+def _prefix(circuit, program, cut):
+    """The state, or flat rho under noise, after the first ``cut`` gates."""
     n = circuit.n_qubits
-    prefix = zero_state(n)
-    for gate in gates[:cut]:
-        apply_gate(prefix, n, gate)
-    chunk = max(1, BLOCK_AMPLITUDES >> n)
-    for start in range(0, len(mats), chunk):
-        rotations = mats[start:start + chunk]
-        block = np.repeat(prefix[:, None], len(rotations), axis=1)
-        apply_matrix(block, n, rotations, (site.qubit,))
-        for gate in gates[cut:]:
+    if program is None:
+        state = zero_state(n)
+        for gate in circuit.gates[:cut]:
+            apply_gate(state, n, gate)
+        return state
+    return evolve(zero_state(2 * n), n, program[:cut])
+
+
+def _block(circuit, noise, program, site, prefix, rotations):
+    """Measured probabilities of a site's faulted circuits, one column per
+    fault rotation, from the state (or flat rho) after the site's gate."""
+    n, q, cut = circuit.n_qubits, site.qubit, site.gate_index + 1
+    block = np.repeat(prefix[:, None], len(rotations), axis=1)
+    if noise is None:
+        apply_matrix(block, n, rotations, (q,))
+        for gate in circuit.gates[cut:]:
             apply_gate(block, n, gate)
         check_norm(block)
-        yield start, marginalize(np.abs(block) ** 2, n, circuit.measured)
+        return marginalize(np.abs(block) ** 2, n, circuit.measured)
+    evolve(block, n, [gate_steps(noise, "u", rotations, (q,), n)] + program[cut:])
+    check_density(block, n)
+    return readout_probabilities(block, n, noise, circuit.measured)
 
 
 def _mode_probs(probs, config, site_index, start):
@@ -278,7 +279,7 @@ def _records(circuit_id, config, site_index, site, angles, summary, baseline_qvf
             contrast=contrast,
             qvf=qvf,
             baseline_qvf=baseline_qvf,
-            improved=qvf < baseline_qvf,
+            improved=qvf < baseline_qvf - IMPROVED_MARGIN,
         )
         for (t_deg, p_deg), pst, p_b, contrast, qvf in zip(
             angles, *(c.tolist() for c in columns)
@@ -288,36 +289,33 @@ def _records(circuit_id, config, site_index, site, angles, summary, baseline_qvf
 
 def _site_worker(args):
     """All grid records for one site; runs in a worker process."""
-    circuit, config, mask, circuit_id, site_index, site, degs, faults, mats, baseline_qvf = args
+    circuit, config, mask, circuit_id, site_index, site, degs, mats, program, baseline_qvf = args
     records = []
     try:
-        for start, probs in _site_blocks(circuit, config.noise, site, faults, mats):
+        prefix = _prefix(circuit, program, site.gate_index + 1)
+        chunk = max(1, BLOCK_AMPLITUDES // prefix.size)
+        for start in range(0, len(mats), chunk):
+            rotations = mats[start:start + chunk]
+            probs = _block(circuit, config.noise, program, site, prefix, rotations)
             summary = score(_mode_probs(probs, config, site_index, start), mask)
-            angles = degs[start:start + probs.shape[1]]
+            angles = degs[start:start + len(rotations)]
             records += _records(
                 circuit_id, config, site_index, site, angles, summary, baseline_qvf
             )
     except SimulationError as exc:
-        raise CampaignError(
-            f"simulation failed at site {site_index} "
-            f"(gate {site.gate_index}, qubit {site.qubit}): {exc}"
-        ) from exc
+        where = f"site {site_index} (gate {site.gate_index}, qubit {site.qubit})"
+        if exc.column is not None:
+            where += " at theta {}, phi {}".format(*degs[start + exc.column])
+        raise CampaignError(f"simulation failed at {where}: {exc}") from exc
     return records
-
-
-def _baseline(circuit, config, mask, circuit_id):
-    probs = measured_probabilities(circuit, config.noise)[:, None]
-    summary = score(_mode_probs(probs, config, -1, 0), mask)
-    qvf = float(summary.qvf[0])
-    return _records(circuit_id, config, -1, None, [(0, 0)], summary, qvf)[0]
 
 
 def baseline_record(circuit: Circuit, config: CampaignConfig, circuit_id=None) -> QvfRecord:
     """Fault-free reference row, evaluated with the campaign settings."""
-    return _baseline(
-        circuit, config, _correct_mask(circuit),
-        circuit_id or circuit.name or "circuit",
-    )
+    probs = measured_probabilities(circuit, config.noise)[:, None]
+    summary = score(_mode_probs(probs, config, -1, 0), _correct_mask(circuit))
+    circuit_id = circuit_id or circuit.name or "circuit"
+    return _records(circuit_id, config, -1, None, [(0, 0)], summary, float(summary.qvf[0]))[0]
 
 
 def run_campaign(circuit: Circuit, config: CampaignConfig = CampaignConfig()):
@@ -337,14 +335,19 @@ def run_campaign(circuit: Circuit, config: CampaignConfig = CampaignConfig()):
                 raise CampaignError(f"site index {s} out of range")
         picked = [(s, all_sites[s]) for s in config.sites]
     circuit_id = circuit.name or "circuit"
-    base = _baseline(circuit, config, mask, circuit_id)
+    base = baseline_record(circuit, config, circuit_id)
     yield base
 
     degs = grid_degrees(config.grid_step)
-    faults = _fault_gates(degs)
-    mats = np.array([gate_matrix(g.name, g.params) for g in faults])
+    # canonical u(theta, phi, 0) matrices, as injected Gates hold them
+    mats = np.array([
+        gate_matrix("u", Gate("u", (0,), (math.radians(t), math.radians(p), 0.0)).params)
+        for t, p in degs
+    ])
+    program = (None if config.noise is None
+               else compile_steps(config.noise, circuit.gates, circuit.n_qubits))
     jobs = [
-        (circuit, config, mask, circuit_id, idx, site, degs, faults, mats, base.qvf)
+        (circuit, config, mask, circuit_id, idx, site, degs, mats, program, base.qvf)
         for idx, site in picked
     ]
     if config.jobs > 1 and len(jobs) > 1:

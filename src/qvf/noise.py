@@ -16,8 +16,14 @@ Durations are nanoseconds, T1/T2 microseconds.  Absent settings are ideal
 (infinite coherence, zero duration, zero probabilities), so an empty
 config is exactly noiseless.
 
-Noisy outcome distributions come from :mod:`qvf.simulator`'s entry points
-called with a model as ``noise``.
+Density matrices are stored flat: rho[r, c] is entry r * 2^n + c of a 4^n
+vector, so row bit q is flat qubit q + n and column bit q is flat qubit q.
+A gate U on qubits Q is U on flat qubits Q + n, then conj(U) on flat qubits
+Q; the channels after it on qubit q fuse into one 4x4 superoperator
+sum_K kron(K, K*) on flat qubits (q, q + n).  Every step runs on the
+state-vector kernel :func:`qvf.simulator.apply_matrix` over 2n qubits, and
+a (4^n, G) block of flat matrices takes the same steps, one per column.
+Noisy distributions come from :mod:`qvf.simulator` called with ``noise``.
 
 Config document format (INI)::
 
@@ -44,7 +50,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .gates import SIGNATURES, X, Y, Z, gate_matrix
-from .simulator import SimulationError, check_size
+from .simulator import apply_matrix, check_size, marginalize, require, zero_state
 
 US_PER_NS = 1e-3
 
@@ -79,38 +85,20 @@ class NoiseModel:
     depolarizing: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for label, value in (("t1", self.default_t1), ("t2", self.default_t2)):
-            if not value > 0:
-                raise NoiseConfigError(f"default {label} must be positive")
-        for q, v in list(self.t1.items()) + list(self.t2.items()):
-            if not v > 0:
-                raise NoiseConfigError(f"t1/t2 for qubit {q} must be positive")
-        probs = [
-            ("p01", self.default_p01), ("p10", self.default_p10),
-            ("depolarizing", self.default_depolarizing),
-        ]
-        probs += [(f"p01[{q}]", v) for q, v in self.p01.items()]
-        probs += [(f"p10[{q}]", v) for q, v in self.p10.items()]
-        probs += [(f"depolarizing[{g}]", v) for g, v in self.depolarizing.items()]
-        for label, v in probs:
-            if not 0.0 <= v <= 1.0:
-                raise NoiseConfigError(f"{label} = {v!r} outside [0, 1]")
-        durations = [("duration", self.default_duration)]
-        durations += [(f"duration[{g}]", v) for g, v in self.duration.items()]
-        for label, v in durations:
-            if v < 0:
-                raise NoiseConfigError(f"{label} must be >= 0")
-        for q in set(self.t1) | set(self.t2):
-            self._check_pair(self.qubit_t1(q), self.qubit_t2(q), q)
-        self._check_pair(self.default_t1, self.default_t2, None)
-
-    @staticmethod
-    def _check_pair(t1, t2, qubit):
-        if math.isinf(t2):
-            return  # unspecified t2: no pure dephasing, any t1 is fine
-        if t2 > 2.0 * t1:
-            where = "default" if qubit is None else f"qubit {qubit}"
-            raise NoiseConfigError(f"{where}: t2 = {t2} exceeds 2 * t1 = {2 * t1}")
+        unit = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+        rules = {"t1": ("positive", lambda v: v > 0), "t2": ("positive", lambda v: v > 0),
+                 "p01": unit, "p10": unit, "depolarizing": unit,
+                 "duration": (">= 0", lambda v: v >= 0)}
+        for name, (what, ok) in rules.items():
+            values = {"default": getattr(self, f"default_{name}"), **getattr(self, name)}
+            for where, v in values.items():
+                if not ok(v):
+                    raise NoiseConfigError(f"{name}[{where}] = {v!r} must be {what}")
+        for q in set(self.t1) | set(self.t2) | {None}:  # None: the defaults
+            t1, t2 = self.qubit_t1(q), self.qubit_t2(q)
+            if not math.isinf(t2) and t2 > 2.0 * t1:  # no t2: no pure dephasing
+                where = "default" if q is None else f"qubit {q}"
+                raise NoiseConfigError(f"{where}: t2 = {t2} exceeds 2 * t1 = {2 * t1}")
 
     def qubit_t1(self, q: int) -> float:
         return self.t1.get(q, self.default_t1)
@@ -144,22 +132,22 @@ IDEAL = NoiseModel()
 
 
 def _parse_section(section, plain_keys, sub_parser, what):
-    """Split a config section into defaults and per-entity overrides."""
-    defaults = {}
-    overrides = {k: {} for k in plain_keys}
+    """NoiseModel keyword arguments from one config section: plain keys set
+    the defaults, "<entity>.<key>" keys per-entity overrides."""
+    kwargs = {k: {} for k in plain_keys}
     for key, raw in section.items():
         try:
             value = float(raw)
         except ValueError:
             raise NoiseConfigError(f"{what} {key} = {raw!r} is not a number") from None
         if key in plain_keys:
-            defaults[key] = value
+            kwargs[f"default_{key}"] = value
             continue
         entity, dot, sub = key.partition(".")
         if not dot or sub not in plain_keys:
             raise NoiseConfigError(f"unknown {what} key {key!r}")
-        overrides[sub][sub_parser(entity)] = value
-    return defaults, overrides
+        kwargs[sub][sub_parser(entity)] = value
+    return kwargs
 
 
 def load_noise_config(text: str) -> NoiseModel:
@@ -169,8 +157,7 @@ def load_noise_config(text: str) -> NoiseModel:
         cp.read_string(text)
     except configparser.Error as exc:
         raise NoiseConfigError(f"malformed noise config: {exc}") from None
-    known = {"qubits", "gates"}
-    extra = set(cp.sections()) - known
+    extra = set(cp.sections()) - {"qubits", "gates"}
     if extra:
         raise NoiseConfigError(f"unknown section(s) {sorted(extra)}")
 
@@ -185,18 +172,10 @@ def load_noise_config(text: str) -> NoiseModel:
         return text_key
 
     kwargs = {}
-    if cp.has_section("qubits"):
-        defaults, overrides = _parse_section(
-            cp["qubits"], {"t1", "t2", "p01", "p10"}, qubit_key, "qubit")
-        for k, v in defaults.items():
-            kwargs[f"default_{k}"] = v
-        kwargs.update({k: overrides[k] for k in overrides})
-    if cp.has_section("gates"):
-        defaults, overrides = _parse_section(
-            cp["gates"], {"duration", "depolarizing"}, gate_key, "gate")
-        for k, v in defaults.items():
-            kwargs[f"default_{k}"] = v
-        kwargs.update({k: overrides[k] for k in overrides})
+    for name, keys, parse in (("qubits", ("t1", "t2", "p01", "p10"), qubit_key),
+                              ("gates", ("duration", "depolarizing"), gate_key)):
+        if cp.has_section(name):
+            kwargs.update(_parse_section(cp[name], keys, parse, name[:-1]))
     return NoiseModel(**kwargs)
 
 
@@ -212,58 +191,90 @@ def load_noise_file(path) -> NoiseModel:
 
 def amplitude_damping_kraus(gamma: float):
     """{K0 = [[1, 0], [0, sqrt(1-g)]], K1 = [[0, sqrt(g)], [0, 0]]}"""
-    return (
-        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex),
-        np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
-    )
+    return (np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex),
+            np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex))
 
 
 def phase_damping_kraus(lam: float):
     """{K0 = [[1, 0], [0, sqrt(1-l)]], K1 = [[0, 0], [0, sqrt(l)]]}"""
-    return (
-        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lam)]], dtype=complex),
-        np.array([[0.0, 0.0], [0.0, math.sqrt(lam)]], dtype=complex),
-    )
+    return (np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lam)]], dtype=complex),
+            np.array([[0.0, 0.0], [0.0, math.sqrt(lam)]], dtype=complex))
 
 
 def depolarizing_kraus(p: float):
     """{sqrt(1-p) I, sqrt(p/3) X, sqrt(p/3) Y, sqrt(p/3) Z}"""
     w = math.sqrt(p / 3.0)
-    return (
-        math.sqrt(1.0 - p) * np.eye(2, dtype=complex),
-        w * X,
-        w * Y,
-        w * Z,
-    )
+    return (math.sqrt(1.0 - p) * np.eye(2, dtype=complex), w * X, w * Y, w * Z)
 
 
-@lru_cache(maxsize=None)
-def _expand_cached(entries: tuple, dim: int, qubits: tuple, n_qubits: int):
-    mat = np.array(entries, dtype=complex).reshape(dim, dim)
-    n_states = 1 << n_qubits
-    idx = np.arange(n_states)
-    sub = np.zeros(n_states, dtype=int)
-    for a, q in enumerate(qubits):
-        sub |= ((idx >> q) & 1) << a
-    mask = 0
+@lru_cache(maxsize=256)
+def _superoperator(gamma: float, lam: float, p: float):
+    """Damping, dephasing and depolarizing in turn as one 4x4 matrix on
+    flat qubits (q, q + n), each channel sum_K kron(K, K*); None when all
+    three are the identity."""
+    out = None
+    for kraus, value in ((amplitude_damping_kraus, gamma),
+                         (phase_damping_kraus, lam), (depolarizing_kraus, p)):
+        if value > 0.0:
+            sup = sum(np.kron(k, k.conj()) for k in kraus(value))
+            out = sup if out is None else sup @ out
+    return out
+
+
+def gate_steps(model: NoiseModel, name: str, mat: np.ndarray, qubits, n_qubits: int):
+    """(name, steps) taking a flat rho through one gate and its noise: the
+    (matrix, flat qubits) pairs ``mat`` on the row bits, its conjugate on the
+    column bits and one channel superoperator per target.  ``mat`` may be a
+    (G, d, d) stack, one matrix per block column."""
+    steps = [(mat, tuple(q + n_qubits for q in qubits)), (mat.conj(), tuple(qubits))]
     for q in qubits:
-        mask |= 1 << q
-    base = idx & ~mask
-    full = np.zeros((n_states, n_states), dtype=complex)
-    for col_sub in range(dim):
-        cols = base.copy()
-        for a, q in enumerate(qubits):
-            if (col_sub >> a) & 1:
-                cols |= 1 << q
-        full[idx, cols] = mat[sub, col_sub]
-    return full
+        sup = _superoperator(model.amplitude_damping_gamma(name, q),
+                             model.phase_damping_lambda(name, q),
+                             model.gate_depolarizing(name))
+        if sup is not None:
+            steps.append((sup, (q, q + n_qubits)))
+    return name, steps
 
 
-def expand_operator(mat: np.ndarray, qubits, n_qubits: int) -> np.ndarray:
-    """Lift a 2^k x 2^k operator on ``qubits`` to the full state space."""
-    mat = np.asarray(mat, dtype=complex)
-    return _expand_cached(
-        tuple(mat.reshape(-1)), mat.shape[0], tuple(qubits), n_qubits
+def compile_steps(model: NoiseModel, gates, n_qubits: int):
+    """:func:`gate_steps` for every gate of a circuit, in order."""
+    return [
+        gate_steps(model, g.name, gate_matrix(g.name, g.params), g.qubits, n_qubits)
+        for g in gates
+    ]
+
+
+def _diagonal(n_qubits: int) -> np.ndarray:
+    """Flat indices of the diagonal entries rho[i, i]."""
+    return np.arange(1 << n_qubits) * ((1 << n_qubits) + 1)
+
+
+def evolve(rho: np.ndarray, n_qubits: int, program) -> np.ndarray:
+    """Run a flat rho (4^n vector or (4^n, G) block) through compiled gates
+    in place, checking every column's trace after each gate."""
+    diag = _diagonal(n_qubits)
+    for name, steps in program:
+        for mat, qubits in steps:
+            apply_matrix(rho, 2 * n_qubits, mat, qubits)
+        trace = rho[diag].sum(axis=0).real
+        require((np.abs(trace - 1.0) <= TRACE_TOL, f"trace drifted to {{!r}} after {name}", trace))
+    return rho
+
+
+def check_density(rho: np.ndarray, n_qubits: int):
+    """Raise SimulationError unless every column of a flat rho has unit
+    trace, is Hermitian and has no eigenvalue below EIGENVALUE_FLOOR."""
+    d = 1 << n_qubits
+    mats = rho.reshape(d, d, -1).transpose(2, 0, 1)
+    trace = np.trace(mats, axis1=1, axis2=2)
+    skew = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)), axis=(1, 2))
+    smallest = np.linalg.eigvalsh(mats)[:, 0]
+    if rho.ndim == 1:  # a lone matrix has no column to name
+        trace, skew, smallest = trace[0], skew[0], smallest[0]
+    require(
+        (np.abs(trace - 1.0) <= TRACE_TOL, "density trace drifted to {!r}", trace),
+        (skew <= HERMITIAN_TOL, "density matrix is not Hermitian (off by {!r})", skew),
+        (smallest >= EIGENVALUE_FLOOR, "negative eigenvalue {!r}", smallest),
     )
 
 
@@ -275,70 +286,36 @@ class DensityMatrix:
     entries: np.ndarray
 
     def validate(self):
-        rho = self.entries
-        trace = complex(np.trace(rho))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise SimulationError(f"density trace drifted to {trace!r}")
-        if np.max(np.abs(rho - rho.conj().T)) > HERMITIAN_TOL:
-            raise SimulationError("density matrix is not Hermitian")
-        smallest = float(np.linalg.eigvalsh(rho)[0])
-        if smallest < EIGENVALUE_FLOOR:
-            raise SimulationError(f"negative eigenvalue {smallest!r}")
+        check_density(self.entries.reshape(-1), self.n_qubits)
         return self
-
-
-def _gate_channels(model: NoiseModel, gate):
-    """Kraus sets to apply per target qubit after one gate, identity-free."""
-    per_qubit = []
-    for q in gate.qubits:
-        sets = []
-        gamma = model.amplitude_damping_gamma(gate.name, q)
-        if gamma > 0.0:
-            sets.append(amplitude_damping_kraus(gamma))
-        lam = model.phase_damping_lambda(gate.name, q)
-        if lam > 0.0:
-            sets.append(phase_damping_kraus(lam))
-        p = model.gate_depolarizing(gate.name)
-        if p > 0.0:
-            sets.append(depolarizing_kraus(p))
-        per_qubit.append((q, sets))
-    return per_qubit
 
 
 def evolve_density(circuit: Circuit, model: NoiseModel) -> DensityMatrix:
     """Exact noisy evolution of |0...0><0...0| through the circuit."""
     n = circuit.n_qubits
     check_size(n, dims=2)
-    n_states = 1 << n
-    rho = np.zeros((n_states, n_states), dtype=complex)
-    rho[0, 0] = 1.0
-    for gate in circuit.gates:
-        full = expand_operator(gate_matrix(gate.name, gate.params), gate.qubits, n)
-        rho = full @ rho @ full.conj().T
-        for q, kraus_sets in _gate_channels(model, gate):
-            for kraus in kraus_sets:
-                out = np.zeros_like(rho)
-                for k in kraus:
-                    kf = expand_operator(k, (q,), n)
-                    out += kf @ rho @ kf.conj().T
-                rho = out
-        trace = float(np.trace(rho).real)
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise SimulationError(f"trace drifted to {trace!r} after {gate.name}")
-    return DensityMatrix(n, rho).validate()
+    rho = evolve(zero_state(2 * n), n, compile_steps(model, circuit.gates, n))
+    return DensityMatrix(n, rho.reshape(1 << n, 1 << n)).validate()
+
+
+def readout_probabilities(rho: np.ndarray, n_qubits: int, model: NoiseModel, measured):
+    """Read-out probabilities over the measured qubits of a flat rho, or of
+    each column of a block: the clipped diagonal, marginalised, then through
+    the readout flips."""
+    probs = np.clip(rho[_diagonal(n_qubits)].real, 0.0, None)
+    return apply_readout_flips(marginalize(probs, n_qubits, measured), model, measured)
 
 
 def apply_readout_flips(probs: np.ndarray, model: NoiseModel, measured) -> np.ndarray:
-    """Push a marginal probability vector through the readout flip matrices."""
-    m = len(measured)
-    out = np.asarray(probs, dtype=float).reshape([2] * m)
+    """Push marginal probabilities (a 2^m vector or a (2^m, G) block)
+    through the readout flip matrices."""
+    out = np.array(probs, dtype=float)
     for pos, q in enumerate(measured):
         p01, p10 = model.readout(q)
         if p01 == 0.0 and p10 == 0.0:
             continue
-        flip = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
-        axis = m - 1 - pos  # C-order: last axis is bit 0
-        moved = np.moveaxis(out, axis, 0).reshape(2, -1)
-        moved = flip @ moved
-        out = np.moveaxis(moved.reshape([2] * m), 0, axis)
-    return out.reshape(-1)
+        view = out.reshape((-1, 2, 1 << pos) + out.shape[1:])  # axis 1 is bit pos
+        zero, one = view[:, 0], view[:, 1]
+        view[:, 0], view[:, 1] = (
+            (1.0 - p01) * zero + p10 * one, p01 * zero + (1.0 - p10) * one)
+    return out

@@ -12,9 +12,9 @@ Exactly one baseline row per campaign, flagged by site_index -1.  Angles
 are degrees (integers whenever they sit on a degree lattice, which covers
 every sweep grid); other floats use shortest round-trip formatting, so
 parse(write(rows)) reproduces the rows exactly.  ``shots`` is 0 for
-exact-mode rows.  ``improved_flag`` is 1 when the fault scored strictly
-below the campaign baseline.  A file holds one campaign: every row shares
-circuit_id, mode, shots and seed, and every metric value is finite.
+exact-mode rows.  ``improved_flag`` is 1 when the fault scored more than
+1e-12 below the campaign baseline.  A file holds one campaign: every row
+shares circuit_id, mode, shots and seed, and every metric value is finite.
 """
 
 import csv

@@ -7,12 +7,13 @@ are split into groups that agree on every non-target bit, and the 2x2 or
 4x4 matrix mixes the group members in place.  The same kernels take a
 (2^n, G) block of G state columns, since they index axis 0 only; each
 column then undergoes exactly the floating-point operations it would as
-a lone vector.  States beyond :data:`MAX_QUBITS` are refused with a
-:class:`SimulationError` before anything is allocated.
+a lone vector.  :mod:`qvf.noise` runs density matrices, stored flat as
+4^n vectors, on the same kernel.  States beyond :data:`MAX_QUBITS` are
+refused with a :class:`SimulationError` before anything is allocated.
 
 Every distribution comes from :func:`measured_probabilities`, which takes
-an optional noise model (density-matrix evolution in :mod:`qvf.noise`);
-:func:`draw_counts` is the one seeded multinomial draw.
+an optional noise model; :func:`draw_counts` is the one seeded
+multinomial draw.
 
 >>> from .circuit import Circuit
 >>> run_exact(Circuit(1, [("h", (0,), ())], (0,))).entries
@@ -35,7 +36,27 @@ PROB_FLOOR = 1e-14
 
 
 class SimulationError(RuntimeError):
-    """Numerical invariant broken during simulation."""
+    """Numerical invariant broken; ``column`` is the first failing column
+    of a state block, else None."""
+
+    def __init__(self, message, column=None):
+        super().__init__(message)
+        self.column = column
+
+
+def require(*checks):
+    """Raise SimulationError unless every ``(ok, message, values)`` check
+    holds.  ``ok`` and ``values`` are scalars or per-column arrays; for
+    arrays the error names the first column that fails any check, with the
+    message of the first check it fails, formatted with the failing value."""
+    oks = [np.asarray(ok) for ok, _, _ in checks]
+    everywhere = np.logical_and.reduce(oks)
+    if everywhere.all():
+        return
+    column = int(np.argmin(everywhere)) if everywhere.ndim else None
+    at = () if column is None else column
+    _, message, values = next(c for c, ok in zip(checks, oks) if not ok[at])
+    raise SimulationError(message.format(np.asarray(values)[at].item()), column)
 
 
 @dataclass(frozen=True)
@@ -120,9 +141,8 @@ def apply_gate(state: np.ndarray, n_qubits: int, gate) -> np.ndarray:
 
 def check_norm(state: np.ndarray):
     """Raise SimulationError unless the state (or every block column) has unit norm."""
-    drift = float(np.max(np.abs(np.sum(np.abs(state) ** 2, axis=0) - 1.0)))
-    if drift > NORM_TOL:
-        raise SimulationError(f"state norm drifted by {drift!r}")
+    drift = np.abs(np.sum(np.abs(state) ** 2, axis=0) - 1.0)
+    require((drift <= NORM_TOL, "state norm drifted by {!r}", drift))
 
 
 def statevector(circuit: Circuit) -> np.ndarray:
@@ -159,11 +179,10 @@ def measured_probabilities(circuit: Circuit, noise=None) -> np.ndarray:
     vector passes through its readout flips."""
     if noise is None:
         return marginalize(np.abs(statevector(circuit)) ** 2, circuit.n_qubits, circuit.measured)
-    from .noise import apply_readout_flips, evolve_density
+    from .noise import evolve_density, readout_probabilities
 
-    probs = np.clip(np.diag(evolve_density(circuit, noise).entries).real, 0.0, None)
-    marginal = marginalize(probs, circuit.n_qubits, circuit.measured)
-    return apply_readout_flips(marginal, noise, circuit.measured)
+    rho = evolve_density(circuit, noise).entries.reshape(-1)
+    return readout_probabilities(rho, circuit.n_qubits, noise, circuit.measured)
 
 
 def distribution_from_vector(probs: np.ndarray, width: int) -> OutcomeDistribution:

@@ -6,6 +6,10 @@ than the library under test:
 * circuits are evaluated by building the full 2^n x 2^n unitary as an explicit
   product of expanded gate matrices (bit-by-bit index bookkeeping, no tensor
   reshaping, no in-place amplitude updates);
+* noisy circuits are evolved as a full 2^n x 2^n density matrix, with every
+  gate and Kraus operator expanded the same way and applied as a dense
+  ``full @ rho @ full^H`` product (only the noise model's parameter lookups
+  are read from the model object);
 * metrics are recomputed with a separate fold over the distribution.
 
 Circuits are described structurally as plain tuples so this module never
@@ -102,6 +106,48 @@ def circuit_unitary(n_qubits: int, gates) -> np.ndarray:
     for name, qubits, params in gates:
         full = expand(gate_matrix(name, params), qubits, n_qubits) @ full
     return full
+
+
+def kraus_sets(model, name: str, qubit: int):
+    """Kraus sets that follow gate ``name`` on one target, identity-free:
+    amplitude damping, phase damping, then depolarizing."""
+    gamma = model.amplitude_damping_gamma(name, qubit)
+    lam = model.phase_damping_lambda(name, qubit)
+    p = model.gate_depolarizing(name)
+    sets = []
+    if gamma > 0.0:
+        sets.append((np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex),
+                     np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)))
+    if lam > 0.0:
+        sets.append((np.array([[1, 0], [0, math.sqrt(1 - lam)]], dtype=complex),
+                     np.array([[0, 0], [0, math.sqrt(lam)]], dtype=complex)))
+    if p > 0.0:
+        w = math.sqrt(p / 3.0)
+        sets.append((math.sqrt(1 - p) * np.eye(2, dtype=complex),
+                     w * _FIXED["x"], w * _FIXED["y"], w * _FIXED["z"]))
+    return sets
+
+
+def apply_kraus(rho: np.ndarray, kraus, qubit: int, n_qubits: int) -> np.ndarray:
+    """sum_K K rho K^H with every K expanded to the full space."""
+    lifted = [expand(k, (qubit,), n_qubits) for k in kraus]
+    return sum(k @ rho @ k.conj().T for k in lifted)
+
+
+def evolve_density(n_qubits: int, gates, model) -> np.ndarray:
+    """Noisy 2^n x 2^n density matrix of |0...0> after ``gates``: each gate,
+    then the Kraus sets on each of its targets."""
+    dim = 2 ** n_qubits
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    for name, qubits, params in gates:
+        full = expand(gate_matrix(name, params), qubits, n_qubits)
+        rho = full @ rho @ full.conj().T
+        for q in qubits:
+            for kraus in kraus_sets(model, name, q):
+                rho = apply_kraus(rho, kraus, q, n_qubits)
+        assert abs(np.trace(rho) - 1.0) < 1e-9, (name, qubits)
+    return rho
 
 
 def bitstring(value: int, width: int) -> str:

@@ -92,6 +92,15 @@ class TestCampaign:
         assert main(base + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_noisy_jobs_are_byte_identical(self, tmp_path, mode):
+        base = ["campaign", "run", "grover", "--grid-step", "90",
+                "--noise", "representative", "--mode", mode, "--seed", "5"]
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
+        assert main(base + ["--jobs", "2", "--out", str(pooled)]) == 0
+        assert serial.read_bytes() == pooled.read_bytes()
+
     def test_seed_changes_sampled_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -17,14 +17,15 @@ from qvf.noise import (
     NoiseModel,
     amplitude_damping_kraus,
     apply_readout_flips,
+    check_density,
     depolarizing_kraus,
     evolve_density,
-    expand_operator,
+    gate_steps,
     load_noise_config,
     load_noise_file,
     phase_damping_kraus,
 )
-from qvf.simulator import SimulationError, run_exact, sample
+from qvf.simulator import SimulationError, apply_matrix, run_exact, sample
 from qvf.simulator import run_exact as evolve_noisy_exact
 
 REPRESENTATIVE = """
@@ -79,6 +80,8 @@ class TestModelValidation:
             NoiseModel(depolarizing={"cx": -0.1})
         with pytest.raises(NoiseConfigError):
             NoiseModel(default_duration=-5.0)
+        with pytest.raises(NoiseConfigError):
+            NoiseModel(duration={"cx": float("nan")})
 
     def test_per_qubit_and_per_gate_overrides(self):
         m = NoiseModel(
@@ -153,18 +156,39 @@ class TestChannels:
             total = sum(k.conj().T @ k for k in kraus)
             assert np.allclose(total, np.eye(2), atol=1e-12)
 
-    def test_expand_operator_matches_oracle(self):
+    def test_flat_kernel_matches_oracle(self):
+        """Flat-rho steps on random rho: U rho U^H for 1- and 2-qubit U, and
+        one channel superoperator against sum_K K rho K^H."""
+        strong = NoiseModel(default_t1=1.0, default_t2=1.5, default_duration=300.0,
+                            default_depolarizing=0.2)
         rng = np.random.default_rng(41)
+        rho_rng = np.random.default_rng(42)
         for _ in range(40):
             n = int(rng.integers(1, 4))
             k = int(rng.integers(1, min(n, 2) + 1))
             qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
             mat = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
-            assert np.allclose(
-                expand_operator(mat, qubits, n),
-                oracles.expand(mat, qubits, n),
-                atol=1e-12,
-            )
+            dim = 2**n
+            rho = rho_rng.normal(size=(dim, dim)) + 1j * rho_rng.normal(size=(dim, dim))
+
+            _, steps = gate_steps(IDEAL, "u", mat, qubits, n)
+            assert len(steps) == 2
+            flat = rho.reshape(-1).copy()
+            for m, flat_qubits in steps:
+                apply_matrix(flat, 2 * n, m, flat_qubits)
+            full = oracles.expand(mat, qubits, n)
+            assert np.allclose(flat.reshape(dim, dim), full @ rho @ full.conj().T,
+                               atol=1e-12)
+
+            q = qubits[0]
+            _, steps = gate_steps(strong, "h", np.eye(2, dtype=complex), (q,), n)
+            assert steps[-1][1] == (q, q + n)
+            flat = rho.reshape(-1).copy()
+            apply_matrix(flat, 2 * n, *steps[-1])
+            want = rho
+            for kraus in oracles.kraus_sets(strong, "h", q):
+                want = oracles.apply_kraus(want, kraus, q, n)
+            assert np.allclose(flat.reshape(dim, dim), want, atol=1e-12)
 
 
 class TestDensityEvolution:
@@ -242,6 +266,56 @@ class TestDensityEvolution:
             rho.validate()
             probs = evolve_noisy_exact(c, m).probabilities()
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_matches_dense_oracle_evolution(self):
+        models = [
+            load_noise_config(REPRESENTATIVE),
+            NoiseModel(
+                default_t1=60.0, default_t2=50.0, default_duration=35.0,
+                default_depolarizing=0.002, t1={0: 20.0, 3: 45.0}, t2={0: 15.0},
+                duration={"cx": 300.0, "u": 80.0, "h": 0.0},
+                depolarizing={"cz": 0.03, "t": 0.0},
+            ),
+        ]
+        rng = np.random.default_rng(23)
+        for trial in range(40):
+            n = int(rng.integers(1, 5))
+            gates = random_gates(rng, n, int(rng.integers(1, 16)))
+            model = models[trial % 2]
+            got = evolve_density(Circuit(n, gates, tuple(range(n))), model).entries
+            want = oracles.evolve_density(n, gates, model)
+            assert np.max(np.abs(got - want)) <= 1e-12, (trial, gates)
+
+    def test_readout_flips_match_explicit_matrix_per_column(self):
+        rng = np.random.default_rng(8)
+        m = NoiseModel(default_p01=0.015, default_p10=0.03, p01={2: 0.2}, p10={0: 0.0})
+        measured = (2, 0, 1)
+        flip = np.ones((8, 8))
+        for i in range(8):
+            for j in range(8):
+                for pos, q in enumerate(measured):
+                    p01, p10 = m.readout(q)
+                    read, true = (i >> pos) & 1, (j >> pos) & 1
+                    flip[i, j] *= ((p01 if read else 1 - p01) if true == 0
+                                   else (1 - p10 if read else p10))
+        block = rng.dirichlet(np.ones(8), size=5).T
+        out = apply_readout_flips(block, m, measured)
+        assert np.allclose(out, flip @ block, atol=1e-15)
+        for j in range(5):
+            assert np.array_equal(apply_readout_flips(block[:, j], m, measured), out[:, j])
+
+    def test_block_validation_names_the_first_bad_column(self):
+        good = np.diag([1.0, 0.0]).astype(complex).reshape(-1)
+        skew = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex).reshape(-1)
+        indefinite = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex).reshape(-1)
+        check_density(np.column_stack([good, good]), 1)
+        # column 3 fails an earlier check, but column 2 is the first to fail
+        with pytest.raises(SimulationError, match="negative eigenvalue") as info:
+            check_density(np.column_stack([good, good, indefinite, skew]), 1)
+        assert info.value.column == 2
+        with pytest.raises(SimulationError) as info:
+            check_density(0.9 * good, 1)  # a lone matrix: nothing to name
+        assert info.value.column is None
 
     def test_density_validation_catches_bad_states(self):
         good = np.zeros((2, 2), dtype=complex)
