@@ -57,8 +57,11 @@ from .qasm import QasmError, emit_qasm, parse_qasm
 from .records import (
     QvfRecord,
     RecordFileError,
+    RecordTable,
     read_records,
     read_records_file,
+    read_table,
+    read_table_file,
     write_records,
     write_records_file,
 )

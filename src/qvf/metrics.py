@@ -13,13 +13,19 @@ outcomes (the dict API builds both):
 Aggregations consume campaign records (see :mod:`qvf.records`): mean-QVF
 heatmaps over the fault grid, grouped per circuit / qubit / site, cellwise
 grid differences, per-qubit depth series at a fixed fault, and histogram
-statistics.  Baseline rows (site_index < 0) are excluded from every
-aggregation.
+statistics.  They compute on the column arrays of a
+:class:`~qvf.records.RecordTable`; an iterable of records is converted to
+one on entry.  Axes and groups come from ``np.unique``, and cell sums from
+``np.add.at``, which adds in row order, so every mean is the one a
+record-by-record loop gives, bit for bit.  Baseline rows (site_index < 0)
+are excluded from every aggregation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .records import RecordTable
 
 
 class MetricsError(ValueError):
@@ -133,54 +139,47 @@ class HeatmapGrid:
         object.__setattr__(self, "cells", cells)
 
 
-def _fault_records(records):
-    return [r for r in records if r.site_index >= 0]
-
-
-def _grid_axes(records):
-    thetas = tuple(sorted({r.theta_deg for r in records}))
-    phis = tuple(sorted({r.phi_deg for r in records}))
-    return thetas, phis
-
-
-def _mean_grid(records, thetas, phis, group) -> HeatmapGrid:
-    sums = np.zeros((len(thetas), len(phis)))
-    counts = np.zeros_like(sums)
-    ti = {t: i for i, t in enumerate(thetas)}
-    pj = {p: j for j, p in enumerate(phis)}
-    for r in records:
-        sums[ti[r.theta_deg], pj[r.phi_deg]] += r.qvf
-        counts[ti[r.theta_deg], pj[r.phi_deg]] += 1
-    if (counts == 0).any():
-        raise MetricsError(f"empty (theta, phi) cell in group {group!r}")
-    return HeatmapGrid(thetas, phis, sums / counts, group)
+def _table(records) -> RecordTable:
+    if isinstance(records, RecordTable):
+        return records
+    return RecordTable.from_records(records)
 
 
 def aggregate_heatmap(records, grouping: str = "circuit"):
-    """Mean-QVF grids from fault records.
+    """Mean-QVF grids from the fault records of a RecordTable or an
+    iterable of records.
 
     grouping "circuit" returns one HeatmapGrid; "qubit" and "site" return a
-    dict keyed by qubit index / site index.
+    dict keyed by qubit index / site index.  Each cell's sum adds its
+    records in row order.
     """
-    records = _fault_records(records)
-    if not records:
+    table = _table(records)
+    faults = table.site_index >= 0
+    if not faults.any():
         raise MetricsError("no fault records to aggregate")
-    thetas, phis = _grid_axes(records)
     if grouping == "circuit":
-        return _mean_grid(records, thetas, phis, "circuit")
-    if grouping == "qubit":
-        keys = sorted({r.qubit for r in records})
-        attr = "qubit"
+        by = np.zeros(len(table), dtype=np.int64)
+    elif grouping == "qubit":
+        by = table.qubit
     elif grouping == "site":
-        keys = sorted({r.site_index for r in records})
-        attr = "site_index"
+        by = table.site_index
     else:
         raise MetricsError(f"unknown grouping {grouping!r}")
+    keys, ki = np.unique(by[faults], return_inverse=True)
+    thetas, ti = np.unique(table.theta_deg[faults], return_inverse=True)
+    phis, pj = np.unique(table.phi_deg[faults], return_inverse=True)
+    sums = np.zeros((len(keys), len(thetas), len(phis)))
+    counts = np.zeros_like(sums)
+    np.add.at(sums, (ki, ti, pj), table.qvf[faults])
+    np.add.at(counts, (ki, ti, pj), 1.0)
+    thetas, phis = tuple(thetas.tolist()), tuple(phis.tolist())
     out = {}
-    for key in keys:
-        grp = [r for r in records if getattr(r, attr) == key]
-        out[key] = _mean_grid(grp, thetas, phis, f"{grouping}:{key}")
-    return out
+    for key, cell_sums, cell_counts in zip(keys.tolist(), sums, counts):
+        group = "circuit" if grouping == "circuit" else f"{grouping}:{key}"
+        if (cell_counts == 0).any():
+            raise MetricsError(f"empty (theta, phi) cell in group {group!r}")
+        out[key] = HeatmapGrid(thetas, phis, cell_sums / cell_counts, group)
+    return out[0] if grouping == "circuit" else out
 
 
 def delta_qvf(grid_a: HeatmapGrid, grid_b: HeatmapGrid) -> HeatmapGrid:
@@ -198,20 +197,25 @@ def delta_qvf(grid_a: HeatmapGrid, grid_b: HeatmapGrid) -> HeatmapGrid:
 def timeline(records, theta_deg, phi_deg) -> dict:
     """Per-qubit (gate_index, qvf) series at one fixed fault parameter.
 
-    Series are ordered by gate index (circuit depth).  Raises if the
-    (theta, phi) pair is absent from the records.
+    Series are ordered by gate index (circuit depth), ties in row order.
+    Raises if the (theta, phi) pair is absent from the fault records.
     """
-    records = _fault_records(records)
-    picked = [
-        r for r in records if r.theta_deg == theta_deg and r.phi_deg == phi_deg
-    ]
-    if not picked:
+    table = _table(records)
+    picked = np.flatnonzero(
+        (table.site_index >= 0)
+        & (table.theta_deg == theta_deg)
+        & (table.phi_deg == phi_deg)
+    )
+    if not picked.size:
         raise MetricsError(
             f"no records at theta={theta_deg}, phi={phi_deg}"
         )
+    order = picked[np.lexsort((table.gate_index[picked], table.qubit[picked]))]
     series = {}
-    for r in sorted(picked, key=lambda r: (r.qubit, r.gate_index)):
-        series.setdefault(r.qubit, []).append((r.gate_index, r.qvf))
+    for qubit, gate, value in zip(table.qubit[order].tolist(),
+                                  table.gate_index[order].tolist(),
+                                  table.qvf[order].tolist()):
+        series.setdefault(qubit, []).append((gate, value))
     return series
 
 
@@ -227,10 +231,10 @@ def histogram_stats(records, bins: int = 50) -> HistogramStats:
     """Population mean/stddev of fault QVFs plus equal-width bins on [0, 1]."""
     if bins < 1:
         raise MetricsError("bins must be >= 1")
-    values = [r.qvf for r in _fault_records(records)]
-    if not values:
+    table = _table(records)
+    arr = table.qvf[table.site_index >= 0]
+    if not arr.size:
         raise MetricsError("no fault records")
-    arr = np.asarray(values)
     counts, edges = np.histogram(arr, bins=bins, range=(0.0, 1.0))
     return HistogramStats(
         mean=float(arr.mean()),

@@ -13,14 +13,31 @@ are degrees (integers whenever they sit on a degree lattice, which covers
 every sweep grid); other floats use shortest round-trip formatting, so
 parse(write(rows)) reproduces the rows exactly.  ``shots`` is 0 for
 exact-mode rows.  ``improved_flag`` is 1 when the fault scored more than
-1e-12 below the campaign baseline.  A file holds one campaign: every row
-shares circuit_id, mode, shots and seed, and every metric value is finite.
+1e-12 below the campaign baseline.
+
+A file holds one campaign, and the reader rejects any other: every row
+shares circuit_id, mode, shots and seed; every angle and metric value is
+finite; ``improved_flag`` is 0 or 1; only the baseline has a negative
+index, and it has -1 for site_index, gate_index and qubit alike; and there
+is at most one baseline.  An error names the file line of the first bad
+row.
+
+:func:`read_table` parses a file into a :class:`RecordTable`, one array per
+column, ``CHUNK_ROWS`` rows at a time: each chunk goes through
+``csv.reader``, is transposed, and every column is converted and checked
+as a whole.  Only a chunk with a bad value is parsed again row by row, to
+find the line to name.  :func:`read_records` returns the same rows as
+:class:`QvfRecord` objects.
 """
 
 import csv
 import io
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
+from itertools import islice
+from operator import attrgetter
+
+import numpy as np
 
 SCHEMA_LINE = "# qvf-csv v1"
 
@@ -102,43 +119,115 @@ def records_to_string(records) -> str:
     return buf.getvalue()
 
 
-def _parse_row(row, lineno):
-    if len(row) != len(COLUMNS):
-        raise RecordFileError(
-            f"line {lineno}: expected {len(COLUMNS)} fields, got {len(row)}"
+#: rows parsed per chunk, so a large file is never held as strings at once
+CHUNK_ROWS = 1024
+
+_FIELDS = tuple(f.name for f in fields(QvfRecord))
+
+#: dtype per field; the campaign key columns keep their Python values
+_DTYPES = (object, np.int64, np.int64, np.int64, float, float, object,
+           object, object, float, float, float, float, float, bool)
+
+
+def _python_ints(text):
+    # shots and seed: a campaign seed may exceed int64
+    return np.fromiter(map(int, text), object, len(text))
+
+
+_TEXT = partial(np.array, dtype=object)
+_INT = partial(np.array, dtype=np.int64)
+_FLOAT = partial(np.array, dtype=float)
+
+#: converter per column.  numpy parses each str element to int64 or float64
+#: with int() and float() themselves, so a bad value raises their error.
+_CONVERTERS = (
+    _TEXT, _INT, _INT, _INT, _FLOAT, _FLOAT, _TEXT, _python_ints,
+    _python_ints, _FLOAT, _FLOAT, _FLOAT, _FLOAT, _FLOAT, _INT,
+)
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Records as one array per :class:`QvfRecord` field, in row order.
+
+    site_index, gate_index and qubit are int64, the angles and metrics
+    float64, ``improved`` bool; circuit_id, mode, shots and seed are object
+    arrays of the Python values.
+    """
+
+    circuit_id: np.ndarray
+    site_index: np.ndarray
+    gate_index: np.ndarray
+    qubit: np.ndarray
+    theta_deg: np.ndarray
+    phi_deg: np.ndarray
+    mode: np.ndarray
+    shots: np.ndarray
+    seed: np.ndarray
+    pst: np.ndarray
+    p_b: np.ndarray
+    contrast: np.ndarray
+    qvf: np.ndarray
+    baseline_qvf: np.ndarray
+    improved: np.ndarray
+
+    @classmethod
+    def from_records(cls, records):
+        """Table of any iterable of records; the values are not checked."""
+        rows = list(map(attrgetter(*_FIELDS), records))
+        columns = list(zip(*rows)) or [()] * len(_FIELDS)
+        return cls(*(np.array(c, dtype=d) for c, d in zip(columns, _DTYPES)))
+
+    def __len__(self):
+        return len(self.site_index)
+
+    def records(self):
+        """The rows as a list of :class:`QvfRecord`."""
+        return list(map(QvfRecord, *(getattr(self, f).tolist() for f in _FIELDS)))
+
+
+def _columns(rows):
+    """Parse and check csv rows column by column; a bad value raises
+    ValueError (or OverflowError) that does not say which row it is in."""
+    widths = set(map(len, rows)) - {len(COLUMNS)}
+    if widths:
+        raise ValueError(f"expected {len(COLUMNS)} fields, got {widths.pop()}")
+    texts = list(zip(*rows)) or [()] * len(COLUMNS)
+    cols = [convert(text) for convert, text in zip(_CONVERTERS, texts)]
+    (_, site, gate, qubit, theta, phi, _, _, _, *metrics, flag) = cols
+    if not np.isfinite(metrics).all():
+        raise ValueError("non-finite metric value")
+    if not np.isfinite([theta, phi]).all():
+        raise ValueError("non-finite fault angle")
+    bad_flags = flag[(flag != 0) & (flag != 1)]
+    if bad_flags.size:
+        raise ValueError(f"improved_flag {bad_flags[0]} is not 0 or 1")
+    indices = np.array([site, gate, qubit])
+    if (indices[:, (indices < 0).any(axis=0)] != -1).any():
+        raise ValueError(
+            "negative index outside the baseline (site_index, gate_index and "
+            "qubit must all be -1)"
         )
+    cols[-1] = flag == 1
+    return cols
+
+
+def _chunk_columns(rows, first_line):
+    """_columns of one chunk; on a bad value, re-parse row by row to name
+    the first bad line."""
     try:
-        record = QvfRecord(
-            circuit_id=row[0],
-            site_index=int(row[1]),
-            gate_index=int(row[2]),
-            qubit=int(row[3]),
-            theta_deg=float(row[4]),
-            phi_deg=float(row[5]),
-            mode=row[6],
-            shots=int(row[7]),
-            seed=int(row[8]),
-            pst=float(row[9]),
-            p_b=float(row[10]),
-            contrast=float(row[11]),
-            qvf=float(row[12]),
-            baseline_qvf=float(row[13]),
-            improved=bool(int(row[14])),
-        )
-    except ValueError as exc:
-        raise RecordFileError(f"line {lineno}: {exc}") from None
-    metrics = (record.pst, record.p_b, record.contrast, record.qvf, record.baseline_qvf)
-    if not all(map(math.isfinite, metrics)):
-        raise RecordFileError(f"line {lineno}: non-finite metric value")
-    return record
+        return _columns(rows)
+    except (ValueError, OverflowError) as exc:
+        if len(rows) == 1:
+            raise RecordFileError(f"line {first_line}: {exc}") from None
+        for offset, row in enumerate(rows):
+            _chunk_columns([row], first_line + offset)
+        raise
 
 
-def _campaign_key(record: QvfRecord):
-    return (record.circuit_id, record.mode, record.shots, record.seed)
-
-
-def read_records(stream):
-    """Parse a record file; raises RecordFileError on any schema problem."""
+def read_table(stream):
+    """Parse a record file into a :class:`RecordTable`, ``CHUNK_ROWS`` rows
+    at a time; raises RecordFileError on any schema problem."""
     first = stream.readline().rstrip("\n")
     if first != SCHEMA_LINE:
         raise RecordFileError(
@@ -151,16 +240,34 @@ def read_records(stream):
         raise RecordFileError("missing header row") from None
     if tuple(header) != COLUMNS:
         raise RecordFileError(f"unexpected header {header!r}")
-    records = [_parse_row(row, lineno) for lineno, row in enumerate(reader, start=3)]
-    for lineno, record in enumerate(records, start=3):
-        if _campaign_key(record) != _campaign_key(records[0]):
+    chunks = [_columns([])]  # typed columns even for a header-only file
+    line = 3
+    while rows := list(islice(reader, CHUNK_ROWS)):
+        chunks.append(_chunk_columns(rows, line))
+        line += len(rows)
+    table = RecordTable(*map(np.concatenate, zip(*chunks)))
+    if len(table):
+        key = (table.circuit_id, table.mode, table.shots, table.seed)
+        differ = np.flatnonzero(np.any([col != col[0] for col in key], axis=0))
+        if differ.size:
             raise RecordFileError(
-                f"line {lineno}: circuit_id, mode, shots or seed differ from line 3"
+                f"line {differ[0] + 3}: circuit_id, mode, shots or seed differ from line 3"
             )
-    baselines = [r for r in records if r.site_index < 0]
-    if len(baselines) > 1:
-        raise RecordFileError(f"{len(baselines)} baseline rows (expected at most 1)")
-    return records
+    baselines = int((table.site_index < 0).sum())
+    if baselines > 1:
+        raise RecordFileError(f"{baselines} baseline rows (expected at most 1)")
+    return table
+
+
+def read_table_file(path):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return read_table(fh)
+
+
+def read_records(stream):
+    """Parse a record file into a list of :class:`QvfRecord`; raises
+    RecordFileError on any schema problem."""
+    return read_table(stream).records()
 
 
 def read_records_file(path):

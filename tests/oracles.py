@@ -10,7 +10,8 @@ than the library under test:
   gate and Kraus operator expanded the same way and applied as a dense
   ``full @ rho @ full^H`` product (only the noise model's parameter lookups
   are read from the model object);
-* metrics are recomputed with a separate fold over the distribution.
+* metrics are recomputed with a separate fold over the distribution;
+* campaign aggregations loop over records one by one.
 
 Circuits are described structurally as plain tuples so this module never
 imports the package: a gate is ``(name, qubits, params)`` with ``qubits`` a
@@ -201,3 +202,74 @@ def insert_fault(gates, gate_index: int, qubit: int, theta: float, phi: float):
     out = list(gates)
     out.insert(gate_index + 1, ("u", (qubit,), (theta, phi, 0.0)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-record campaign aggregations
+# ---------------------------------------------------------------------------
+#
+# The record loops the package used before its aggregations ran on column
+# arrays.  Records are read by attribute only; a grid is returned as
+# (thetas, phis, cells) and an error as ValueError.
+
+
+def _fault_records(records):
+    return [r for r in records if r.site_index >= 0]
+
+
+def _mean_grid(records, thetas, phis, group):
+    sums = np.zeros((len(thetas), len(phis)))
+    counts = np.zeros_like(sums)
+    ti = {t: i for i, t in enumerate(thetas)}
+    pj = {p: j for j, p in enumerate(phis)}
+    for r in records:
+        sums[ti[r.theta_deg], pj[r.phi_deg]] += r.qvf
+        counts[ti[r.theta_deg], pj[r.phi_deg]] += 1
+    if (counts == 0).any():
+        raise ValueError(f"empty (theta, phi) cell in group {group!r}")
+    return thetas, phis, sums / counts
+
+
+def aggregate_heatmap(records, grouping="circuit"):
+    """Mean-QVF grid of the fault records, or a dict of grids keyed by
+    qubit or site index."""
+    records = _fault_records(records)
+    if not records:
+        raise ValueError("no fault records to aggregate")
+    thetas = tuple(sorted({r.theta_deg for r in records}))
+    phis = tuple(sorted({r.phi_deg for r in records}))
+    if grouping == "circuit":
+        return _mean_grid(records, thetas, phis, "circuit")
+    if grouping not in ("qubit", "site"):
+        raise ValueError(f"unknown grouping {grouping!r}")
+    attr = "qubit" if grouping == "qubit" else "site_index"
+    out = {}
+    for key in sorted({getattr(r, attr) for r in records}):
+        grp = [r for r in records if getattr(r, attr) == key]
+        out[key] = _mean_grid(grp, thetas, phis, f"{grouping}:{key}")
+    return out
+
+
+def timeline(records, theta_deg, phi_deg):
+    """Per-qubit (gate_index, qvf) series at one fault, by gate index."""
+    picked = [
+        r for r in _fault_records(records)
+        if r.theta_deg == theta_deg and r.phi_deg == phi_deg
+    ]
+    if not picked:
+        raise ValueError(f"no records at theta={theta_deg}, phi={phi_deg}")
+    series = {}
+    for r in sorted(picked, key=lambda r: (r.qubit, r.gate_index)):
+        series.setdefault(r.qubit, []).append((r.gate_index, r.qvf))
+    return series
+
+
+def histogram_stats(records, bins=50):
+    """(mean, stddev, counts, bin_edges) of the fault QVFs on [0, 1]."""
+    values = [r.qvf for r in _fault_records(records)]
+    if not values:
+        raise ValueError("no fault records")
+    arr = np.asarray(values)
+    counts, edges = np.histogram(arr, bins=bins, range=(0.0, 1.0))
+    return (float(arr.mean()), float(arr.std()),
+            tuple(int(c) for c in counts), tuple(float(e) for e in edges))

@@ -6,10 +6,13 @@ import sys
 
 import pytest
 
+import oracles
 import qvf
+from qvf import records, render
 from qvf.cli import EXIT_IO, EXIT_PARSE, EXIT_SIMULATION, EXIT_USAGE, main
+from qvf.metrics import HeatmapGrid, HistogramStats, delta_qvf
 from qvf.qasm import parse_qasm
-from qvf.records import read_records_file
+from qvf.records import COLUMNS, SCHEMA_LINE, read_records_file
 
 BELL_QASM = """\
 qreg q[2];
@@ -26,6 +29,14 @@ def grover_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("campaign") / "grover.csv"
     assert main(["campaign", "run", "grover", "--grid-step", "90",
                  "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def grover_sampled_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("campaign") / "grover_sampled.csv"
+    assert main(["campaign", "run", "grover", "--grid-step", "90", "--mode",
+                 "sampled", "--seed", "3", "--jobs", "1", "--out", str(path)]) == 0
     return path
 
 
@@ -239,6 +250,79 @@ class TestReports:
         assert "<svg" in out.read_text()
 
 
+def grid_bytes(grid, fmt, delta=False):
+    """A grid rendered as the report commands do with default options."""
+    if fmt == "ppm":
+        if delta:
+            return render.render_grid_ppm(grid, scale=24, diverging=True)
+        return render.render_grid_ppm(grid, thresholds=(0.45, 0.55), scale=24)
+    if fmt == "csv":
+        return render.grid_csv(grid).encode()
+    if delta:
+        return render.render_delta_svg(grid, cell=24).encode()
+    return render.render_heatmap_svg(grid, thresholds=(0.45, 0.55), cell=24).encode()
+
+
+class TestReportsMatchOracle:
+    """Every report kind and format, byte for byte against the per-record
+    aggregations in tests/oracles.py put through the same renderers."""
+
+    def test_grid_reports(self, grover_csv, grover_sampled_csv, tmp_path):
+        rows = read_records_file(grover_csv)
+        circuit = HeatmapGrid(*oracles.aggregate_heatmap(rows), "circuit")
+        qubits = {q: HeatmapGrid(*grid, f"qubit:{q}")
+                  for q, grid in oracles.aggregate_heatmap(rows, "qubit").items()}
+        other = HeatmapGrid(
+            *oracles.aggregate_heatmap(read_records_file(grover_sampled_csv)), "circuit")
+        for fmt in ("svg", "ppm", "csv"):
+            expected = {
+                f"heat.{fmt}": grid_bytes(circuit, fmt),
+                f"dq.{fmt}": grid_bytes(delta_qvf(qubits[0], qubits[1]), fmt, delta=True),
+                f"dfile.{fmt}": grid_bytes(delta_qvf(circuit, other), fmt, delta=True),
+            }
+            expected.update({f"per_q{q}.{fmt}": grid_bytes(grid, fmt)
+                             for q, grid in qubits.items()})
+            calls = (
+                ("heatmap", [], "heat"),
+                ("perqubit", [], "per"),
+                ("delta", ["--qubit-a", "0", "--qubit-b", "1"], "dq"),
+                ("delta", ["--in-b", str(grover_sampled_csv)], "dfile"),
+            )
+            for kind, options, stem in calls:
+                assert main(["report", kind, "--in", str(grover_csv), "--format", fmt,
+                             *options, "--out", str(tmp_path / f"{stem}.{fmt}")]) == 0
+            for name, blob in expected.items():
+                assert (tmp_path / name).read_bytes() == blob, name
+
+    def test_series_reports(self, grover_csv, tmp_path, capsys):
+        rows = read_records_file(grover_csv)
+        series = oracles.timeline(rows, 90.0, 0.0)
+        stats = HistogramStats(*oracles.histogram_stats(rows, 50))
+        expected = {
+            "timeline.svg": render.render_timeline_svg(
+                series, "QVF by gate index at theta=90 phi=0"),
+            "timeline.csv": render.timeline_csv(series),
+            "hist.svg": render.render_hist_svg(stats, "QVF distribution"),
+            "hist.csv": render.hist_csv(stats),
+        }
+        for fmt in ("svg", "csv"):
+            assert main(["report", "timeline", "--in", str(grover_csv), "--theta", "90",
+                         "--phi", "0", "--format", fmt,
+                         "--out", str(tmp_path / f"timeline.{fmt}")]) == 0
+            assert main(["report", "hist", "--in", str(grover_csv), "--format", fmt,
+                         "--out", str(tmp_path / f"hist.{fmt}")]) == 0
+            assert (f"mean qvf: {stats.mean:.6f}  stddev: {stats.stddev:.6f}"
+                    in capsys.readouterr().out)
+        for name, text in expected.items():
+            assert (tmp_path / name).read_bytes() == text.encode(), name
+
+
+REPORT_OPTIONS = {
+    "heatmap": [], "perqubit": [], "delta": ["--qubit-a", "0", "--qubit-b", "1"],
+    "timeline": ["--theta", "90", "--phi", "0"], "hist": [],
+}
+
+
 class TestExitCodes:
     def test_usage_errors_from_argparse(self):
         with pytest.raises(SystemExit) as ei:
@@ -315,6 +399,48 @@ class TestExitCodes:
         assert code == EXIT_SIMULATION
         assert out.read_bytes() == b"previous campaign\n"
         assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("kind", sorted(REPORT_OPTIONS))
+    def test_header_only_record_file(self, tmp_path, capsys, kind):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(f"{SCHEMA_LINE}\n{','.join(COLUMNS)}\n")
+        code = main(["report", kind, "--in", str(empty), *REPORT_OPTIONS[kind],
+                     "--out", str(tmp_path / "o.svg")])
+        assert code == EXIT_PARSE
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [empty]
+
+    @pytest.mark.parametrize("kind", ["heatmap", "timeline", "hist"])
+    def test_non_finite_angle(self, grover_csv, tmp_path, capsys, kind):
+        lines = grover_csv.read_text().splitlines()
+        row = lines[5].split(",")
+        row[COLUMNS.index("theta_deg")] = "nan"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:5] + [",".join(row)] + lines[6:]) + "\n")
+        code = main(["report", kind, "--in", str(bad), *REPORT_OPTIONS[kind],
+                     "--out", str(tmp_path / "o.svg")])
+        assert code == EXIT_PARSE
+        assert "error: line 6: non-finite fault angle" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "non-finite metric value"),
+        ("x", "could not convert string to float: 'x'"),
+    ])
+    def test_bad_value_after_a_chunk_boundary(self, grover_csv, tmp_path, capsys,
+                                              monkeypatch, value, message):
+        # one row more than a chunk; the bad value opens the second chunk
+        monkeypatch.setattr(records, "CHUNK_ROWS", 4)
+        lines = grover_csv.read_text().splitlines()[:7]
+        row = lines[6].split(",")
+        row[COLUMNS.index("qvf")] = value
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:6] + [",".join(row)]) + "\n")
+        code = main(["report", "heatmap", "--in", str(bad),
+                     "--out", str(tmp_path / "o.svg")])
+        assert code == EXIT_PARSE
+        assert f"error: line 7: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
 
     def test_io_errors(self, tmp_path, capsys):
         assert main(["report", "heatmap", "--in", str(tmp_path / "missing.csv"),

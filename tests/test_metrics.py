@@ -1,10 +1,12 @@
 """Metric chain regressions and campaign aggregation behavior."""
 
+import io
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qvf.metrics import (
@@ -21,7 +23,7 @@ from qvf.metrics import (
     score,
     timeline,
 )
-from qvf.records import QvfRecord
+from qvf.records import QvfRecord, read_table, records_to_string
 from qvf.simulator import OutcomeDistribution
 
 
@@ -268,3 +270,82 @@ class TestAggregations:
             histogram_stats([rec()], bins=0)
         with pytest.raises(MetricsError):
             histogram_stats([rec(site_index=-1)])
+
+
+# fractional angles and angles on the integer grid, unsorted
+ANGLES = (0.0, 7.5, 0.125, 15.0, 337.5, 90.0, 22.5, 180.0)
+
+
+@st.composite
+def campaign_records(draw):
+    """One campaign's records: up to 4 sites on 1 or 2 qubits over a small
+    (theta, phi) grid, some points or whole sites missing, rows shuffled,
+    with or without the baseline."""
+    thetas = draw(st.lists(st.sampled_from(ANGLES), min_size=1, max_size=3, unique=True))
+    phis = draw(st.lists(st.sampled_from(ANGLES), min_size=1, max_size=3, unique=True))
+    n_qubits = draw(st.integers(1, 2))
+    qvf_values = st.floats(0.0, 1.0)
+    rows = []
+    for site in draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True)):
+        gate, qubit = draw(st.integers(0, 5)), draw(st.integers(0, n_qubits - 1))
+        for theta in thetas:
+            for phi in phis:
+                if draw(st.integers(0, 9)) == 0:
+                    continue
+                rows.append(rec(site_index=site, gate_index=gate, qubit=qubit,
+                                theta_deg=theta, phi_deg=phi, qvf=draw(qvf_values),
+                                improved=draw(st.booleans())))
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows.insert(0, rec(site_index=-1, gate_index=-1, qubit=-1, qvf=draw(qvf_values)))
+    return rows, draw(st.sampled_from(thetas)), draw(st.sampled_from(phis))
+
+
+def same_grid(grid, expected):
+    thetas, phis, cells = expected
+    assert grid.theta_degs == thetas and grid.phi_degs == phis
+    assert grid.cells.tobytes() == cells.tobytes()
+
+
+def both(oracle_call, call):
+    """(oracle result, package result), or (None, None) after checking that
+    both fail with the same message."""
+    try:
+        expected = oracle_call()
+    except ValueError as exc:
+        with pytest.raises(MetricsError, match=re.escape(str(exc))):
+            call()
+        return None, None
+    return expected, call()
+
+
+class TestAgainstPerRecordOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(campaign_records(), st.integers(1, 12))
+    def test_table_path_is_bit_identical(self, case, bins):
+        records, theta, phi = case
+        table = read_table(io.StringIO(records_to_string(records)))
+        assert table.records() == records
+        for source in (records, table):
+            for grouping in ("circuit", "qubit", "site"):
+                expected, got = both(
+                    lambda: oracles.aggregate_heatmap(records, grouping),
+                    lambda: aggregate_heatmap(source, grouping))
+                if grouping == "circuit" and got:
+                    assert got.group == "circuit"
+                    same_grid(got, expected)
+                elif got:
+                    assert list(got) == list(expected)
+                    for key, grid in got.items():
+                        assert grid.group == f"{grouping}:{key}"
+                        same_grid(grid, expected[key])
+            expected, series = both(lambda: oracles.timeline(records, theta, phi),
+                                    lambda: timeline(source, theta, phi))
+            assert series == expected
+            for qubit, points in (series or {}).items():
+                assert type(qubit) is int
+                assert all(type(g) is int and type(v) is float for g, v in points)
+            expected, stats = both(lambda: oracles.histogram_stats(records, bins),
+                                   lambda: histogram_stats(source, bins=bins))
+            if stats:
+                assert (stats.mean, stats.stddev, stats.counts, stats.bin_edges) == expected

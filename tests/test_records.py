@@ -72,8 +72,16 @@ def test_fractional_angles_survive():
 
 
 def reject(text):
-    with pytest.raises(RecordFileError):
+    with pytest.raises(RecordFileError) as ei:
         read_records(io.StringIO(text))
+    return str(ei.value)
+
+
+def with_value(lines, index, column, value):
+    """The file text of ``lines`` with one field of ``lines[index]`` replaced."""
+    row = lines[index].split(",")
+    row[COLUMNS.index(column)] = value
+    return "\n".join(lines[:index] + [",".join(row)] + lines[index + 1:]) + "\n"
 
 
 def test_schema_line_checked():
@@ -128,3 +136,38 @@ def test_error_names_offending_line():
     with pytest.raises(RecordFileError) as ei:
         read_records(io.StringIO(good + "short,row\n"))
     assert "line 5" in str(ei.value)
+
+
+def test_fault_angles_must_be_finite():
+    good = records_to_string(sample_records()[:3]).splitlines()
+    for column in ("theta_deg", "phi_deg"):
+        for value in ("nan", "inf", "-inf"):
+            assert reject(with_value(good, 3, column, value)).startswith("line 4:")
+
+
+def test_improved_flag_must_be_0_or_1():
+    good = records_to_string(sample_records()[:3]).splitlines()
+    for value in ("7", "-1", "2"):
+        message = reject(with_value(good, 4, "improved_flag", value))
+        assert message == f"line 5: improved_flag {value} is not 0 or 1"
+
+
+def test_only_the_baseline_has_negative_indices():
+    good = records_to_string(sample_records()[:3]).splitlines()
+    # a lone fault row that looks like a baseline
+    assert reject("\n".join(good[:2]) + "\n" + with_value(
+        good[3:4], 0, "site_index", "-5")).startswith("line 3:")
+    # a baseline with indices other than -1/-1/-1
+    for column, value in (("site_index", "-2"), ("gate_index", "0"), ("qubit", "1")):
+        assert reject(with_value(good, 2, column, value)).startswith("line 3:")
+    # a fault row with one negative index
+    for column in ("gate_index", "qubit"):
+        assert reject(with_value(good, 4, column, "-1")).startswith("line 5:")
+
+
+def test_first_bad_row_is_named():
+    # the later row's bad value sits in an earlier column
+    good = records_to_string(sample_records()[:3]).splitlines()
+    text = with_value(good, 3, "pst", "nope")
+    text = with_value(text.splitlines(), 4, "site_index", "one")
+    assert reject(text) == "line 4: could not convert string to float: 'nope'"
