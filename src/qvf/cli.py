@@ -23,10 +23,10 @@ from importlib import resources
 import numpy as np
 
 from . import benchmarks, metrics, render
-from .injector import CampaignConfig, CampaignError, run_campaign
+from .injector import CampaignConfig, CampaignError, campaign_blocks, grid_degrees
 from .noise import NoiseConfigError, load_noise_config, load_noise_file
 from .qasm import QasmError, emit_qasm, parse_qasm
-from .records import RecordFileError, read_table_file, write_records
+from .records import BlockWriter, RecordFileError, read_table_file
 from .simulator import SimulationError, run_exact
 
 EXIT_USAGE = 2
@@ -125,6 +125,7 @@ def _cmd_bench_build(args):
 
 
 def _cmd_campaign_run(args):
+    """Stream rows to --out site block by site block; keep only the QVF column."""
     circuit = _load_circuit(args.circuit)
     if args.correct:
         states = [s for chunk in args.correct for s in chunk.replace(",", " ").split()]
@@ -150,37 +151,32 @@ def _cmd_campaign_run(args):
         jobs=args.jobs if args.jobs else (os.cpu_count() or 1),
     )
 
-    records = []
-
-    def _stream():
-        for record in run_campaign(circuit, config):
-            records.append(record)
-            yield record
-
+    baseline, blocks = campaign_blocks(circuit, config)
+    qvfs, improved = [], 0
     # a failed campaign leaves no partial file and keeps an existing one
     out_path = _resolve_out(args.out)
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
     fh = open(tmp_path, "x", encoding="utf-8", newline="")
     try:
         with fh:
-            write_records(fh, _stream())
+            writer = BlockWriter(fh, baseline, grid_degrees(config.grid_step))
+            for block in blocks:
+                writer.write(*block)
+                qvfs.append(block.qvf)
+                improved += int(block.improved.sum())
         os.replace(tmp_path, out_path)
     except BaseException:
         os.remove(tmp_path)
         raise
 
-    baseline, faults = records[0], records[1:]
-    n = len(faults)
-    # moments of the QVF column alone: a whole RecordTable of the records,
-    # as histogram_stats builds, costs more than the rest of the summary
-    qvfs = np.array([r.qvf for r in faults])
-    mean, stddev = (float(qvfs.mean()), float(qvfs.std())) if n else (0.0, 0.0)
-    improved = sum(r.improved for r in faults)
+    qvfs = np.concatenate(qvfs)
+    n = len(qvfs)
+    mean, stddev = float(qvfs.mean()), float(qvfs.std())
     print(f"wrote {out_path}")
     print(f"fault records: {n} (+1 baseline), mode {config.mode}")
     print(f"baseline qvf: {baseline.qvf:.6f}")
     print(f"mean qvf: {mean:.6f}  stddev: {stddev:.6f}")
-    print(f"improved faults: {improved} ({100.0 * improved / n if n else 0.0:.2f}%)")
+    print(f"improved faults: {improved} ({100.0 * improved / n:.2f}%)")
     return 0
 
 

@@ -13,11 +13,12 @@ so under noise even a (0, 0) fault can score slightly worse than the
 fault-free baseline.
 
 Campaigns sweep every site against every grid point, preceded by one
-fault-free baseline record (site_index -1).  Records stream in canonical
-order (site-major, grid-minor) no matter how many workers run, and every
-sampled record draws from its own seed sequence derived from
-(campaign seed, site, grid point), so reruns and re-schedules are
-byte-identical.
+fault-free baseline record (site_index -1).  :func:`campaign_blocks`
+streams one column block per site (a :class:`SiteBlock`, one array per
+score column) in canonical order (site-major, grid-minor) no matter how
+many workers run; :func:`run_campaign` is its row view.  Every sampled
+record draws from its own seed sequence derived from (campaign seed,
+site, grid point), so reruns and re-schedules are byte-identical.
 
 A site is swept as one block: the state after the site's gate is
 computed once and copied into a (2^n, G) block with one column per grid
@@ -34,6 +35,7 @@ records match the one-circuit-per-record route of :func:`inject` and
 """
 
 import math
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -137,6 +139,8 @@ class CampaignConfig:
             raise ValueError("jobs must be >= 1")
         if self.sites is not None:
             sites = tuple(int(s) for s in self.sites)
+            if not sites:
+                raise ValueError("sites is empty: a campaign needs a fault site")
             if len(set(sites)) != len(sites):
                 raise ValueError(f"duplicate site indices in {list(sites)}")
             object.__setattr__(self, "sites", sites)
@@ -259,74 +263,56 @@ def _mode_probs(probs, config, site_index, start):
     return np.where(probs > PROB_FLOOR, probs, 0.0)
 
 
-def _records(circuit_id, config, site_index, site, angles, summary, baseline_qvf):
-    """Campaign rows from a block summary, one per (theta, phi) of ``angles``;
-    the baseline passes site None and its own qvf."""
-    columns = (summary.pst, summary.p_b, summary.contrast, summary.qvf)
-    return [
-        QvfRecord(
-            circuit_id=circuit_id,
-            site_index=site_index,
-            gate_index=site.gate_index if site else -1,
-            qubit=site.qubit if site else -1,
-            theta_deg=float(t_deg),
-            phi_deg=float(p_deg),
-            mode=config.mode,
-            shots=config.shots if config.mode == "sampled" else 0,
-            seed=config.seed,
-            pst=pst,
-            p_b=p_b,
-            contrast=contrast,
-            qvf=qvf,
-            baseline_qvf=baseline_qvf,
-            improved=qvf < baseline_qvf - IMPROVED_MARGIN,
-        )
-        for (t_deg, p_deg), pst, p_b, contrast, qvf in zip(
-            angles, *(c.tolist() for c in columns)
-        )
-    ]
+#: one site's sweep: in grid order, an array per score column and the improved flags
+SiteBlock = namedtuple("SiteBlock", "site_index site pst p_b contrast qvf improved")
 
 
 def _site_worker(args):
-    """All grid records for one site; runs in a worker process."""
-    circuit, config, mask, circuit_id, site_index, site, degs, mats, program, baseline_qvf = args
-    records = []
+    """The :class:`SiteBlock` of one site; runs in a worker process."""
+    circuit, config, mask, site_index, site, mats, program, baseline_qvf = args
+    columns = []
     try:
         prefix = _prefix(circuit, program, site.gate_index + 1)
         chunk = max(1, BLOCK_AMPLITUDES // prefix.size)
         for start in range(0, len(mats), chunk):
             rotations = mats[start:start + chunk]
             probs = _block(circuit, config.noise, program, site, prefix, rotations)
-            summary = score(_mode_probs(probs, config, site_index, start), mask)
-            angles = degs[start:start + len(rotations)]
-            records += _records(
-                circuit_id, config, site_index, site, angles, summary, baseline_qvf
-            )
+            s = score(_mode_probs(probs, config, site_index, start), mask)
+            columns.append((s.pst, s.p_b, s.contrast, s.qvf))
     except SimulationError as exc:
         where = f"site {site_index} (gate {site.gate_index}, qubit {site.qubit})"
         if exc.column is not None:
-            where += " at theta {}, phi {}".format(*degs[start + exc.column])
+            where += " at theta {}, phi {}".format(
+                *grid_degrees(config.grid_step)[start + exc.column])
         raise CampaignError(f"simulation failed at {where}: {exc}") from exc
-    return records
+    pst, p_b, contrast, qvf = map(np.concatenate, zip(*columns))
+    return SiteBlock(site_index, site, pst, p_b, contrast, qvf,
+                     qvf < baseline_qvf - IMPROVED_MARGIN)
 
 
-def baseline_record(circuit: Circuit, config: CampaignConfig, circuit_id=None) -> QvfRecord:
+def baseline_record(circuit: Circuit, config: CampaignConfig) -> QvfRecord:
     """Fault-free reference row, evaluated with the campaign settings."""
     probs = measured_probabilities(circuit, config.noise)[:, None]
-    summary = score(_mode_probs(probs, config, -1, 0), _correct_mask(circuit))
-    circuit_id = circuit_id or circuit.name or "circuit"
-    return _records(circuit_id, config, -1, None, [(0, 0)], summary, float(summary.qvf[0]))[0]
+    s = score(_mode_probs(probs, config, -1, 0)[:, 0], _correct_mask(circuit))
+    return QvfRecord(circuit.name or "circuit", -1, -1, -1, 0.0, 0.0,
+                     config.mode, config.shots if config.mode == "sampled" else 0,
+                     config.seed, s.pst, s.p_b, s.contrast, s.qvf, s.qvf, False)
 
 
-def run_campaign(circuit: Circuit, config: CampaignConfig = CampaignConfig()):
-    """Stream campaign records: the baseline first, then site-major sweeps.
+def _pooled(jobs, workers):
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_site_worker, jobs)
 
-    Yields one QvfRecord per (site, grid point); the total fault-record
-    count is len(sites) * len(grid).  Output order and values depend only
-    on the circuit and config, never on worker scheduling.
-    """
+
+def campaign_blocks(circuit: Circuit, config: CampaignConfig = CampaignConfig()):
+    """``(baseline, blocks)``: the fault-free QvfRecord, scored on the call,
+    and an iterator that sweeps one :class:`SiteBlock` per site in site
+    order, over ``grid_degrees(config.grid_step)``.  Order and values depend
+    only on the circuit and config, never on worker scheduling."""
     mask = _correct_mask(circuit)
     all_sites = enumerate_sites(circuit)
+    if not all_sites:
+        raise ValueError("circuit has no fault sites (it has no gates)")
     if config.sites is None:
         picked = list(enumerate(all_sites))
     else:
@@ -334,26 +320,37 @@ def run_campaign(circuit: Circuit, config: CampaignConfig = CampaignConfig()):
             if not 0 <= s < len(all_sites):
                 raise CampaignError(f"site index {s} out of range")
         picked = [(s, all_sites[s]) for s in config.sites]
-    circuit_id = circuit.name or "circuit"
-    base = baseline_record(circuit, config, circuit_id)
-    yield base
-
-    degs = grid_degrees(config.grid_step)
+    base = baseline_record(circuit, config)
     # canonical u(theta, phi, 0) matrices, as injected Gates hold them
     mats = np.array([
         gate_matrix("u", Gate("u", (0,), (math.radians(t), math.radians(p), 0.0)).params)
-        for t, p in degs
+        for t, p in grid_degrees(config.grid_step)
     ])
     program = (None if config.noise is None
                else compile_steps(config.noise, circuit.gates, circuit.n_qubits))
     jobs = [
-        (circuit, config, mask, circuit_id, idx, site, degs, mats, program, base.qvf)
+        (circuit, config, mask, idx, site, mats, program, base.qvf)
         for idx, site in picked
     ]
-    if config.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for records in pool.map(_site_worker, jobs):
-                yield from records
-    else:
-        for job in jobs:
-            yield from _site_worker(job)
+    if config.jobs == 1 or len(jobs) == 1:
+        return base, map(_site_worker, jobs)
+    return base, _pooled(jobs, config.jobs)
+
+
+def run_campaign(circuit: Circuit, config: CampaignConfig = CampaignConfig()):
+    """Stream campaign records: the baseline first, then site-major sweeps.
+
+    Yields one QvfRecord per (site, grid point), a row view of
+    :func:`campaign_blocks`; the total fault-record count is
+    len(sites) * len(grid).
+    """
+    base, blocks = campaign_blocks(circuit, config)
+    yield base
+    degs = grid_degrees(config.grid_step)
+    for idx, site, *columns in blocks:
+        for (t, p), pst, p_b, contrast, qvf, improved in zip(
+            degs, *(c.tolist() for c in columns)
+        ):
+            yield QvfRecord(base.circuit_id, idx, site.gate_index, site.qubit,
+                            float(t), float(p), base.mode, base.shots, base.seed,
+                            pst, p_b, contrast, qvf, base.qvf, improved)

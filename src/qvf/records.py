@@ -27,7 +27,8 @@ column, ``CHUNK_ROWS`` rows at a time: each chunk goes through
 ``csv.reader``, is transposed, and every column is converted and checked
 as a whole.  Only a chunk with a bad value is parsed again row by row, to
 find the line to name.  :func:`read_records` returns the same rows as
-:class:`QvfRecord` objects.
+:class:`QvfRecord` objects.  :class:`BlockWriter` writes a campaign's site
+blocks to the bytes :func:`write_records` writes for their rows.
 """
 
 import csv
@@ -111,6 +112,38 @@ def write_records(stream, records):
         writer.writerow(_row(record))
         count += 1
     return count
+
+
+def _csv_text(fields) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
+
+
+class BlockWriter:
+    """Writes site blocks as :func:`write_records` writes their rows; the
+    schema, header and ``baseline`` row go out at once.  Text is formatted
+    only as often as it changes: per campaign, per (theta, phi) pair of
+    ``angles``, per site, and per row only four metric reprs and the flag."""
+
+    def __init__(self, stream, baseline: QvfRecord, angles):
+        write_records(stream, [baseline])
+        self._stream = stream
+        # an empty neighbour field keeps csv from quoting a lone empty value
+        self._id = _csv_text([baseline.circuit_id, ""])
+        self._key = _csv_text(["", baseline.mode, baseline.shots, baseline.seed, ""])
+        self._angles = [f"{_fmt_angle(t)},{_fmt_angle(p)}{self._key}" for t, p in angles]
+        base = _fmt_float(baseline.baseline_qvf)
+        self._tails = (f",{base},0\n", f",{base},1\n")
+
+    def write(self, site_index, site, *scores):
+        """One site's rows; the five score arrays run over ``angles``."""
+        head = f"{self._id}{site_index},{site.gate_index},{site.qubit},"
+        tails = self._tails
+        self._stream.write("".join([
+            f"{head}{angle}{a!r},{b!r},{c!r},{q!r}{tails[flag]}"
+            for angle, a, b, c, q, flag in zip(self._angles, *(s.tolist() for s in scores))
+        ]))
 
 
 def records_to_string(records) -> str:

@@ -12,8 +12,6 @@ injected u gate reproduces a common gate: Y (180, 0), X (180, 180),
 T (0, 45), S (0, 90), Z (0, 180).
 """
 
-from xml.sax.saxutils import escape as _esc
-
 from .metrics import HeatmapGrid, HistogramStats
 from .records import _fmt_angle
 
@@ -32,6 +30,11 @@ REFERENCE_GATES = (
 )
 
 DEFAULT_THRESHOLDS = (0.45, 0.55)
+
+
+def _esc(text: str) -> str:
+    # xml.sax.saxutils.escape without its urllib and email imports
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _lerp(c0, c1, frac: float):

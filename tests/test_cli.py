@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -400,6 +401,20 @@ class TestExitCodes:
         assert out.read_bytes() == b"previous campaign\n"
         assert list(tmp_path.iterdir()) == [out]
 
+    def test_circuit_without_fault_sites(self, tmp_path, capsys):
+        # only measurements: nothing to sweep, so no baseline-only file
+        # that every report would reject later
+        src = tmp_path / "bare.qasm"
+        src.write_text("qreg q[1]; creg c[1]; measure q[0] -> c[0];")
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"previous campaign\n")
+        code = main(["campaign", "run", str(src), "--grid-step", "90",
+                     "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert "error: circuit has no fault sites" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous campaign\n"
+        assert sorted(tmp_path.iterdir()) == [src, out]
+
     @pytest.mark.parametrize("kind", sorted(REPORT_OPTIONS))
     def test_header_only_record_file(self, tmp_path, capsys, kind):
         empty = tmp_path / "empty.csv"
@@ -447,6 +462,26 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.svg")]) == EXIT_IO
         assert main(["campaign", "run", "grover", "--grid-step", "90",
                      "--out", str(tmp_path / "no-dir" / "o.csv")]) == EXIT_IO
+
+
+class TestCampaignMemory:
+    def test_peak_does_not_grow_with_sites(self, tmp_path):
+        # rows stream to the file one site block at a time, and the summary
+        # keeps only the QVF column, so 18 sites peak about as high as one
+        def peak(*extra):
+            tracemalloc.start()
+            try:
+                assert main(["campaign", "run", "dj", "--grid-step", "10",
+                             "--jobs", "1", "--out", str(tmp_path / "o.csv"),
+                             *extra]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("--sites", "0")  # first-call caches are not campaign memory
+        one_site = peak("--sites", "0")
+        all_sites = peak()
+        assert all_sites < 1.5 * one_site, (all_sites, one_site)
 
 
 def test_console_script_installed():

@@ -1,6 +1,7 @@
 """Site enumeration, grid construction, injection, and campaign runs."""
 
 import dataclasses
+import io
 import math
 from importlib import resources
 
@@ -21,6 +22,7 @@ from qvf.injector import (
     FaultSpec,
     baseline_record,
     build_grid,
+    campaign_blocks,
     enumerate_sites,
     grid_degrees,
     inject,
@@ -28,7 +30,7 @@ from qvf.injector import (
 )
 from qvf.metrics import qvf_of_distribution, score
 from qvf.noise import NoiseModel, load_noise_config
-from qvf.records import QvfRecord, records_to_string
+from qvf.records import BlockWriter, QvfRecord, records_to_string
 from qvf.simulator import PROB_FLOOR, draw_counts, measured_probabilities, run_exact
 
 
@@ -269,6 +271,16 @@ class TestCampaign:
             assert r.qvf > base.qvf
             assert not r.improved
 
+    def test_no_fault_sites(self):
+        # refused before the baseline row, never a baseline-only campaign
+        with pytest.raises(ValueError, match="sites is empty"):
+            CampaignConfig(sites=())
+        bare = Circuit(1, [], (0,), correct_states={"0"})
+        with pytest.raises(ValueError, match="no fault sites"):
+            campaign_list(bare)
+        with pytest.raises(ValueError, match="no fault sites"):
+            campaign_blocks(bare, CampaignConfig())
+
     def test_records_are_plain_dataclasses(self):
         r = campaign_list(build_grover(), grid_step=90)[0]
         assert dataclasses.is_dataclass(r)
@@ -442,6 +454,20 @@ class TestBlockKernel:
         return records_to_string(rows)
 
     @staticmethod
+    def block_csv(circuit, config):
+        """The CSV as ``qvf campaign run`` writes it: a BlockWriter fed the
+        site blocks of campaign_blocks."""
+        buf = io.StringIO()
+        baseline, blocks = campaign_blocks(circuit, config)
+        writer = BlockWriter(buf, baseline, grid_degrees(config.grid_step))
+        for block in blocks:
+            writer.write(*block)
+        return buf.getvalue()
+
+    #: circuit ids that csv must quote
+    QUOTED_IDS = ("a,b", 'say "hi"', "x\ny")
+
+    @staticmethod
     def cases():
         """(circuit, grid step, sites) triples: random circuits up to six
         qubits, plus a nine-qubit one whose 15-degree grid needs several
@@ -459,6 +485,9 @@ class TestBlockKernel:
                        correct_states={"0110"})
         assert len(grid_degrees(15)) * 2 ** wide.n_qubits > 2 * BLOCK_AMPLITUDES
         out.append((wide, 15, (3, 11)))
+        for cid in TestBlockKernel.QUOTED_IDS:
+            c = with_correct_state(rng, random_circuit(rng, max_qubits=4, max_gates=8))
+            out.append((c.with_metadata(name=cid), 90, None))
         assert any(len(c.measured) <= c.n_qubits - 2 for c, _, _ in out)
         return out
 
@@ -479,12 +508,15 @@ class TestBlockKernel:
         # flat density blocks against one evolve_density per record, whose
         # own agreement with the dense oracle test_noise checks to 1e-12
         rng = np.random.default_rng(4041)
-        for i in range(16):
+        for i in range(16 + len(self.QUOTED_IDS)):
             c = with_correct_state(rng, random_circuit(rng, max_qubits=4, max_gates=8))
+            if i >= 16:
+                c = c.with_metadata(name=self.QUOTED_IDS[i - 16])
             config = CampaignConfig(grid_step=int(rng.choice([45, 90])), mode=mode,
                                     shots=200, seed=17, noise=self.NOISE[i % 2])
             want = self.reference_csv(c, config)
             assert records_to_string(run_campaign(c, config)) == want, (c, config)
+            assert self.block_csv(c, config) == want, (c, config)
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_csv_matches_per_record_reference(self, mode):
@@ -494,10 +526,10 @@ class TestBlockKernel:
             )
             want = self.reference_csv(circuit, config)
             for jobs in (1, 2):
-                got = records_to_string(
-                    run_campaign(circuit, dataclasses.replace(config, jobs=jobs))
-                )
-                assert got == want, (circuit, config, jobs)
+                config = dataclasses.replace(config, jobs=jobs)
+                got = records_to_string(run_campaign(circuit, config))
+                assert got == want, (circuit, config)
+                assert self.block_csv(circuit, config) == want, (circuit, config)
 
 
 class TestImprovedFlag:

@@ -168,3 +168,18 @@ class TestTimelineAndHistSvg:
         assert "mean=0.4375" in svg
         assert "stddev=0.1234" in svg
         assert svg.count("<rect") >= 5  # backdrop plus one bar per bin
+
+
+class TestEscape:
+    def test_matches_saxutils(self):
+        from xml.sax.saxutils import escape
+
+        from qvf.render import _esc
+
+        for text in ("", "plain", "a & b", "x<y>z", 'say "hi"', "it's",
+                     "&amp;", "&lt;&gt;", "<&>'\"&amp;<"):
+            assert _esc(text) == escape(text), text
+
+    def test_title_is_escaped(self):
+        svg = render_timeline_svg({0: [(0, 0.5)]}, "a<b & c>d")
+        assert ">a&lt;b &amp; c&gt;d</text>" in svg
