@@ -27,7 +27,6 @@ from .injector import (
     FaultParams,
     FaultSite,
     FaultSpec,
-    build_grid,
     enumerate_sites,
     inject,
     run_campaign,
@@ -40,14 +39,11 @@ from .metrics import (
     aggregate_heatmap,
     delta_qvf,
     histogram_stats,
-    michelson_contrast,
-    pst,
     qvf,
     qvf_of_distribution,
     timeline,
 )
 from .noise import (
-    DensityMatrix,
     NoiseConfigError,
     NoiseModel,
     load_noise_config,

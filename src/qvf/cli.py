@@ -49,24 +49,31 @@ def _resolve_out(path: str) -> str:
     return path
 
 
-def _write_text(path: str, text: str):
-    if path == "-":
-        sys.stdout.write(text)
-        return
+def _write_file(path: str, write, binary: bool = False):
+    """Call ``write(fh)`` on a temporary file beside the resolved ``path``
+    and move it into place only once ``write`` returns, so a failed write
+    leaves no partial file and keeps an existing one."""
     path = _resolve_out(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    text = {} if binary else {"encoding": "utf-8", "newline": ""}
+    fh = open(tmp, "xb" if binary else "x", **text)
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
     print(f"wrote {path}")
 
 
-def _write_bytes(path: str, blob: bytes):
+def _write_out(path: str, data):
+    """Report text or bytes to stdout for '-', else through :func:`_write_file`."""
+    binary = isinstance(data, bytes)
     if path == "-":
-        sys.stdout.buffer.write(blob)
-        return
-    path = _resolve_out(path)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-    print(f"wrote {path}")
+        (sys.stdout.buffer if binary else sys.stdout).write(data)
+    else:
+        _write_file(path, lambda fh: fh.write(data), binary)
 
 
 def _load_circuit(ref: str):
@@ -115,7 +122,7 @@ def _cmd_bench_build(args):
         circuit = benchmarks.build_deutsch_jozsa(args.oracle, args.mask, args.bit)
     else:
         circuit = benchmarks.build_grover(args.marked, args.iterations)
-    _write_text(args.out, emit_qasm(circuit))
+    _write_out(args.out, emit_qasm(circuit))
     return 0
 
 
@@ -153,26 +160,19 @@ def _cmd_campaign_run(args):
 
     baseline, blocks = campaign_blocks(circuit, config)
     qvfs, improved = [], 0
-    # a failed campaign leaves no partial file and keeps an existing one
-    out_path = _resolve_out(args.out)
-    tmp_path = f"{out_path}.{os.getpid()}.tmp"
-    fh = open(tmp_path, "x", encoding="utf-8", newline="")
-    try:
-        with fh:
-            writer = BlockWriter(fh, baseline, grid_degrees(config.grid_step))
-            for block in blocks:
-                writer.write(*block)
-                qvfs.append(block.qvf)
-                improved += int(block.improved.sum())
-        os.replace(tmp_path, out_path)
-    except BaseException:
-        os.remove(tmp_path)
-        raise
 
+    def write_rows(fh):
+        nonlocal improved
+        writer = BlockWriter(fh, baseline, grid_degrees(config.grid_step))
+        for block in blocks:
+            writer.write(*block)
+            qvfs.append(block.qvf)
+            improved += int(block.improved.sum())
+
+    _write_file(args.out, write_rows)
     qvfs = np.concatenate(qvfs)
     n = len(qvfs)
     mean, stddev = float(qvfs.mean()), float(qvfs.std())
-    print(f"wrote {out_path}")
     print(f"fault records: {n} (+1 baseline), mode {config.mode}")
     print(f"baseline qvf: {baseline.qvf:.6f}")
     print(f"mean qvf: {mean:.6f}  stddev: {stddev:.6f}")
@@ -188,13 +188,13 @@ def _cmd_campaign_run(args):
 def _grid_output(args, grid, out_path):
     thresholds = (args.green_below, args.red_above)
     if args.format == "svg":
-        _write_text(out_path, render.render_heatmap_svg(
+        _write_out(out_path, render.render_heatmap_svg(
             grid, overlay=args.overlay, thresholds=thresholds, cell=args.cell))
     elif args.format == "ppm":
-        _write_bytes(out_path, render.render_grid_ppm(
+        _write_out(out_path, render.render_grid_ppm(
             grid, thresholds=thresholds, scale=args.cell))
     else:
-        _write_text(out_path, render.grid_csv(grid))
+        _write_out(out_path, render.grid_csv(grid))
 
 
 def _suffixed(path: str, tag: str) -> str:
@@ -232,26 +232,26 @@ def _cmd_report(args):
             grid_a, grid_b = grids[args.qubit_a], grids[args.qubit_b]
         delta = metrics.delta_qvf(grid_a, grid_b)
         if args.format == "svg":
-            _write_text(args.out, render.render_delta_svg(delta, cell=args.cell))
+            _write_out(args.out, render.render_delta_svg(delta, cell=args.cell))
         elif args.format == "ppm":
-            _write_bytes(args.out, render.render_grid_ppm(
+            _write_out(args.out, render.render_grid_ppm(
                 delta, scale=args.cell, diverging=True))
         else:
-            _write_text(args.out, render.grid_csv(delta))
+            _write_out(args.out, render.grid_csv(delta))
     elif args.which == "timeline":
         series = metrics.timeline(table, args.theta, args.phi)
         title = f"QVF by gate index at theta={args.theta:g} phi={args.phi:g}"
         if args.format == "svg":
-            _write_text(args.out, render.render_timeline_svg(series, title))
+            _write_out(args.out, render.render_timeline_svg(series, title))
         else:
-            _write_text(args.out, render.timeline_csv(series))
+            _write_out(args.out, render.timeline_csv(series))
     else:  # hist
         stats = metrics.histogram_stats(table, bins=args.bins)
         print(f"mean qvf: {stats.mean:.6f}  stddev: {stats.stddev:.6f}")
         if args.format == "svg":
-            _write_text(args.out, render.render_hist_svg(stats, "QVF distribution"))
+            _write_out(args.out, render.render_hist_svg(stats, "QVF distribution"))
         else:
-            _write_text(args.out, render.hist_csv(stats))
+            _write_out(args.out, render.hist_csv(stats))
     return 0
 
 

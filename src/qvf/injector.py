@@ -24,14 +24,14 @@ A site is swept as one block: the state after the site's gate is
 computed once and copied into a (2^n, G) block with one column per grid
 point, the G fault rotations act on it in one broadcast step, and the
 remaining gates run on the whole block (in column chunks of at most
-``BLOCK_AMPLITUDES`` amplitudes).  Under noise the block holds flat
-density matrices, (4^n, G) in the layout of :mod:`qvf.noise`: the
-rotations act on the row bits and, conjugated, on the column bits, then
-the fault gate's own noise follows, and every gate's steps are compiled
-once per campaign.  Every column undergoes exactly the floating-point
-operations that simulating its injected circuit alone would, so the
-records match the one-circuit-per-record route of :func:`inject` and
-:func:`qvf.simulator.measured_probabilities` bit for bit.
+``BLOCK_AMPLITUDES`` entries).  Under noise the block holds flat density
+matrices, (4^n, G) in the layout of :mod:`qvf.simulator`, which alone
+decides the state kind from the campaign's noise model; every gate's
+steps are compiled once per campaign.  Every column undergoes exactly the
+floating-point operations that simulating its injected circuit alone
+would, so the records match the one-circuit-per-record route of
+:func:`inject` and :func:`qvf.simulator.measured_probabilities` bit for
+bit.
 """
 
 import math
@@ -40,26 +40,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .circuit import Circuit, Gate, bitstring_to_index
-from .gates import gate_matrix
+from .gates import canonical_u_params, gate_matrix
 from .metrics import score
-from .noise import (
-    check_density,
-    compile_steps,
-    evolve,
-    gate_steps,
-    readout_probabilities,
-)
 from .records import QvfRecord
 from .simulator import (
     PROB_FLOOR,
     SimulationError,
-    apply_gate,
-    apply_matrix,
-    check_norm,
+    check_state,
+    compile_steps,
     draw_counts,
-    marginalize,
+    evolve,
+    gate_steps,
+    initial_state,
     measured_probabilities,
-    zero_state,
+    readout,
 )
 
 import numpy as np
@@ -168,13 +162,6 @@ def grid_degrees(step: int = 15):
     return [(t, p) for t in range(0, 181, step) for p in range(0, 360, step)]
 
 
-def build_grid(step: int = 15):
-    """Fault parameters on the sweep lattice, in grid_degrees order."""
-    return [
-        FaultParams(math.radians(t), math.radians(p)) for t, p in grid_degrees(step)
-    ]
-
-
 def inject(circuit: Circuit, faults) -> Circuit:
     """New circuit with one u(theta, phi, 0) gate per fault.
 
@@ -222,31 +209,15 @@ def _record_seed(campaign_seed: int, site_index: int, grid_index: int):
     return np.random.SeedSequence([campaign_seed, site_index + 1, grid_index])
 
 
-def _prefix(circuit, program, cut):
-    """The state, or flat rho under noise, after the first ``cut`` gates."""
-    n = circuit.n_qubits
-    if program is None:
-        state = zero_state(n)
-        for gate in circuit.gates[:cut]:
-            apply_gate(state, n, gate)
-        return state
-    return evolve(zero_state(2 * n), n, program[:cut])
-
-
 def _block(circuit, noise, program, site, prefix, rotations):
     """Measured probabilities of a site's faulted circuits, one column per
-    fault rotation, from the state (or flat rho) after the site's gate."""
-    n, q, cut = circuit.n_qubits, site.qubit, site.gate_index + 1
+    fault rotation, from the state after the site's gate."""
+    n = circuit.n_qubits
     block = np.repeat(prefix[:, None], len(rotations), axis=1)
-    if noise is None:
-        apply_matrix(block, n, rotations, (q,))
-        for gate in circuit.gates[cut:]:
-            apply_gate(block, n, gate)
-        check_norm(block)
-        return marginalize(np.abs(block) ** 2, n, circuit.measured)
-    evolve(block, n, [gate_steps(noise, "u", rotations, (q,), n)] + program[cut:])
-    check_density(block, n)
-    return readout_probabilities(block, n, noise, circuit.measured)
+    fault = gate_steps("u", rotations, (site.qubit,), n, noise)
+    evolve(block, n, [fault] + program[site.gate_index + 1:], noise)
+    check_state(block, n, noise)
+    return readout(block, n, circuit.measured, noise)
 
 
 def _mode_probs(probs, config, site_index, start):
@@ -272,7 +243,9 @@ def _site_worker(args):
     circuit, config, mask, site_index, site, mats, program, baseline_qvf = args
     columns = []
     try:
-        prefix = _prefix(circuit, program, site.gate_index + 1)
+        n = circuit.n_qubits
+        prefix = evolve(initial_state(n, config.noise), n,
+                        program[:site.gate_index + 1], config.noise)
         chunk = max(1, BLOCK_AMPLITUDES // prefix.size)
         for start in range(0, len(mats), chunk):
             rotations = mats[start:start + chunk]
@@ -323,11 +296,10 @@ def campaign_blocks(circuit: Circuit, config: CampaignConfig = CampaignConfig())
     base = baseline_record(circuit, config)
     # canonical u(theta, phi, 0) matrices, as injected Gates hold them
     mats = np.array([
-        gate_matrix("u", Gate("u", (0,), (math.radians(t), math.radians(p), 0.0)).params)
+        gate_matrix("u", canonical_u_params(math.radians(t), math.radians(p), 0.0))
         for t, p in grid_degrees(config.grid_step)
     ])
-    program = (None if config.noise is None
-               else compile_steps(config.noise, circuit.gates, circuit.n_qubits))
+    program = compile_steps(circuit.gates, circuit.n_qubits, config.noise)
     jobs = [
         (circuit, config, mask, idx, site, mats, program, base.qvf)
         for idx, site in picked

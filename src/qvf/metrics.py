@@ -2,11 +2,13 @@
 
 The per-distribution chain, computed by :func:`score` on a probability
 vector, or column by column on a (2^m, G) block, and a mask of correct
-outcomes (the dict API builds both):
+outcomes (:func:`qvf_of_distribution` builds both from a distribution),
+gives a :class:`MetricSummary` of:
 
 * ``pst``: total mass on the designated correct states.
-* ``michelson_contrast``: (P(A) - P(B)) / (P(A) + P(B)) where P(A) is the
-  correct mass and P(B) the largest single incorrect-state mass.
+* ``p_b``: the largest single incorrect-state mass.
+* ``contrast``: (P(A) - P(B)) / (P(A) + P(B)) with P(A) = ``pst`` and
+  P(B) = ``p_b``.
 * ``qvf``: 1 - (contrast + 1) / 2.  0 means confidently correct, 0.5 a
   dubious output, 1 confidently wrong.
 
@@ -32,18 +34,8 @@ class MetricsError(ValueError):
     """Raised for degenerate distributions or out-of-range inputs."""
 
 
-def _vector(dist, correct):
-    """A distribution's entry probabilities and their correct-state mask."""
-    if not correct:
-        raise MetricsError("correct-state set is empty")
-    widths = {len(s) for s in correct} | {len(s) for s in dist.entries}
-    if len(widths) > 1:
-        raise MetricsError(f"mixed bitstring lengths {sorted(widths)}")
-    probs = dist.probabilities()
-    return (
-        np.array(list(probs.values()), dtype=float),
-        np.array([state in correct for state in probs], dtype=bool),
-    )
+#: most histogram bins: bins of 1e-4 on [0, 1] are finer than any report needs
+MAX_BINS = 10_000
 
 
 def _masses(probs, correct_mask):
@@ -57,21 +49,6 @@ def _masses(probs, correct_mask):
     incorrect = block[~correct_mask]
     pb = incorrect.max(axis=0) if len(incorrect) else np.zeros(block.shape[1])
     return pa, pb
-
-
-def pst(dist, correct) -> float:
-    """Probability of a successful trial: mass on the correct states."""
-    return float(_masses(*_vector(dist, correct))[0][0])
-
-
-def highest_incorrect(dist, correct) -> float:
-    """Largest single-state mass outside the correct set (0 if none)."""
-    return float(_masses(*_vector(dist, correct))[1][0])
-
-
-def michelson_contrast(dist, correct) -> float:
-    """(P(A) - P(B)) / (P(A) + P(B)); in [-1, 1]."""
-    return score(*_vector(dist, correct)).contrast
 
 
 def qvf(contrast):
@@ -110,8 +87,18 @@ def score(probs, correct_mask) -> MetricSummary:
 
 
 def qvf_of_distribution(dist, correct) -> MetricSummary:
-    """Full metric chain for one distribution."""
-    return score(*_vector(dist, correct))
+    """Full metric chain for one distribution: :func:`score` on its entry
+    probabilities and their correct-state mask."""
+    if not correct:
+        raise MetricsError("correct-state set is empty")
+    widths = {len(s) for s in correct} | {len(s) for s in dist.entries}
+    if len(widths) > 1:
+        raise MetricsError(f"mixed bitstring lengths {sorted(widths)}")
+    probs = dist.probabilities()
+    return score(
+        np.array(list(probs.values()), dtype=float),
+        np.array([state in correct for state in probs], dtype=bool),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +218,8 @@ def histogram_stats(records, bins: int = 50) -> HistogramStats:
     """Population mean/stddev of fault QVFs plus equal-width bins on [0, 1]."""
     if bins < 1:
         raise MetricsError("bins must be >= 1")
+    if bins > MAX_BINS:
+        raise MetricsError(f"bins must be <= {MAX_BINS}")
     table = _table(records)
     arr = table.qvf[table.site_index >= 0]
     if not arr.size:

@@ -1,4 +1,4 @@
-"""Parametric machine-noise model and exact density-matrix evolution.
+"""Parametric machine-noise model: configuration, channels and readout flips.
 
 The model combines four standard ingredients, all configurable per qubit
 or per gate kind:
@@ -16,14 +16,8 @@ Durations are nanoseconds, T1/T2 microseconds.  Absent settings are ideal
 (infinite coherence, zero duration, zero probabilities), so an empty
 config is exactly noiseless.
 
-Density matrices are stored flat: rho[r, c] is entry r * 2^n + c of a 4^n
-vector, so row bit q is flat qubit q + n and column bit q is flat qubit q.
-A gate U on qubits Q is U on flat qubits Q + n, then conj(U) on flat qubits
-Q; the channels after it on qubit q fuse into one 4x4 superoperator
-sum_K kron(K, K*) on flat qubits (q, q + n).  Every step runs on the
-state-vector kernel :func:`qvf.simulator.apply_matrix` over 2n qubits, and
-a (4^n, G) block of flat matrices takes the same steps, one per column.
-Noisy distributions come from :mod:`qvf.simulator` called with ``noise``.
+This module holds only the model.  Density matrices are evolved by
+:mod:`qvf.simulator`, whose functions take a model as ``noise``.
 
 Config document format (INI)::
 
@@ -48,15 +42,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit
-from .gates import SIGNATURES, X, Y, Z, gate_matrix
-from .simulator import apply_matrix, check_size, marginalize, require, zero_state
+from .gates import SIGNATURES, X, Y, Z
 
 US_PER_NS = 1e-3
-
-TRACE_TOL = 1e-9
-HERMITIAN_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-8
 
 
 class NoiseConfigError(ValueError):
@@ -126,6 +114,13 @@ class NoiseModel:
         rate = max(0.0, 1.0 / t2 - 0.5 / self.qubit_t1(q))  # 1 / T2phi
         d_us = self.gate_duration(name) * US_PER_NS
         return 1.0 - math.exp(-d_us * rate)
+
+    def superoperator(self, name: str, q: int):
+        """The channels after gate ``name`` on qubit ``q`` as one 4x4
+        superoperator on flat qubits (q, q + n), or None if they are ideal."""
+        return _superoperator(self.amplitude_damping_gamma(name, q),
+                              self.phase_damping_lambda(name, q),
+                              self.gate_depolarizing(name))
 
 
 IDEAL = NoiseModel()
@@ -219,91 +214,6 @@ def _superoperator(gamma: float, lam: float, p: float):
             sup = sum(np.kron(k, k.conj()) for k in kraus(value))
             out = sup if out is None else sup @ out
     return out
-
-
-def gate_steps(model: NoiseModel, name: str, mat: np.ndarray, qubits, n_qubits: int):
-    """(name, steps) taking a flat rho through one gate and its noise: the
-    (matrix, flat qubits) pairs ``mat`` on the row bits, its conjugate on the
-    column bits and one channel superoperator per target.  ``mat`` may be a
-    (G, d, d) stack, one matrix per block column."""
-    steps = [(mat, tuple(q + n_qubits for q in qubits)), (mat.conj(), tuple(qubits))]
-    for q in qubits:
-        sup = _superoperator(model.amplitude_damping_gamma(name, q),
-                             model.phase_damping_lambda(name, q),
-                             model.gate_depolarizing(name))
-        if sup is not None:
-            steps.append((sup, (q, q + n_qubits)))
-    return name, steps
-
-
-def compile_steps(model: NoiseModel, gates, n_qubits: int):
-    """:func:`gate_steps` for every gate of a circuit, in order."""
-    return [
-        gate_steps(model, g.name, gate_matrix(g.name, g.params), g.qubits, n_qubits)
-        for g in gates
-    ]
-
-
-def _diagonal(n_qubits: int) -> np.ndarray:
-    """Flat indices of the diagonal entries rho[i, i]."""
-    return np.arange(1 << n_qubits) * ((1 << n_qubits) + 1)
-
-
-def evolve(rho: np.ndarray, n_qubits: int, program) -> np.ndarray:
-    """Run a flat rho (4^n vector or (4^n, G) block) through compiled gates
-    in place, checking every column's trace after each gate."""
-    diag = _diagonal(n_qubits)
-    for name, steps in program:
-        for mat, qubits in steps:
-            apply_matrix(rho, 2 * n_qubits, mat, qubits)
-        trace = rho[diag].sum(axis=0).real
-        require((np.abs(trace - 1.0) <= TRACE_TOL, f"trace drifted to {{!r}} after {name}", trace))
-    return rho
-
-
-def check_density(rho: np.ndarray, n_qubits: int):
-    """Raise SimulationError unless every column of a flat rho has unit
-    trace, is Hermitian and has no eigenvalue below EIGENVALUE_FLOOR."""
-    d = 1 << n_qubits
-    mats = rho.reshape(d, d, -1).transpose(2, 0, 1)
-    trace = np.trace(mats, axis1=1, axis2=2)
-    skew = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)), axis=(1, 2))
-    smallest = np.linalg.eigvalsh(mats)[:, 0]
-    if rho.ndim == 1:  # a lone matrix has no column to name
-        trace, skew, smallest = trace[0], skew[0], smallest[0]
-    require(
-        (np.abs(trace - 1.0) <= TRACE_TOL, "density trace drifted to {!r}", trace),
-        (skew <= HERMITIAN_TOL, "density matrix is not Hermitian (off by {!r})", skew),
-        (smallest >= EIGENVALUE_FLOOR, "negative eigenvalue {!r}", smallest),
-    )
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Full 2^n x 2^n state; validation enforces the physicality checks."""
-
-    n_qubits: int
-    entries: np.ndarray
-
-    def validate(self):
-        check_density(self.entries.reshape(-1), self.n_qubits)
-        return self
-
-
-def evolve_density(circuit: Circuit, model: NoiseModel) -> DensityMatrix:
-    """Exact noisy evolution of |0...0><0...0| through the circuit."""
-    n = circuit.n_qubits
-    check_size(n, dims=2)
-    rho = evolve(zero_state(2 * n), n, compile_steps(model, circuit.gates, n))
-    return DensityMatrix(n, rho.reshape(1 << n, 1 << n)).validate()
-
-
-def readout_probabilities(rho: np.ndarray, n_qubits: int, model: NoiseModel, measured):
-    """Read-out probabilities over the measured qubits of a flat rho, or of
-    each column of a block: the clipped diagonal, marginalised, then through
-    the readout flips."""
-    probs = np.clip(rho[_diagonal(n_qubits)].real, 0.0, None)
-    return apply_readout_flips(marginalize(probs, n_qubits, measured), model, measured)
 
 
 def apply_readout_flips(probs: np.ndarray, model: NoiseModel, measured) -> np.ndarray:

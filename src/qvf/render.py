@@ -31,6 +31,15 @@ REFERENCE_GATES = (
 
 DEFAULT_THRESHOLDS = (0.45, 0.55)
 
+#: largest PPM a report renders, in pixels: 24 px cells on a 1 degree grid
+#: (8,640 x 4,344) fit, an image that would need gigabytes does not
+MAX_PPM_PIXELS = 1 << 26
+
+
+def _check_cell(cell: int):
+    if cell < 1:
+        raise ValueError(f"cell size must be >= 1 px, got {cell}")
+
 
 def _esc(text: str) -> str:
     # xml.sax.saxutils.escape without its urllib and email imports
@@ -96,6 +105,7 @@ def _axis_stride(count: int) -> int:
 
 def _grid_svg(grid: HeatmapGrid, color_fn, title, cell: int, overlay: bool,
               legend_labels):
+    _check_cell(cell)
     rows = len(grid.theta_degs)
     cols = len(grid.phi_degs)
     plot_w = cols * cell
@@ -218,8 +228,12 @@ def render_grid_ppm(grid: HeatmapGrid, thresholds=DEFAULT_THRESHOLDS,
                     scale: int = 16, diverging: bool = False) -> bytes:
     rows = len(grid.theta_degs)
     cols = len(grid.phi_degs)
+    _check_cell(scale)
     width = cols * scale
     height = rows * scale
+    if width * height > MAX_PPM_PIXELS:
+        raise ValueError(f"a {width} x {height} px image exceeds the PPM budget "
+                         f"of {MAX_PPM_PIXELS} px")
     if diverging:
         vmax = max(float(abs(grid.cells).max()), 0.05)
         color_fn = lambda v: delta_color(v, vmax)

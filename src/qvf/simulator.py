@@ -7,13 +7,25 @@ are split into groups that agree on every non-target bit, and the 2x2 or
 4x4 matrix mixes the group members in place.  The same kernels take a
 (2^n, G) block of G state columns, since they index axis 0 only; each
 column then undergoes exactly the floating-point operations it would as
-a lone vector.  :mod:`qvf.noise` runs density matrices, stored flat as
-4^n vectors, on the same kernel.  States beyond :data:`MAX_QUBITS` are
-refused with a :class:`SimulationError` before anything is allocated.
+a lone vector.  States beyond :data:`MAX_QUBITS` are refused with a
+:class:`SimulationError` before anything is allocated.
 
-Every distribution comes from :func:`measured_probabilities`, which takes
-an optional noise model; :func:`draw_counts` is the one seeded
-multinomial draw.
+Every function that builds, evolves, checks or reads a state takes
+``noise``, None or a :class:`qvf.noise.NoiseModel`, and that argument
+alone picks the state kind: an amplitude vector without a model, a
+density matrix with one.  Density matrices are stored flat: rho[r, c] is
+entry r * 2^n + c of a 4^n vector, so row bit q is flat qubit q + n and
+column bit q is flat qubit q.  A gate U on qubits Q is U on flat qubits
+Q + n, then conj(U) on flat qubits Q; the channels after it on qubit q
+fuse into one 4x4 superoperator sum_K kron(K, K*) on flat qubits
+(q, q + n).  Every step runs on :func:`apply_matrix` over 2n qubits, and
+a (4^n, G) block of flat matrices takes the same steps, one per column.
+
+A run is :func:`initial_state`, :func:`compile_steps`, :func:`evolve`,
+:func:`check_state` and :func:`readout`; :func:`final_state` chains the
+first four for one circuit and :func:`measured_probabilities` adds the
+readout.  Every distribution comes from the latter; :func:`draw_counts`
+is the one seeded multinomial draw.
 
 >>> from .circuit import Circuit
 >>> run_exact(Circuit(1, [("h", (0,), ())], (0,))).entries
@@ -27,8 +39,12 @@ import numpy as np
 
 from .circuit import Circuit, index_to_bitstring
 from .gates import gate_matrix
+from .noise import apply_readout_flips
 
 NORM_TOL = 1e-10
+TRACE_TOL = 1e-9
+HERMITIAN_TOL = 1e-10
+EIGENVALUE_FLOOR = -1e-8
 
 #: probabilities at or below this are dropped from distributions; the loss
 #: is far below NORM_TOL even with every state populated
@@ -84,21 +100,16 @@ class OutcomeDistribution:
 MAX_QUBITS = 20
 
 
-def check_size(n_qubits: int, dims: int = 1):
-    """Refuse a state of 2^(n_qubits * dims) entries beyond the budget.
-
-    ``dims`` is 1 for a state vector and 2 for a density matrix."""
+def initial_state(n_qubits: int, noise=None) -> np.ndarray:
+    """|0...0> as a 2^n amplitude vector, or under ``noise`` |0...0><0...0|
+    as a flat 4^n rho; a state beyond the budget is refused first."""
+    dims = 1 if noise is None else 2
     if n_qubits * dims > MAX_QUBITS:
         raise SimulationError(
             f"{n_qubits} qubits exceed the simulator's limit of "
             f"{MAX_QUBITS // dims} for a {'density matrix' if dims > 1 else 'state vector'}"
         )
-
-
-def zero_state(n_qubits: int) -> np.ndarray:
-    """|0...0> as a 2^n amplitude vector, after the size check."""
-    check_size(n_qubits)
-    state = np.zeros(2 ** n_qubits, dtype=complex)
+    state = np.zeros(2 ** (n_qubits * dims), dtype=complex)
     state[0] = 1.0
     return state
 
@@ -132,25 +143,78 @@ def apply_matrix(state: np.ndarray, n_qubits: int, mat: np.ndarray, qubits) -> n
     return state
 
 
-def apply_gate(state: np.ndarray, n_qubits: int, gate) -> np.ndarray:
-    """Apply one gate in place and return the state.
+def gate_steps(name: str, mat: np.ndarray, qubits, n_qubits: int, noise=None):
+    """(name, steps) taking a state through one gate: the one (matrix,
+    qubits) step for a state vector; under ``noise``, for a flat rho,
+    ``mat`` on the row bits, its conjugate on the column bits and one
+    channel superoperator per target.  ``mat`` may be a (G, d, d) stack,
+    one matrix per block column."""
+    if noise is None:
+        return name, [(mat, tuple(qubits))]
+    steps = [(mat, tuple(q + n_qubits for q in qubits)), (mat.conj(), tuple(qubits))]
+    for q in qubits:
+        sup = noise.superoperator(name, q)
+        if sup is not None:
+            steps.append((sup, (q, q + n_qubits)))
+    return name, steps
 
-    ``state`` may be a (2^n, G) block: every column gets the gate."""
-    return apply_matrix(state, n_qubits, gate_matrix(gate.name, gate.params), gate.qubits)
+
+def compile_steps(gates, n_qubits: int, noise=None):
+    """:func:`gate_steps` for every gate of a circuit, in order."""
+    return [
+        gate_steps(g.name, gate_matrix(g.name, g.params), g.qubits, n_qubits, noise)
+        for g in gates
+    ]
 
 
-def check_norm(state: np.ndarray):
-    """Raise SimulationError unless the state (or every block column) has unit norm."""
-    drift = np.abs(np.sum(np.abs(state) ** 2, axis=0) - 1.0)
-    require((drift <= NORM_TOL, "state norm drifted by {!r}", drift))
+@lru_cache(maxsize=None)
+def _diagonal(n_qubits: int) -> np.ndarray:
+    """Flat indices of the diagonal entries rho[i, i]."""
+    return np.arange(1 << n_qubits) * ((1 << n_qubits) + 1)
 
 
-def statevector(circuit: Circuit) -> np.ndarray:
-    """Final amplitudes of the circuit applied to |0...0>."""
-    state = zero_state(circuit.n_qubits)
-    for gate in circuit.gates:
-        apply_gate(state, circuit.n_qubits, gate)
-    check_norm(state)
+def evolve(state: np.ndarray, n_qubits: int, program, noise=None) -> np.ndarray:
+    """Run a state (or a block of state columns) through compiled gates in
+    place; under ``noise`` every column's trace is checked after each gate."""
+    width = n_qubits if noise is None else 2 * n_qubits
+    for name, steps in program:
+        for mat, qubits in steps:
+            apply_matrix(state, width, mat, qubits)
+        if noise is not None:
+            trace = state[_diagonal(n_qubits)].sum(axis=0).real
+            require((np.abs(trace - 1.0) <= TRACE_TOL,
+                     f"trace drifted to {{!r}} after {name}", trace))
+    return state
+
+
+def check_state(state: np.ndarray, n_qubits: int, noise=None):
+    """Raise SimulationError unless the state (or every block column) is
+    physical: unit norm for amplitudes; under ``noise``, for a flat rho,
+    unit trace, Hermitian and no eigenvalue below EIGENVALUE_FLOOR."""
+    if noise is None:
+        drift = np.abs(np.sum(np.abs(state) ** 2, axis=0) - 1.0)
+        require((drift <= NORM_TOL, "state norm drifted by {!r}", drift))
+        return
+    d = 1 << n_qubits
+    mats = state.reshape(d, d, -1).transpose(2, 0, 1)
+    trace = np.trace(mats, axis1=1, axis2=2)
+    skew = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)), axis=(1, 2))
+    smallest = np.linalg.eigvalsh(mats)[:, 0]
+    if state.ndim == 1:  # a lone matrix has no column to name
+        trace, skew, smallest = trace[0], skew[0], smallest[0]
+    require(
+        (np.abs(trace - 1.0) <= TRACE_TOL, "density trace drifted to {!r}", trace),
+        (skew <= HERMITIAN_TOL, "density matrix is not Hermitian (off by {!r})", skew),
+        (smallest >= EIGENVALUE_FLOOR, "negative eigenvalue {!r}", smallest),
+    )
+
+
+def final_state(circuit: Circuit, noise=None) -> np.ndarray:
+    """The checked state after the circuit runs on |0...0>: amplitudes, or
+    under ``noise`` a flat rho (``reshape(2**n, 2**n)`` gives the matrix)."""
+    n = circuit.n_qubits
+    state = evolve(initial_state(n, noise), n, compile_steps(circuit.gates, n, noise), noise)
+    check_state(state, n, noise)
     return state
 
 
@@ -164,12 +228,18 @@ def _marginal_keys(n_qubits: int, measured: tuple) -> np.ndarray:
     return keys
 
 
-def marginalize(probs: np.ndarray, n_qubits: int, measured) -> np.ndarray:
-    """Basis probabilities (a 2^n vector or a (2^n, G) block) summed onto the
-    measured-qubit indices, each sum taken in basis-index order."""
+def readout(state: np.ndarray, n_qubits: int, measured, noise=None) -> np.ndarray:
+    """Probabilities over the measured qubits of a state, or of each column
+    of a block: the basis probabilities, |amplitude|^2 or under ``noise`` the
+    clipped diagonal of rho, summed onto the measured-qubit indices in
+    basis-index order; under ``noise`` then through the readout flips."""
+    if noise is None:
+        probs = np.abs(state) ** 2
+    else:
+        probs = np.clip(state[_diagonal(n_qubits)].real, 0.0, None)
     out = np.zeros((2 ** len(measured),) + probs.shape[1:])
     np.add.at(out, _marginal_keys(n_qubits, tuple(measured)), probs)
-    return out
+    return out if noise is None else apply_readout_flips(out, noise, measured)
 
 
 def measured_probabilities(circuit: Circuit, noise=None) -> np.ndarray:
@@ -177,29 +247,18 @@ def measured_probabilities(circuit: Circuit, noise=None) -> np.ndarray:
 
     With ``noise``, every gate is followed by the model's channels and the
     vector passes through its readout flips."""
-    if noise is None:
-        return marginalize(np.abs(statevector(circuit)) ** 2, circuit.n_qubits, circuit.measured)
-    from .noise import evolve_density, readout_probabilities
-
-    rho = evolve_density(circuit, noise).entries.reshape(-1)
-    return readout_probabilities(rho, circuit.n_qubits, noise, circuit.measured)
-
-
-def distribution_from_vector(probs: np.ndarray, width: int) -> OutcomeDistribution:
-    """Exact-mode distribution from a probability vector over bitstrings."""
-    entries = {
-        index_to_bitstring(i, width): float(p)
-        for i, p in enumerate(probs)
-        if p > PROB_FLOOR
-    }
-    return OutcomeDistribution(entries)
+    return readout(final_state(circuit, noise), circuit.n_qubits, circuit.measured, noise)
 
 
 def run_exact(circuit: Circuit, noise=None) -> OutcomeDistribution:
-    """Exact output distribution marginalized onto the measured qubits."""
-    return distribution_from_vector(
-        measured_probabilities(circuit, noise), len(circuit.measured)
-    )
+    """Exact output distribution marginalized onto the measured qubits;
+    entries at or below PROB_FLOOR are dropped."""
+    width = len(circuit.measured)
+    return OutcomeDistribution({
+        index_to_bitstring(i, width): float(p)
+        for i, p in enumerate(measured_probabilities(circuit, noise))
+        if p > PROB_FLOOR
+    })
 
 
 def draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
@@ -217,24 +276,14 @@ def draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(shots, pvals / total)
 
 
-def sample_vector(
-    probs: np.ndarray, width: int, shots: int, seed
-) -> OutcomeDistribution:
-    """Sampled distribution from a probability vector; seed-deterministic."""
-    counts = draw_counts(probs, shots, seed)
-    entries = {
-        index_to_bitstring(i, width): int(c)
-        for i, c in enumerate(counts)
-        if c > 0
-    }
-    return OutcomeDistribution(entries, shots=shots)
-
-
 def sample(circuit: Circuit, shots: int, seed, noise=None) -> OutcomeDistribution:
     """Sampled counts for a circuit; identical inputs give identical counts.
 
     With ``noise`` given, sampling draws from the noisy exact distribution.
     """
-    return sample_vector(
-        measured_probabilities(circuit, noise), len(circuit.measured), shots, seed
+    width = len(circuit.measured)
+    counts = draw_counts(measured_probabilities(circuit, noise), shots, seed)
+    return OutcomeDistribution(
+        {index_to_bitstring(i, width): int(c) for i, c in enumerate(counts) if c > 0},
+        shots=shots,
     )

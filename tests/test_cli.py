@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import builtins
+import errno
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import pytest
 
 import oracles
 import qvf
-from qvf import records, render
+from qvf import cli, metrics, records, render
 from qvf.cli import EXIT_IO, EXIT_PARSE, EXIT_SIMULATION, EXIT_USAGE, main
 from qvf.metrics import HeatmapGrid, HistogramStats, delta_qvf
 from qvf.qasm import parse_qasm
@@ -456,6 +458,64 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert f"error: line 7: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("heatmap", ["--format", "ppm", "--cell", "-3"]),
+        ("heatmap", ["--format", "ppm", "--cell", "0"]),
+        ("heatmap", ["--format", "svg", "--cell", "0"]),
+        ("delta", ["--format", "svg", "--cell", "-1"]),
+        # 400,000 x 300,000 px: refused before anything is allocated
+        ("heatmap", ["--format", "ppm", "--cell", "100000"]),
+        ("perqubit", ["--format", "ppm", "--cell", "100000"]),
+        ("delta", ["--format", "ppm", "--cell", "100000"]),
+        ("hist", ["--bins", "1000000000"]),
+        ("hist", ["--bins", str(metrics.MAX_BINS + 1)]),
+    ])
+    def test_report_size_limits(self, grover_csv, tmp_path, capsys, kind, extra):
+        out = tmp_path / "o.out"
+        out.write_bytes(b"previous report\n")
+        code = main(["report", kind, "--in", str(grover_csv), *REPORT_OPTIONS[kind],
+                     *extra, "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert "error:" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous report\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_ppm_budget_admits_the_default_cell_on_a_one_degree_grid(self):
+        assert (360 * 24) * (181 * 24) <= render.MAX_PPM_PIXELS
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "heatmap", "--format", "csv"],
+        ["campaign", "run", "grover", "--grid-step", "90", "--jobs", "1"],
+    ])
+    def test_failed_write_keeps_existing_out(self, grover_csv, tmp_path, capsys,
+                                             monkeypatch, argv):
+        class HalfWritten:
+            """A file whose writes land half their text, then fail."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(cli, "open", lambda *a, **kw: HalfWritten(builtins.open(*a, **kw)),
+                            raising=False)
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"previous output\n")
+        if argv[0] == "report":
+            argv = argv + ["--in", str(grover_csv)]
+        assert main(argv + ["--out", str(out)]) == EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous output\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_io_errors(self, tmp_path, capsys):
         assert main(["report", "heatmap", "--in", str(tmp_path / "missing.csv"),

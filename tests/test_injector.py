@@ -21,7 +21,6 @@ from qvf.injector import (
     FaultSite,
     FaultSpec,
     baseline_record,
-    build_grid,
     campaign_blocks,
     enumerate_sites,
     grid_degrees,
@@ -47,7 +46,7 @@ class TestSites:
 
 class TestGrid:
     def test_default_grid_shape(self):
-        grid = build_grid()
+        grid = [FaultParams(math.radians(t), math.radians(p)) for t, p in grid_degrees()]
         assert len(grid) == 312
         assert grid[0] == FaultParams(0.0, 0.0)
         degs = grid_degrees()
@@ -61,17 +60,17 @@ class TestGrid:
             assert math.isclose(params.phi, math.radians(p), abs_tol=1e-12)
 
     def test_coarse_grid(self):
-        assert len(build_grid(90)) == 3 * 4
-        assert len(build_grid(45)) == 5 * 8
+        assert len(grid_degrees(90)) == 3 * 4
+        assert len(grid_degrees(45)) == 5 * 8
 
     def test_step_must_divide_360(self):
         with pytest.raises(ValueError):
-            build_grid(7)
+            grid_degrees(7)
         with pytest.raises(ValueError):
             CampaignConfig(grid_step=50)
         for step in (0, -15):
             with pytest.raises(ValueError):
-                build_grid(step)
+                grid_degrees(step)
             with pytest.raises(ValueError):
                 CampaignConfig(grid_step=step)
 
@@ -505,7 +504,7 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_noisy_csv_matches_per_record_reference(self, mode):
-        # flat density blocks against one evolve_density per record, whose
+        # flat density blocks against one final_state per record, whose
         # own agreement with the dense oracle test_noise checks to 1e-12
         rng = np.random.default_rng(4041)
         for i in range(16 + len(self.QUOTED_IDS)):
@@ -551,7 +550,7 @@ class TestFailureReport:
         # index 4, the second column of the second three-column chunk)
         noise = NoiseModel(default_t1=1.0, duration={"x": 1000.0 * math.log(2)})
         c = Circuit(1, [("h", (0,), ()), ("x", (0,), ())], (0,), correct_states={"0"})
-        monkeypatch.setattr("qvf.noise.EIGENVALUE_FLOOR", 1e-3)
+        monkeypatch.setattr("qvf.simulator.EIGENVALUE_FLOOR", 1e-3)
         monkeypatch.setattr("qvf.injector.BLOCK_AMPLITUDES", 3 * 4)
         with pytest.raises(
             CampaignError,

@@ -14,10 +14,7 @@ from qvf.metrics import (
     MetricsError,
     aggregate_heatmap,
     delta_qvf,
-    highest_incorrect,
     histogram_stats,
-    michelson_contrast,
-    pst,
     qvf,
     qvf_of_distribution,
     score,
@@ -70,8 +67,8 @@ class TestMetricChain:
 
     def test_multiple_correct_states_sum(self):
         d = dist({"00": 0.3, "11": 0.45, "01": 0.25})
-        assert pst(d, {"00", "11"}) == pytest.approx(0.75)
-        assert highest_incorrect(d, {"00", "11"}) == pytest.approx(0.25)
+        assert qvf_of_distribution(d, {"00", "11"}).pst == pytest.approx(0.75)
+        assert qvf_of_distribution(d, {"00", "11"}).p_b == pytest.approx(0.25)
 
     def test_counts_mode_matches_probability_mode(self):
         counted = qvf_of_distribution(
@@ -101,15 +98,15 @@ class TestMetricChain:
     def test_pst_ignores_shuffling_of_incorrect_mass(self):
         a = dist({"00": 0.6, "01": 0.4})
         b = dist({"00": 0.6, "01": 0.1, "10": 0.1, "11": 0.2})
-        assert pst(a, {"00"}) == pst(b, {"00"})
+        assert qvf_of_distribution(a, {"00"}).pst == qvf_of_distribution(b, {"00"}).pst
 
     def test_error_cases(self):
         with pytest.raises(MetricsError):
-            pst(dist({"00": 1.0}), set())
+            qvf_of_distribution(dist({"00": 1.0}), set())
         with pytest.raises(MetricsError):
-            pst(dist({"00": 1.0}), {"000"})
+            qvf_of_distribution(dist({"00": 1.0}), {"000"})
         with pytest.raises(MetricsError):
-            michelson_contrast(dist({}), {"00"})
+            qvf_of_distribution(dist({}), {"00"})
         with pytest.raises(MetricsError):
             qvf(1.5)
 
@@ -154,9 +151,9 @@ class TestMetricChain:
         d = dist({s: w / total for s, w in zip(labels, weights)})
         k = data.draw(st.integers(min_value=1, max_value=len(labels) - 1))
         correct = set(labels[:k])
-        c = michelson_contrast(d, correct)
-        pa = pst(d, correct)
-        pb = highest_incorrect(d, correct)
+        c = qvf_of_distribution(d, correct).contrast
+        pa = qvf_of_distribution(d, correct).pst
+        pb = qvf_of_distribution(d, correct).p_b
         assert (c > 0) == (pa > pb) or math.isclose(pa, pb, abs_tol=1e-12)
 
 

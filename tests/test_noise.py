@@ -1,9 +1,11 @@
 """Noise model: config parsing, channel math, and density-matrix evolution."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from support import random_gates
@@ -11,21 +13,26 @@ from qvf.benchmarks import DEFAULTS
 from qvf.circuit import Circuit
 from qvf.metrics import qvf_of_distribution
 from qvf.noise import (
-    DensityMatrix,
     IDEAL,
     NoiseConfigError,
     NoiseModel,
     amplitude_damping_kraus,
     apply_readout_flips,
-    check_density,
     depolarizing_kraus,
-    evolve_density,
-    gate_steps,
     load_noise_config,
     load_noise_file,
     phase_damping_kraus,
 )
-from qvf.simulator import SimulationError, apply_matrix, run_exact, sample
+from qvf.simulator import (
+    SimulationError,
+    apply_matrix,
+    check_state,
+    final_state,
+    gate_steps,
+    measured_probabilities,
+    run_exact,
+    sample,
+)
 from qvf.simulator import run_exact as evolve_noisy_exact
 
 REPRESENTATIVE = """
@@ -171,7 +178,7 @@ class TestChannels:
             dim = 2**n
             rho = rho_rng.normal(size=(dim, dim)) + 1j * rho_rng.normal(size=(dim, dim))
 
-            _, steps = gate_steps(IDEAL, "u", mat, qubits, n)
+            _, steps = gate_steps("u", mat, qubits, n, IDEAL)
             assert len(steps) == 2
             flat = rho.reshape(-1).copy()
             for m, flat_qubits in steps:
@@ -181,7 +188,7 @@ class TestChannels:
                                atol=1e-12)
 
             q = qubits[0]
-            _, steps = gate_steps(strong, "h", np.eye(2, dtype=complex), (q,), n)
+            _, steps = gate_steps("h", np.eye(2, dtype=complex), (q,), n, strong)
             assert steps[-1][1] == (q, q + n)
             flat = rho.reshape(-1).copy()
             apply_matrix(flat, 2 * n, *steps[-1])
@@ -262,8 +269,8 @@ class TestDensityEvolution:
         m = load_noise_config(REPRESENTATIVE)
         for _ in range(10):
             c = Circuit(3, random_gates(rng, 3, 15), (0, 1, 2))
-            rho = evolve_density(c, m)
-            rho.validate()
+            rho = final_state(c, m)
+            check_state(rho, 3, m)
             probs = evolve_noisy_exact(c, m).probabilities()
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -282,7 +289,7 @@ class TestDensityEvolution:
             n = int(rng.integers(1, 5))
             gates = random_gates(rng, n, int(rng.integers(1, 16)))
             model = models[trial % 2]
-            got = evolve_density(Circuit(n, gates, tuple(range(n))), model).entries
+            got = final_state(Circuit(n, gates, tuple(range(n))), model).reshape(2**n, 2**n)
             want = oracles.evolve_density(n, gates, model)
             assert np.max(np.abs(got - want)) <= 1e-12, (trial, gates)
 
@@ -308,27 +315,78 @@ class TestDensityEvolution:
         good = np.diag([1.0, 0.0]).astype(complex).reshape(-1)
         skew = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex).reshape(-1)
         indefinite = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex).reshape(-1)
-        check_density(np.column_stack([good, good]), 1)
+        check_state(np.column_stack([good, good]), 1, IDEAL)
         # column 3 fails an earlier check, but column 2 is the first to fail
         with pytest.raises(SimulationError, match="negative eigenvalue") as info:
-            check_density(np.column_stack([good, good, indefinite, skew]), 1)
+            check_state(np.column_stack([good, good, indefinite, skew]), 1, IDEAL)
         assert info.value.column == 2
         with pytest.raises(SimulationError) as info:
-            check_density(0.9 * good, 1)  # a lone matrix: nothing to name
+            check_state(0.9 * good, 1, IDEAL)  # a lone matrix: nothing to name
         assert info.value.column is None
 
     def test_density_validation_catches_bad_states(self):
         good = np.zeros((2, 2), dtype=complex)
         good[0, 0] = 1.0
-        DensityMatrix(1, good).validate()
+        check_state(good.reshape(-1), 1, IDEAL)
         with pytest.raises(SimulationError):
-            DensityMatrix(1, 0.9 * good).validate()
+            check_state(0.9 * good.reshape(-1), 1, IDEAL)
         skew = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
         with pytest.raises(SimulationError):
-            DensityMatrix(1, skew).validate()
+            check_state(skew.reshape(-1), 1, IDEAL)
         indefinite = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex)
         with pytest.raises(SimulationError):
-            DensityMatrix(1, indefinite).validate()
+            check_state(indefinite.reshape(-1), 1, IDEAL)
+
+
+#: the packaged model, and one with per-qubit and per-gate overrides
+ORACLE_MODELS = (
+    load_noise_config(
+        (resources.files("qvf") / "data" / "representative_noise.ini").read_text()),
+    NoiseModel(
+        default_t1=60.0, default_t2=50.0, default_duration=35.0,
+        default_depolarizing=0.002, t1={0: 20.0, 3: 45.0}, t2={0: 15.0},
+        duration={"cx": 300.0, "u": 80.0, "h": 0.0},
+        depolarizing={"cz": 0.03, "t": 0.0},
+    ),
+)
+
+
+@st.composite
+def faulted_circuits(draw):
+    """(n_qubits, gates, measured): a random_gates circuit on 1-4 qubits
+    with one u(theta, phi, 0) fault inserted after one of its gates."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates = random_gates(rng, n, draw(st.integers(1, 12)))
+    index = draw(st.integers(0, len(gates) - 1))
+    qubit = draw(st.sampled_from(gates[index][1]))
+    theta = draw(st.floats(0.0, math.pi))
+    phi = draw(st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    measured = tuple(draw(st.permutations(range(n)))[:draw(st.integers(1, n))])
+    return n, oracles.insert_fault(gates, index, qubit, theta, phi), measured
+
+
+class TestAgainstOracles:
+    """The shared evolve/check/readout path against the dense oracles, which
+    share no code with it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(faulted_circuits())
+    def test_noiseless_probabilities(self, case):
+        n, gates, measured = case
+        got = measured_probabilities(Circuit(n, gates, measured))
+        want = oracles.exact_distribution(n, gates, measured, tol=-1.0)
+        for i, p in enumerate(got):
+            assert abs(p - want.get(oracles.bitstring(i, len(measured)), 0.0)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(faulted_circuits())
+    def test_final_density_matrix(self, case):
+        n, gates, measured = case
+        for model in ORACLE_MODELS:
+            got = final_state(Circuit(n, gates, measured), model).reshape(2**n, 2**n)
+            want = oracles.evolve_density(n, gates, model)
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestNoisySampling:

@@ -1,32 +1,66 @@
 """State-vector engine against closed forms and the dense-matrix oracle."""
 
 import doctest
+import importlib
 import math
+import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-import qvf.simulator
+import qvf
 from qvf.circuit import Circuit
 from qvf.noise import NoiseModel
 from qvf.simulator import (
     MAX_QUBITS,
     OutcomeDistribution,
     SimulationError,
+    draw_counts,
+    final_state,
     measured_probabilities,
     run_exact,
     sample,
-    sample_vector,
-    statevector,
 )
 
 from support import random_gates
 
 
-def test_module_doctests():
-    failures, _ = doctest.testmod(qvf.simulator)
+@pytest.mark.parametrize(
+    "name", ["qvf"] + [f"qvf.{m.name}" for m in pkgutil.iter_modules(qvf.__path__)]
+)
+def test_module_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(name))
     assert failures == 0
+
+
+def _resolve(dotted):
+    """The object a dotted ``qvf.`` name refers to: the longest importable
+    module prefix, then attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ImportError(dotted)
+
+
+def test_readme_library_names_resolve():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    names = sorted(set(re.findall(r"(?<![\w.])qvf(?:\.\w+)+", section)))
+    assert "qvf.run_exact" in names
+    for dotted in names:
+        try:
+            _resolve(dotted)
+        except (ImportError, AttributeError) as exc:
+            pytest.fail(f"README names {dotted}, which does not resolve: {exc}")
 
 
 def test_hadamard_splits_evenly():
@@ -72,7 +106,7 @@ def test_measured_order_permutes_bit_positions():
 def test_norm_preserved_on_deep_random_circuit():
     rng = np.random.default_rng(11)
     c = Circuit(3, random_gates(rng, 3, 200), (0, 1, 2))
-    state = statevector(c)
+    state = final_state(c)
     assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-9
 
 
@@ -124,11 +158,11 @@ def test_large_sample_tracks_exact_distribution():
         assert abs(sampled.get(key, 0.0) - p) <= 5 * sigma + 1e-9
 
 
-def test_sample_vector_input_validation():
+def test_draw_counts_input_validation():
     with pytest.raises(ValueError):
-        sample_vector(np.array([1.0]), 1, 0, seed=0)
+        draw_counts(np.array([1.0]), 0, seed=0)
     with pytest.raises(SimulationError):
-        sample_vector(np.array([0.5, 0.4]), 1, 10, seed=0)
+        draw_counts(np.array([0.5, 0.4]), 10, seed=0)
 
 
 def test_probabilities_normalizes_counts():
@@ -140,7 +174,7 @@ def test_probabilities_normalizes_counts():
 def test_oversized_states_are_refused():
     # checked against the qubit count alone, before any allocation
     wide = Circuit(MAX_QUBITS + 1, [("h", (0,), ())], (0,))
-    for run in (statevector, measured_probabilities):
+    for run in (final_state, measured_probabilities):
         with pytest.raises(SimulationError, match="limit"):
             run(wide)
     half = Circuit(MAX_QUBITS // 2 + 1, [("h", (0,), ())], (0,))
