@@ -203,6 +203,8 @@ def _suffixed(path: str, tag: str) -> str:
 
 
 def _cmd_report(args):
+    if args.which == "perqubit" and args.qubit is None and args.out == "-":
+        raise _UsageError("perqubit writes one file per qubit; --out - needs --qubit N")
     table = read_table_file(args.infile)
     if args.which == "heatmap":
         grid = metrics.aggregate_heatmap(table, "circuit")

@@ -23,19 +23,28 @@ is at most one baseline.  An error names the file line of the first bad
 row.
 
 :func:`read_table` parses a file into a :class:`RecordTable`, one array per
-column, ``CHUNK_ROWS`` rows at a time: each chunk goes through
-``csv.reader``, is transposed, and every column is converted and checked
-as a whole.  Only a chunk with a bad value is parsed again row by row, to
-find the line to name.  :func:`read_records` returns the same rows as
-:class:`QvfRecord` objects.  :class:`BlockWriter` writes a campaign's site
-blocks to the bytes :func:`write_records` writes for their rows.
+column, ``CHUNK_ROWS`` lines at a time, by one of two routes.  A chunk with
+no ``"`` and no carriage return goes to one ``np.loadtxt`` call, which
+parses it in C; each campaign key column (circuit_id, mode, shots, seed)
+must hold one text across the chunk, converted once and shared by every
+row, so the key columns are object arrays holding one object per chunk.
+Any other chunk, or one that loadtxt refuses or that fails a check, takes
+the csv route: ``csv.reader``, a transpose, and each column converted with
+``int()`` or ``float()`` and checked as a whole.  The first chunk with a
+quote or carriage return moves the rest of the file to the csv route, since
+a quoted field may hold a newline.  Only a chunk with a bad value is parsed
+again row by row, to find the line to name, so both routes raise the same
+errors.  :func:`read_records` returns the same rows as :class:`QvfRecord`
+objects.  :class:`BlockWriter` writes a campaign's site blocks to the bytes
+:func:`write_records` writes for their rows.
 """
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 
 import numpy as np
@@ -185,7 +194,8 @@ class RecordTable:
 
     site_index, gate_index and qubit are int64, the angles and metrics
     float64, ``improved`` bool; circuit_id, mode, shots and seed are object
-    arrays of the Python values.
+    arrays of the Python values (:func:`read_table` shares one object per
+    chunk).
     """
 
     circuit_id: np.ndarray
@@ -219,14 +229,10 @@ class RecordTable:
         return list(map(QvfRecord, *(getattr(self, f).tolist() for f in _FIELDS)))
 
 
-def _columns(rows):
-    """Parse and check csv rows column by column; a bad value raises
-    ValueError (or OverflowError) that does not say which row it is in."""
-    widths = set(map(len, rows)) - {len(COLUMNS)}
-    if widths:
-        raise ValueError(f"expected {len(COLUMNS)} fields, got {widths.pop()}")
-    texts = list(zip(*rows)) or [()] * len(COLUMNS)
-    cols = [convert(text) for convert, text in zip(_CONVERTERS, texts)]
+def _checked(cols):
+    """Check typed columns (improved_flag as int64) and return them with
+    the flag as bool; a bad value raises ValueError that does not say
+    which row it is in."""
     (_, site, gate, qubit, theta, phi, _, _, _, *metrics, flag) = cols
     if not np.isfinite(metrics).all():
         raise ValueError("non-finite metric value")
@@ -245,6 +251,16 @@ def _columns(rows):
     return cols
 
 
+def _columns(rows):
+    """Parse and check csv rows column by column; a bad value raises
+    ValueError (or OverflowError) that does not say which row it is in."""
+    widths = set(map(len, rows)) - {len(COLUMNS)}
+    if widths:
+        raise ValueError(f"expected {len(COLUMNS)} fields, got {widths.pop()}")
+    texts = list(zip(*rows)) or [()] * len(COLUMNS)
+    return _checked([convert(text) for convert, text in zip(_CONVERTERS, texts)])
+
+
 def _chunk_columns(rows, first_line):
     """_columns of one chunk; on a bad value, re-parse row by row to name
     the first bad line."""
@@ -258,6 +274,58 @@ def _chunk_columns(rows, first_line):
         raise
 
 
+#: one row for np.loadtxt: improved_flag as int64, the key columns as str
+_ROW = np.dtype([(name, np.int64 if dtype is bool else dtype)
+                 for name, dtype in zip(COLUMNS, _DTYPES)])
+
+def _loadtxt_columns(lines):
+    """Checked columns of quote-free lines, parsed in C by np.loadtxt; the
+    key columns share one object.  None when the chunk needs the csv
+    route: a line without 15 fields, a value loadtxt refuses, a key that
+    changes within the chunk, or a failed check."""
+    # loadtxt refuses a line without 15 fields, but skips a blank one
+    if "\n" in lines:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x parses "2.5" into an int64 field with only this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(lines, delimiter=",", dtype=_ROW, comments=None,
+                              quotechar=None, ndmin=1)
+        cols = []
+        for name, dtype, convert in zip(COLUMNS, _DTYPES, _CONVERTERS):
+            col = rows[name]
+            if dtype is object:  # a campaign key column
+                if (col != col[0]).any():
+                    return None
+                key = np.empty(len(col), dtype=object)
+                key.fill(convert((col[0],))[0])  # np.full would copy a str per row
+                cols.append(key)
+            else:
+                cols.append(col.copy())  # a view would keep every row alive
+        return _checked(cols)
+    except (ValueError, OverflowError, DeprecationWarning):
+        return None
+
+
+def _chunks(stream):
+    """Typed, checked columns of the rows after the header, one list per
+    chunk; a header-only file gives one list of empty columns."""
+    yield _columns([])
+    line = 3
+    while lines := list(islice(stream, CHUNK_ROWS)):
+        text = "".join(lines)
+        if '"' in text or "\r" in text:
+            # a quoted field may hold a newline that crosses a chunk boundary
+            reader = csv.reader(chain(lines, stream))
+            while rows := list(islice(reader, CHUNK_ROWS)):
+                yield _chunk_columns(rows, line)
+                line += len(rows)
+            return
+        yield _loadtxt_columns(lines) or _chunk_columns(list(csv.reader(lines)), line)
+        line += len(lines)
+
+
 def read_table(stream):
     """Parse a record file into a :class:`RecordTable`, ``CHUNK_ROWS`` rows
     at a time; raises RecordFileError on any schema problem."""
@@ -266,19 +334,16 @@ def read_table(stream):
         raise RecordFileError(
             f"unsupported schema line {first!r} (expected {SCHEMA_LINE!r})"
         )
-    reader = csv.reader(stream)
     try:
-        header = next(reader)
+        header = next(csv.reader(stream))  # reads no further than the header
     except StopIteration:
         raise RecordFileError("missing header row") from None
     if tuple(header) != COLUMNS:
         raise RecordFileError(f"unexpected header {header!r}")
-    chunks = [_columns([])]  # typed columns even for a header-only file
-    line = 3
-    while rows := list(islice(reader, CHUNK_ROWS)):
-        chunks.append(_chunk_columns(rows, line))
-        line += len(rows)
-    table = RecordTable(*map(np.concatenate, zip(*chunks)))
+    columns = list(zip(*_chunks(stream)))
+    for i, parts in enumerate(columns):
+        columns[i] = np.concatenate(parts)  # frees each column's chunks in turn
+    table = RecordTable(*columns)
     if len(table):
         key = (table.circuit_id, table.mode, table.shots, table.seed)
         differ = np.flatnonzero(np.any([col != col[0] for col in key], axis=0))

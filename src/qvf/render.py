@@ -240,13 +240,11 @@ def render_grid_ppm(grid: HeatmapGrid, thresholds=DEFAULT_THRESHOLDS,
     else:
         color_fn = lambda v: qvf_color(v, thresholds)
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    body = bytearray()
+    lines = [header]
     for i in range(rows):
-        row = bytearray()
-        for j in range(cols):
-            row += bytes(color_fn(float(grid.cells[i, j]))) * scale
-        body += bytes(row) * scale
-    return header + bytes(body)
+        line = b"".join([bytes(color_fn(float(v))) * scale for v in grid.cells[i]])
+        lines += [line] * scale  # one bytes object for the repeats of a row
+    return b"".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,18 @@ class TestReports:
         assert main(["report", "perqubit", "--in", str(bv_csv), "--qubit", "9",
                      "--out", str(out)]) == EXIT_USAGE
 
+    def test_perqubit_to_stdout_needs_qubit(self, bv_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # refused before the record file is opened, and no "-_qN" files appear
+        assert main(["report", "perqubit", "--in", str(tmp_path / "missing.csv"),
+                     "--out", "-"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+        assert main(["report", "perqubit", "--in", str(bv_csv), "--qubit", "2",
+                     "--out", "-"]) == 0
+        assert capsys.readouterr().out.startswith("<svg")
+        assert list(tmp_path.iterdir()) == []
+
     def test_delta_between_qubits(self, bv_csv, tmp_path):
         out = tmp_path / "delta.csv"
         assert main(["report", "delta", "--in", str(bv_csv), "--qubit-a", "0",

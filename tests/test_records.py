@@ -1,10 +1,17 @@
 """CSV schema round-trips and rejection of malformed files."""
 
+import dataclasses
+import functools
 import io
+import tracemalloc
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qvf.benchmarks import build_grover
+from qvf import records
+from qvf.benchmarks import build_deutsch_jozsa, build_grover
 from qvf.injector import CampaignConfig, run_campaign
 from qvf.records import (
     COLUMNS,
@@ -13,6 +20,8 @@ from qvf.records import (
     RecordFileError,
     read_records,
     read_records_file,
+    read_table,
+    read_table_file,
     records_to_string,
     write_records_file,
 )
@@ -171,3 +180,119 @@ def test_first_bad_row_is_named():
     text = with_value(good, 3, "pst", "nope")
     text = with_value(text.splitlines(), 4, "site_index", "one")
     assert reject(text) == "line 4: could not convert string to float: 'nope'"
+
+
+def test_quote_free_chunks_take_the_loadtxt_route():
+    lines = records_to_string(sample_records()).splitlines(keepends=True)[2:]
+    cols = records._loadtxt_columns(lines)
+    assert cols is not None
+    for key in ("circuit_id", "mode", "shots", "seed"):
+        col = cols[COLUMNS.index(key)]
+        assert col[0] is col[-1]  # one shared object per chunk
+
+
+@pytest.mark.parametrize("value", ["0.9", "1e0"])
+def test_float_text_in_an_int_column_is_rejected(monkeypatch, value):
+    # numpy 1.x loadtxt casts float text into an int64 field, warning only
+    # with a DeprecationWarning; emulate that cast
+    loadtxt = np.loadtxt
+
+    def lenient_loadtxt(lines, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return loadtxt([line.replace(f",{value}\n", ",0\n") for line in lines], **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    text = with_value(records_to_string(sample_records()).splitlines(), 3,
+                      "improved_flag", value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        message = reject(text)
+    assert message == f"line 4: invalid literal for int() with base 10: '{value}'"
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 1024])
+@pytest.mark.parametrize("circuit_id", ["x\ny", "grover-11"])
+def test_chunking_keeps_rows_whole(monkeypatch, chunk_rows, circuit_id):
+    # a quoted newline crosses the boundary of 3-line chunks; the last row
+    # may have no trailing newline
+    monkeypatch.setattr(records, "CHUNK_ROWS", chunk_rows)
+    rows = [dataclasses.replace(r, circuit_id=circuit_id) for r in sample_records()[:5]]
+    text = records_to_string(rows)
+    assert read_records(io.StringIO(text)) == rows
+    assert read_records(io.StringIO(text.rstrip("\n"))) == rows
+
+
+@functools.cache
+def campaign_lines(sampled):
+    rows = sample_records()[:16]
+    if sampled:  # a seed beyond int64
+        rows = [dataclasses.replace(r, mode="sampled", shots=64, seed=2**64 + 5)
+                for r in rows]
+    return records_to_string(rows).splitlines()
+
+
+MUTATIONS = ("nan", "inf", "x", "", "1_0", "\u0661", " 1", "2", "-1", "1.5",
+             "-1.0", '"0"', str(2**63 + 1))
+OTHER_KEY = {"circuit_id": "other", "mode": "sampled", "shots": "65", "seed": "1"}
+
+
+@st.composite
+def mutated_files(draw):
+    """Text of a campaign file with up to three fields or lines broken."""
+    lines = campaign_lines(draw(st.booleans()))
+    start = draw(st.integers(2, 6))
+    rows = lines[start:start + draw(st.integers(0, 12))]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i].split(",")
+        kind = draw(st.sampled_from(("value", "extra", "missing", "blank", "key")))
+        if kind == "value":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(MUTATIONS))
+        elif kind == "extra":
+            row.append("0")
+        elif kind == "missing":
+            row.pop()
+        elif kind == "key":
+            key = draw(st.sampled_from(sorted(OTHER_KEY)))
+            row[min(COLUMNS.index(key), len(row) - 1)] = OTHER_KEY[key]
+        if kind == "blank":
+            rows.insert(i, "")
+        else:
+            rows[i] = ",".join(row)
+    return "\n".join(lines[:2] + rows) + draw(st.sampled_from(("\n", "")))
+
+
+def parse_outcome(text):
+    """Columns with their dtypes and element types, or the error text."""
+    try:
+        table = read_table(io.StringIO(text))
+    except RecordFileError as exc:
+        return str(exc)
+    columns = [getattr(table, f.name) for f in dataclasses.fields(table)]
+    return [(c.dtype, c.tolist(), [type(v) for v in c.tolist()]) for c in columns]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_files(), st.sampled_from((1, 3, 4, 1024)))
+def test_loadtxt_route_agrees_with_csv_route(text, chunk_rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(records, "CHUNK_ROWS", chunk_rows)
+        fast = parse_outcome(text)
+        mp.setattr(records, "_loadtxt_columns", lambda lines: None)
+        assert fast == parse_outcome(text)
+
+
+def test_reader_memory_per_row(tmp_path):
+    # key columns share one object per chunk and no csv row lists are kept
+    path = tmp_path / "dj10.csv"
+    write_records_file(path, run_campaign(build_deutsch_jozsa(), CampaignConfig(grid_step=10)))
+    read_table_file(path)  # first-call caches are not per-row memory
+    tracemalloc.start()
+    try:
+        table = read_table_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 12313
+    assert peak <= 200 * len(table), peak / len(table)

@@ -1,5 +1,7 @@
 """Report rendering: colors, SVG structure, PPM bytes, CSV exports."""
 
+import tracemalloc
+
 import numpy as np
 
 from qvf.metrics import HeatmapGrid, HistogramStats
@@ -123,6 +125,20 @@ class TestPpm:
         body = data[len(b"P6\n2 2\n255\n"):]
         assert body[0:3] == bytes(BLUE)
         assert body[3:6] == bytes(WHITE)
+
+    def test_image_is_built_once(self):
+        # a 1 degree grid at 4 px cells: each pixel row's bytes are shared by
+        # its repeats, so the peak is the image plus one row per theta
+        cells = np.linspace(0.0, 1.0, 181 * 360).reshape(181, 360)
+        grid = HeatmapGrid(tuple(range(181)), tuple(range(360)), cells)
+        tracemalloc.start()
+        try:
+            data = render_grid_ppm(grid, scale=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) == len(b"P6\n1440 724\n255\n") + 1440 * 724 * 3
+        assert peak <= 1.5 * len(data), peak / len(data)
 
 
 class TestCsvExports:
