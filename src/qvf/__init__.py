@@ -8,10 +8,14 @@ distribution with the Quantum Vulnerability Factor:
     contrast = (P(A) - P(B)) / (P(A) + P(B))
     qvf      = 1 - (contrast + 1) / 2
 
->>> import qvf
->>> circuit = qvf.build_grover("11")
->>> records = list(qvf.run_campaign(circuit, qvf.CampaignConfig(grid_step=90)))
->>> len(records)  # 18 sites x 12 grid points, plus the baseline
+>>> import io, qvf
+>>> config = qvf.CampaignConfig(grid_step=90)
+>>> baseline, blocks = qvf.campaign_blocks(qvf.build_grover("11"), config)
+>>> buf = io.StringIO()
+>>> writer = qvf.BlockWriter(buf, baseline, qvf.grid_degrees(config.grid_step))
+>>> for block in blocks:
+...     writer.write(*block)
+>>> len(qvf.read_table(io.StringIO(buf.getvalue())))  # 18 sites x 12 points + baseline
 217
 """
 
@@ -24,12 +28,10 @@ from .circuit import Circuit, CircuitError, Gate
 from .injector import (
     CampaignConfig,
     CampaignError,
-    FaultParams,
     FaultSite,
-    FaultSpec,
+    campaign_blocks,
     enumerate_sites,
-    inject,
-    run_campaign,
+    grid_degrees,
 )
 from .metrics import (
     HeatmapGrid,
@@ -51,15 +53,12 @@ from .noise import (
 )
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .records import (
+    BlockWriter,
     QvfRecord,
     RecordFileError,
     RecordTable,
-    read_records,
-    read_records_file,
     read_table,
     read_table_file,
-    write_records,
-    write_records_file,
 )
 from .simulator import (
     OutcomeDistribution,

@@ -4,18 +4,14 @@ Bitstring convention
 --------------------
 State indices are little-endian: bit ``q`` of basis index ``i`` is
 ``(i >> q) & 1``.  Output bitstrings place qubit 0 in the LEFTMOST
-character (the string reads in measurement-map order).  The single flag
-``QUBIT0_LEFTMOST`` controls the rendering; every formatter and parser in
-the package goes through :func:`index_to_bitstring` / :func:`bitstring_to_index`.
+character (the string reads in measurement-map order).  Every formatter and
+parser in the package goes through :func:`index_to_bitstring` /
+:func:`bitstring_to_index`.
 """
 
 from dataclasses import dataclass
 
 from .gates import SIGNATURES, canonical_u_params
-
-#: If True (the default, and the documented convention for every shipped
-#: report), character p of an output bitstring is measured qubit p.
-QUBIT0_LEFTMOST = True
 
 
 class CircuitError(ValueError):
@@ -23,16 +19,12 @@ class CircuitError(ValueError):
 
 
 def index_to_bitstring(index: int, width: int) -> str:
-    bits = ["1" if (index >> p) & 1 else "0" for p in range(width)]
-    if not QUBIT0_LEFTMOST:
-        bits.reverse()
-    return "".join(bits)
+    return "".join(["1" if (index >> p) & 1 else "0" for p in range(width)])
 
 
 def bitstring_to_index(bits: str) -> int:
-    order = bits if QUBIT0_LEFTMOST else bits[::-1]
     value = 0
-    for p, ch in enumerate(order):
+    for p, ch in enumerate(bits):
         if ch == "1":
             value |= 1 << p
         elif ch != "0":

@@ -16,6 +16,7 @@ record file, noise config), 4 simulation failure, 5 I/O failure.
 """
 
 import argparse
+import functools
 import os
 import sys
 from importlib import resources
@@ -205,6 +206,12 @@ def _suffixed(path: str, tag: str) -> str:
 def _cmd_report(args):
     if args.which == "perqubit" and args.qubit is None and args.out == "-":
         raise _UsageError("perqubit writes one file per qubit; --out - needs --qubit N")
+    if args.which == "delta":
+        qubits = (args.qubit_a, args.qubit_b)
+        if args.in_b and qubits != (None, None):
+            raise _UsageError("--in-b and --qubit-a/--qubit-b are exclusive")
+        if not args.in_b and None in qubits:
+            raise _UsageError("delta needs --in-b FILE or --qubit-a N --qubit-b M")
     table = read_table_file(args.infile)
     if args.which == "heatmap":
         grid = metrics.aggregate_heatmap(table, "circuit")
@@ -220,13 +227,9 @@ def _cmd_report(args):
                 _grid_output(args, grid, _suffixed(args.out, f"q{qubit}"))
     elif args.which == "delta":
         if args.in_b:
-            if args.qubit_a is not None or args.qubit_b is not None:
-                raise _UsageError("--in-b and --qubit-a/--qubit-b are exclusive")
             grid_a = metrics.aggregate_heatmap(table, "circuit")
             grid_b = metrics.aggregate_heatmap(read_table_file(args.in_b), "circuit")
         else:
-            if args.qubit_a is None or args.qubit_b is None:
-                raise _UsageError("delta needs --in-b FILE or --qubit-a N --qubit-b M")
             grids = metrics.aggregate_heatmap(table, "qubit")
             for q in (args.qubit_a, args.qubit_b):
                 if q not in grids:
@@ -275,7 +278,10 @@ def _add_grid_style(p, formats=("svg", "ppm", "csv")):
                    help="mark fault angles matching common gates (X,Y,Z,S,T)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: a parser per
+    call would leave its objects as cyclic garbage."""
     parser = argparse.ArgumentParser(
         prog="qvf",
         description="Fault-injection campaigns and vulnerability reports "
@@ -347,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "bench":
             if args.bench_command == "list":

@@ -1,5 +1,4 @@
-"""Fault-site enumeration, the (theta, phi) grid, circuit mutation, and
-full injection campaigns.
+"""Fault-site enumeration, the (theta, phi) grid, and injection campaigns.
 
 A fault is one u(theta, phi, 0) gate inserted immediately after an
 existing gate on one of that gate's target qubits.  Sites therefore map
@@ -7,18 +6,19 @@ existing gate on one of that gate's target qubits.  Sites therefore map
 sites.  The measurement boundary is not a site: faults attach to gates
 only.
 
-Injected gates are ordinary circuit gates from then on; in particular a
-noise model treats them like any other u gate (duration, depolarizing),
-so under noise even a (0, 0) fault can score slightly worse than the
+A fault gate is simulated like any other u gate; in particular a noise
+model applies its per-gate channels (duration, depolarizing) to it, so
+under noise even a (0, 0) fault can score slightly worse than the
 fault-free baseline.
 
-Campaigns sweep every site against every grid point, preceded by one
+A campaign sweeps every site against every grid point, after one
 fault-free baseline record (site_index -1).  :func:`campaign_blocks`
-streams one column block per site (a :class:`SiteBlock`, one array per
-score column) in canonical order (site-major, grid-minor) no matter how
-many workers run; :func:`run_campaign` is its row view.  Every sampled
-record draws from its own seed sequence derived from (campaign seed,
-site, grid point), so reruns and re-schedules are byte-identical.
+scores the baseline and streams one column block per site (a
+:class:`SiteBlock`, one array per score column) in canonical order
+(site-major, grid-minor) no matter how many workers run;
+:class:`qvf.records.BlockWriter` writes them as record rows.  Every
+sampled record draws from its own seed sequence derived from (campaign
+seed, site, grid point), so reruns and re-schedules are byte-identical.
 
 A site is swept as one block: the state after the site's gate is
 computed once and copied into a (2^n, G) block with one column per grid
@@ -28,18 +28,17 @@ remaining gates run on the whole block (in column chunks of at most
 matrices, (4^n, G) in the layout of :mod:`qvf.simulator`, which alone
 decides the state kind from the campaign's noise model; every gate's
 steps are compiled once per campaign.  Every column undergoes exactly the
-floating-point operations that simulating its injected circuit alone
-would, so the records match the one-circuit-per-record route of
-:func:`inject` and :func:`qvf.simulator.measured_probabilities` bit for
-bit.
+floating-point operations that simulating its faulted circuit alone
+would, so each record scores, bit for bit, what
+:func:`qvf.simulator.measured_probabilities` gives for that circuit.
 """
 
 import math
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, bitstring_to_index
+from .circuit import Circuit, bitstring_to_index
 from .gates import canonical_u_params, gate_matrix
 from .metrics import score
 from .records import QvfRecord
@@ -65,29 +64,6 @@ class FaultSite:
 
     gate_index: int
     qubit: int
-
-
-@dataclass(frozen=True)
-class FaultParams:
-    """Rotation angles of an injected u gate; lam is pinned to 0."""
-
-    theta: float  # radians, [0, pi]
-    phi: float  # radians, [0, 2*pi)
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.lam != 0.0:
-            raise ValueError("fault gates fix lam = 0")
-        if not 0.0 <= self.theta <= math.pi + 1e-12:
-            raise ValueError(f"theta {self.theta!r} outside [0, pi]")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi {self.phi!r} outside [0, 2*pi)")
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    site: FaultSite
-    params: FaultParams
 
 
 #: entries in one state (or flat density) block: a site's grid is swept
@@ -142,11 +118,7 @@ class CampaignConfig:
 
 def enumerate_sites(circuit: Circuit):
     """All fault sites in circuit order, one per (gate, target) pair."""
-    sites = []
-    for gi, gate in enumerate(circuit.gates):
-        for q in gate.qubits:
-            sites.append(FaultSite(gi, q))
-    return sites
+    return [FaultSite(gi, q) for gi, gate in enumerate(circuit.gates) for q in gate.qubits]
 
 
 def grid_degrees(step: int = 15):
@@ -160,32 +132,6 @@ def grid_degrees(step: int = 15):
     if step < 1 or 360 % step != 0:
         raise ValueError(f"grid step {step} is not a positive divisor of 360")
     return [(t, p) for t in range(0, 181, step) for p in range(0, 360, step)]
-
-
-def inject(circuit: Circuit, faults) -> Circuit:
-    """New circuit with one u(theta, phi, 0) gate per fault.
-
-    Each fault gate lands immediately after its site's gate, on the
-    site's qubit; for several faults behind one gate the insertion order
-    follows the fault list.  The input circuit is not modified.
-    """
-    sites = enumerate_sites(circuit)
-    valid = {(s.gate_index, s.qubit) for s in sites}
-    followers = {}
-    for fault in faults:
-        key = (fault.site.gate_index, fault.site.qubit)
-        if key not in valid:
-            raise ValueError(
-                f"no site at gate {fault.site.gate_index}, qubit {fault.site.qubit}"
-            )
-        followers.setdefault(fault.site.gate_index, []).append(fault)
-    gates = []
-    for gi, gate in enumerate(circuit.gates):
-        gates.append(gate)
-        for fault in followers.get(gi, ()):
-            p = fault.params
-            gates.append(Gate("u", (fault.site.qubit,), (p.theta, p.phi, p.lam)))
-    return replace(circuit, gates=tuple(gates))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +240,7 @@ def campaign_blocks(circuit: Circuit, config: CampaignConfig = CampaignConfig())
                 raise CampaignError(f"site index {s} out of range")
         picked = [(s, all_sites[s]) for s in config.sites]
     base = baseline_record(circuit, config)
-    # canonical u(theta, phi, 0) matrices, as injected Gates hold them
+    # canonical u(theta, phi, 0) matrices, as a u Gate holds them
     mats = np.array([
         gate_matrix("u", canonical_u_params(math.radians(t), math.radians(p), 0.0))
         for t, p in grid_degrees(config.grid_step)
@@ -308,21 +254,3 @@ def campaign_blocks(circuit: Circuit, config: CampaignConfig = CampaignConfig())
         return base, map(_site_worker, jobs)
     return base, _pooled(jobs, config.jobs)
 
-
-def run_campaign(circuit: Circuit, config: CampaignConfig = CampaignConfig()):
-    """Stream campaign records: the baseline first, then site-major sweeps.
-
-    Yields one QvfRecord per (site, grid point), a row view of
-    :func:`campaign_blocks`; the total fault-record count is
-    len(sites) * len(grid).
-    """
-    base, blocks = campaign_blocks(circuit, config)
-    yield base
-    degs = grid_degrees(config.grid_step)
-    for idx, site, *columns in blocks:
-        for (t, p), pst, p_b, contrast, qvf, improved in zip(
-            degs, *(c.tolist() for c in columns)
-        ):
-            yield QvfRecord(base.circuit_id, idx, site.gate_index, site.qubit,
-                            float(t), float(p), base.mode, base.shots, base.seed,
-                            pst, p_b, contrast, qvf, base.qvf, improved)

@@ -12,22 +12,19 @@ gives a :class:`MetricSummary` of:
 * ``qvf``: 1 - (contrast + 1) / 2.  0 means confidently correct, 0.5 a
   dubious output, 1 confidently wrong.
 
-Aggregations consume campaign records (see :mod:`qvf.records`): mean-QVF
-heatmaps over the fault grid, grouped per circuit / qubit / site, cellwise
-grid differences, per-qubit depth series at a fixed fault, and histogram
-statistics.  They compute on the column arrays of a
-:class:`~qvf.records.RecordTable`; an iterable of records is converted to
-one on entry.  Axes and groups come from ``np.unique``, and cell sums from
-``np.add.at``, which adds in row order, so every mean is the one a
-record-by-record loop gives, bit for bit.  Baseline rows (site_index < 0)
-are excluded from every aggregation.
+Aggregations consume a campaign's :class:`~qvf.records.RecordTable`, as
+:func:`qvf.records.read_table` parses it: mean-QVF heatmaps over the fault
+grid, grouped per circuit / qubit / site, cellwise grid differences,
+per-qubit depth series at a fixed fault, and histogram statistics.  They
+compute on the table's column arrays.  Axes and groups come from
+``np.unique``, and cell sums from ``np.add.at``, which adds in row order,
+so every mean is the one a record-by-record loop gives, bit for bit.
+Baseline rows (site_index < 0) are excluded from every aggregation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .records import RecordTable
 
 
 class MetricsError(ValueError):
@@ -126,21 +123,13 @@ class HeatmapGrid:
         object.__setattr__(self, "cells", cells)
 
 
-def _table(records) -> RecordTable:
-    if isinstance(records, RecordTable):
-        return records
-    return RecordTable.from_records(records)
-
-
-def aggregate_heatmap(records, grouping: str = "circuit"):
-    """Mean-QVF grids from the fault records of a RecordTable or an
-    iterable of records.
+def aggregate_heatmap(table, grouping: str = "circuit"):
+    """Mean-QVF grids from the fault records of a RecordTable.
 
     grouping "circuit" returns one HeatmapGrid; "qubit" and "site" return a
     dict keyed by qubit index / site index.  Each cell's sum adds its
     records in row order.
     """
-    table = _table(records)
     faults = table.site_index >= 0
     if not faults.any():
         raise MetricsError("no fault records to aggregate")
@@ -181,13 +170,13 @@ def delta_qvf(grid_a: HeatmapGrid, grid_b: HeatmapGrid) -> HeatmapGrid:
     )
 
 
-def timeline(records, theta_deg, phi_deg) -> dict:
-    """Per-qubit (gate_index, qvf) series at one fixed fault parameter.
+def timeline(table, theta_deg, phi_deg) -> dict:
+    """Per-qubit (gate_index, qvf) series of a RecordTable at one fixed
+    fault parameter.
 
     Series are ordered by gate index (circuit depth), ties in row order.
     Raises if the (theta, phi) pair is absent from the fault records.
     """
-    table = _table(records)
     picked = np.flatnonzero(
         (table.site_index >= 0)
         & (table.theta_deg == theta_deg)
@@ -214,13 +203,13 @@ class HistogramStats:
     bin_edges: tuple
 
 
-def histogram_stats(records, bins: int = 50) -> HistogramStats:
-    """Population mean/stddev of fault QVFs plus equal-width bins on [0, 1]."""
+def histogram_stats(table, bins: int = 50) -> HistogramStats:
+    """Population mean/stddev of a RecordTable's fault QVFs plus equal-width
+    bins on [0, 1]."""
     if bins < 1:
         raise MetricsError("bins must be >= 1")
     if bins > MAX_BINS:
         raise MetricsError(f"bins must be <= {MAX_BINS}")
-    table = _table(records)
     arr = table.qvf[table.site_index >= 0]
     if not arr.size:
         raise MetricsError("no fault records")

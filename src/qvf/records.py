@@ -11,9 +11,13 @@ Layout::
 Exactly one baseline row per campaign, flagged by site_index -1.  Angles
 are degrees (integers whenever they sit on a degree lattice, which covers
 every sweep grid); other floats use shortest round-trip formatting, so
-parse(write(rows)) reproduces the rows exactly.  ``shots`` is 0 for
+reading a file back gives the values written.  ``shots`` is 0 for
 exact-mode rows.  ``improved_flag`` is 1 when the fault scored more than
 1e-12 below the campaign baseline.
+
+:class:`BlockWriter` writes a campaign file: the schema line, the header
+and the baseline row, then the rows of each site block of
+:func:`qvf.injector.campaign_blocks`.
 
 A file holds one campaign, and the reader rejects any other: every row
 shares circuit_id, mode, shots and seed; every angle and metric value is
@@ -34,18 +38,15 @@ the csv route: ``csv.reader``, a transpose, and each column converted with
 quote or carriage return moves the rest of the file to the csv route, since
 a quoted field may hold a newline.  Only a chunk with a bad value is parsed
 again row by row, to find the line to name, so both routes raise the same
-errors.  :func:`read_records` returns the same rows as :class:`QvfRecord`
-objects.  :class:`BlockWriter` writes a campaign's site blocks to the bytes
-:func:`write_records` writes for their rows.
+errors.
 """
 
 import csv
 import io
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
-from operator import attrgetter
 
 import numpy as np
 
@@ -64,7 +65,8 @@ class RecordFileError(ValueError):
 
 @dataclass(frozen=True)
 class QvfRecord:
-    """One campaign result row (the baseline row uses site_index -1)."""
+    """One campaign result row (the baseline row uses site_index -1); its
+    fields are the columns of a :class:`RecordTable`."""
 
     circuit_id: str
     site_index: int
@@ -87,42 +89,6 @@ def _fmt_angle(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
-def _fmt_float(value: float) -> str:
-    return repr(float(value))
-
-
-def _row(record: QvfRecord):
-    return [
-        record.circuit_id,
-        str(record.site_index),
-        str(record.gate_index),
-        str(record.qubit),
-        _fmt_angle(record.theta_deg),
-        _fmt_angle(record.phi_deg),
-        record.mode,
-        str(record.shots),
-        str(record.seed),
-        _fmt_float(record.pst),
-        _fmt_float(record.p_b),
-        _fmt_float(record.contrast),
-        _fmt_float(record.qvf),
-        _fmt_float(record.baseline_qvf),
-        "1" if record.improved else "0",
-    ]
-
-
-def write_records(stream, records):
-    """Write the schema line, header, and rows; returns the row count."""
-    stream.write(SCHEMA_LINE + "\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    count = 0
-    for record in records:
-        writer.writerow(_row(record))
-        count += 1
-    return count
-
-
 def _csv_text(fields) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(fields)
@@ -130,20 +96,24 @@ def _csv_text(fields) -> str:
 
 
 class BlockWriter:
-    """Writes site blocks as :func:`write_records` writes their rows; the
-    schema, header and ``baseline`` row go out at once.  Text is formatted
-    only as often as it changes: per campaign, per (theta, phi) pair of
-    ``angles``, per site, and per row only four metric reprs and the flag."""
+    """Writes a campaign file: the schema, header and ``baseline`` row at
+    once, then one site block per :meth:`write`.  Text is formatted only as
+    often as it changes: per campaign, per (theta, phi) pair of ``angles``,
+    per site, and per row only four metric reprs and the flag."""
 
     def __init__(self, stream, baseline: QvfRecord, angles):
-        write_records(stream, [baseline])
         self._stream = stream
         # an empty neighbour field keeps csv from quoting a lone empty value
         self._id = _csv_text([baseline.circuit_id, ""])
         self._key = _csv_text(["", baseline.mode, baseline.shots, baseline.seed, ""])
         self._angles = [f"{_fmt_angle(t)},{_fmt_angle(p)}{self._key}" for t, p in angles]
-        base = _fmt_float(baseline.baseline_qvf)
+        base = repr(float(baseline.baseline_qvf))
         self._tails = (f",{base},0\n", f",{base},1\n")
+        b = baseline
+        row = (f"{self._id}{b.site_index},{b.gate_index},{b.qubit},"
+               f"{_fmt_angle(b.theta_deg)},{_fmt_angle(b.phi_deg)}{self._key}"
+               + ",".join(repr(float(v)) for v in (b.pst, b.p_b, b.contrast, b.qvf)))
+        stream.write(f"{SCHEMA_LINE}\n{','.join(COLUMNS)}\n{row}{self._tails[b.improved]}")
 
     def write(self, site_index, site, *scores):
         """One site's rows; the five score arrays run over ``angles``."""
@@ -155,16 +125,8 @@ class BlockWriter:
         ]))
 
 
-def records_to_string(records) -> str:
-    buf = io.StringIO()
-    write_records(buf, records)
-    return buf.getvalue()
-
-
 #: rows parsed per chunk, so a large file is never held as strings at once
 CHUNK_ROWS = 1024
-
-_FIELDS = tuple(f.name for f in fields(QvfRecord))
 
 #: dtype per field; the campaign key columns keep their Python values
 _DTYPES = (object, np.int64, np.int64, np.int64, float, float, object,
@@ -214,19 +176,8 @@ class RecordTable:
     baseline_qvf: np.ndarray
     improved: np.ndarray
 
-    @classmethod
-    def from_records(cls, records):
-        """Table of any iterable of records; the values are not checked."""
-        rows = list(map(attrgetter(*_FIELDS), records))
-        columns = list(zip(*rows)) or [()] * len(_FIELDS)
-        return cls(*(np.array(c, dtype=d) for c, d in zip(columns, _DTYPES)))
-
     def __len__(self):
         return len(self.site_index)
-
-    def records(self):
-        """The rows as a list of :class:`QvfRecord`."""
-        return list(map(QvfRecord, *(getattr(self, f).tolist() for f in _FIELDS)))
 
 
 def _checked(cols):
@@ -308,6 +259,16 @@ def _loadtxt_columns(lines):
         return None
 
 
+def _csv_rows(reader, first_line):
+    """Up to CHUNK_ROWS rows; a csv.Error becomes a RecordFileError naming its line."""
+    rows = []
+    try:
+        rows.extend(islice(reader, CHUNK_ROWS))
+    except csv.Error as exc:
+        raise RecordFileError(f"line {first_line + len(rows)}: {exc}") from None
+    return rows
+
+
 def _chunks(stream):
     """Typed, checked columns of the rows after the header, one list per
     chunk; a header-only file gives one list of empty columns."""
@@ -318,11 +279,11 @@ def _chunks(stream):
         if '"' in text or "\r" in text:
             # a quoted field may hold a newline that crosses a chunk boundary
             reader = csv.reader(chain(lines, stream))
-            while rows := list(islice(reader, CHUNK_ROWS)):
+            while rows := _csv_rows(reader, line):
                 yield _chunk_columns(rows, line)
                 line += len(rows)
             return
-        yield _loadtxt_columns(lines) or _chunk_columns(list(csv.reader(lines)), line)
+        yield _loadtxt_columns(lines) or _chunk_columns(_csv_rows(csv.reader(lines), line), line)
         line += len(lines)
 
 
@@ -338,6 +299,8 @@ def read_table(stream):
         header = next(csv.reader(stream))  # reads no further than the header
     except StopIteration:
         raise RecordFileError("missing header row") from None
+    except csv.Error as exc:
+        raise RecordFileError(f"line 2: {exc}") from None
     if tuple(header) != COLUMNS:
         raise RecordFileError(f"unexpected header {header!r}")
     columns = list(zip(*_chunks(stream)))
@@ -360,19 +323,3 @@ def read_table(stream):
 def read_table_file(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return read_table(fh)
-
-
-def read_records(stream):
-    """Parse a record file into a list of :class:`QvfRecord`; raises
-    RecordFileError on any schema problem."""
-    return read_table(stream).records()
-
-
-def read_records_file(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return read_records(fh)
-
-
-def write_records_file(path, records):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        return write_records(fh, records)

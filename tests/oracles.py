@@ -11,7 +11,9 @@ than the library under test:
   ``full @ rho @ full^H`` product (only the noise model's parameter lookups
   are read from the model object);
 * metrics are recomputed with a separate fold over the distribution;
-* campaign aggregations loop over records one by one.
+* campaign aggregations loop over records one by one;
+* record files are written row by row with the ``csv`` module, from the
+  documented ``qvf-csv v1`` layout.
 
 Circuits are described structurally as plain tuples so this module never
 imports the package: a gate is ``(name, qubits, params)`` with ``qubits`` a
@@ -21,6 +23,8 @@ gates).  State indices are little-endian: bit ``q`` of index ``i`` is
 """
 
 import cmath
+import csv
+import io
 import math
 
 import numpy as np
@@ -273,3 +277,39 @@ def histogram_stats(records, bins=50):
     counts, edges = np.histogram(arr, bins=bins, range=(0.0, 1.0))
     return (float(arr.mean()), float(arr.std()),
             tuple(int(c) for c in counts), tuple(float(e) for e in edges))
+
+
+# ---------------------------------------------------------------------------
+# record files
+# ---------------------------------------------------------------------------
+
+RECORD_COLUMNS = (
+    "circuit_id", "site_index", "gate_index", "qubit", "theta_deg",
+    "phi_deg", "mode", "shots", "seed", "pst", "p_b", "contrast", "qvf",
+    "baseline_qvf", "improved_flag",
+)
+
+
+def _angle_text(value):
+    # angles on an integer are written without a decimal point
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
+def record_csv(rows) -> str:
+    """A ``qvf-csv v1`` file of ``rows``: the schema line, the header, then
+    one csv row per record, read by attribute.  Floats are written in their
+    shortest round-trip form and the improved flag as 0 or 1."""
+    buf = io.StringIO()
+    buf.write("# qvf-csv v1\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RECORD_COLUMNS)
+    for r in rows:
+        writer.writerow([
+            r.circuit_id, str(r.site_index), str(r.gate_index), str(r.qubit),
+            _angle_text(r.theta_deg), _angle_text(r.phi_deg), r.mode,
+            str(r.shots), str(r.seed),
+            *(repr(float(v)) for v in (r.pst, r.p_b, r.contrast, r.qvf, r.baseline_qvf)),
+            "1" if r.improved else "0",
+        ])
+    return buf.getvalue()

@@ -1,8 +1,12 @@
-"""Shared random-circuit generators for the test suite."""
+"""Shared random-circuit generators and campaign runners for the test suite."""
 
+import dataclasses
+import io
 import math
 
 from qvf.circuit import Circuit
+from qvf.injector import campaign_blocks, grid_degrees
+from qvf.records import BlockWriter, QvfRecord, read_table
 
 GATE_POOL = ("h", "x", "y", "z", "s", "sdg", "t", "tdg", "u", "cx", "cz")
 
@@ -34,3 +38,26 @@ def random_circuit(rng, max_qubits=4, max_gates=12):
             for _ in range(int(rng.integers(1, 3)))
         }
     return Circuit(n, gates, measured, name=name, correct_states=correct)
+
+
+def campaign_csv(circuit, config) -> str:
+    """The record file of a campaign, written as ``qvf campaign run`` does:
+    a BlockWriter fed the site blocks of campaign_blocks."""
+    buf = io.StringIO()
+    baseline, blocks = campaign_blocks(circuit, config)
+    writer = BlockWriter(buf, baseline, grid_degrees(config.grid_step))
+    for block in blocks:
+        writer.write(*block)
+    return buf.getvalue()
+
+
+def table_rows(table):
+    """The rows of a RecordTable as QvfRecords, in file order."""
+    columns = (getattr(table, f.name).tolist() for f in dataclasses.fields(QvfRecord))
+    return list(map(QvfRecord, *columns))
+
+
+def campaign_rows(circuit, config):
+    """A campaign's records as QvfRecords: :func:`campaign_csv` parsed back
+    by read_table."""
+    return table_rows(read_table(io.StringIO(campaign_csv(circuit, config))))

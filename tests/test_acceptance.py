@@ -7,6 +7,7 @@ exact, sampled at 1,024 shots, and exact under the representative noise
 config.
 """
 
+import io
 import math
 import os
 import time
@@ -15,22 +16,14 @@ import numpy as np
 import pytest
 
 import oracles
-from support import random_gates
+from support import campaign_csv, campaign_rows, random_gates
 from qvf.benchmarks import DEFAULTS
 from qvf.circuit import Circuit
-from qvf.injector import (
-    CampaignConfig,
-    FaultParams,
-    FaultSite,
-    FaultSpec,
-    enumerate_sites,
-    inject,
-    run_campaign,
-)
+from qvf.injector import CampaignConfig, FaultSite, enumerate_sites
 from qvf.metrics import histogram_stats, qvf_of_distribution
 from qvf.noise import load_noise_config
 from qvf.qasm import emit_qasm, parse_qasm
-from qvf.records import records_to_string
+from qvf.records import read_table
 from qvf.simulator import OutcomeDistribution, run_exact
 
 JOBS = min(os.cpu_count() or 1, 8)
@@ -42,8 +35,7 @@ SHOTS = 1024
 def _full_campaign(**kw):
     out = {}
     for name, builder in DEFAULTS.items():
-        records = list(run_campaign(builder(), CampaignConfig(jobs=JOBS, **kw)))
-        out[name] = records
+        out[name] = campaign_rows(builder(), CampaignConfig(jobs=JOBS, **kw))
     return out
 
 
@@ -208,9 +200,8 @@ def test_09_sampling_statistics_and_determinism(noiseless, sampled):
         assert abs(sampled_r.pst - exact_r.pst) <= 4.0 * sigma + 1e-12, (
             exact_r.site_index, exact_r.theta_deg, exact_r.phi_deg)
 
-    rerun = list(run_campaign(
-        DEFAULTS["bv"](), CampaignConfig(mode="sampled", shots=SHOTS, seed=0)))
-    assert records_to_string(rerun) == records_to_string(sampled["bv"])
+    rerun = campaign_csv(DEFAULTS["bv"](), CampaignConfig(mode="sampled", shots=SHOTS, seed=0))
+    assert rerun == oracles.record_csv(sampled["bv"])
 
 
 def test_10_noise_model_qualitative_reproduction(noisy):
@@ -219,7 +210,8 @@ def test_10_noise_model_qualitative_reproduction(noisy):
         assert value > 0.0, name
 
     means = {
-        name: histogram_stats(records).mean for name, records in noisy.items()
+        name: histogram_stats(read_table(io.StringIO(oracles.record_csv(records)))).mean
+        for name, records in noisy.items()
     }
     assert means["grover"] > means["bv"]
     assert means["grover"] > means["dj"]
@@ -255,11 +247,9 @@ def test_12_oracle_equivalence_with_injected_faults():
         theta = float(rng.uniform(0.0, math.pi))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
 
-        fault = FaultSpec(FaultSite(gi, qubit), FaultParams(theta, phi))
-        mine = run_exact(inject(Circuit(n, raw, measured), [fault])).entries
-        theirs = oracles.exact_distribution(
-            n, oracles.insert_fault(raw, gi, qubit, theta, phi), measured
-        )
+        faulted = oracles.insert_fault(raw, gi, qubit, theta, phi)
+        mine = run_exact(Circuit(n, faulted, measured)).entries
+        theirs = oracles.exact_distribution(n, faulted, measured)
         for key in set(mine) | set(theirs):
             diff = abs(mine.get(key, 0.0) - theirs.get(key, 0.0))
             assert diff <= 1e-10, (trial, key, diff)

@@ -5,18 +5,12 @@ import math
 import pytest
 
 from qvf.circuit import (
-    QUBIT0_LEFTMOST,
     Circuit,
     CircuitError,
     Gate,
     bitstring_to_index,
     index_to_bitstring,
 )
-
-
-def test_bitstring_convention_flag_is_set():
-    # the whole suite asserts through this constant
-    assert QUBIT0_LEFTMOST is True
 
 
 def test_index_to_bitstring_puts_qubit0_first():

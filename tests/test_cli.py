@@ -2,6 +2,7 @@
 
 import builtins
 import errno
+import gc
 import os
 import subprocess
 import sys
@@ -11,11 +12,12 @@ import pytest
 
 import oracles
 import qvf
+from support import table_rows
 from qvf import cli, metrics, records, render
 from qvf.cli import EXIT_IO, EXIT_PARSE, EXIT_SIMULATION, EXIT_USAGE, main
 from qvf.metrics import HeatmapGrid, HistogramStats, delta_qvf
 from qvf.qasm import parse_qasm
-from qvf.records import COLUMNS, SCHEMA_LINE, read_records_file
+from qvf.records import COLUMNS, SCHEMA_LINE, read_table_file
 
 BELL_QASM = """\
 qreg q[2];
@@ -80,10 +82,10 @@ class TestBench:
 
 class TestCampaign:
     def test_summary_and_file(self, grover_csv, capsys):
-        records = read_records_file(grover_csv)
-        assert len(records) == 1 + 18 * 12
-        assert records[0].site_index == -1
-        assert records[0].circuit_id == "grover-11"
+        table = read_table_file(grover_csv)
+        assert len(table) == 1 + 18 * 12
+        assert table.site_index[0] == -1
+        assert table.circuit_id[0] == "grover-11"
 
     def test_summary_lines(self, tmp_path, capsys):
         path = tmp_path / "out.csv"
@@ -138,9 +140,9 @@ class TestCampaign:
                      "--out", str(out)]) == 0
         captured = capsys.readouterr()
         assert "derived ['00', '11']" in captured.err
-        records = read_records_file(out)
-        assert records[0].qvf == 0.0
-        assert records[0].circuit_id == "circuit"
+        table = read_table_file(out)
+        assert table.qvf[0] == 0.0
+        assert table.circuit_id[0] == "circuit"
 
     def test_explicit_correct_and_id(self, tmp_path, capsys):
         src = tmp_path / "bell.qasm"
@@ -150,21 +152,19 @@ class TestCampaign:
                      "--correct", "00,11", "--circuit-id", "bell",
                      "--out", str(out)]) == 0
         assert "derived" not in capsys.readouterr().err
-        assert read_records_file(out)[0].circuit_id == "bell"
+        assert read_table_file(out).circuit_id[0] == "bell"
 
     def test_site_subset(self, tmp_path):
         out = tmp_path / "sub.csv"
         assert main(["campaign", "run", "grover", "--grid-step", "90",
                      "--sites", "0", "3", "--out", str(out)]) == 0
-        records = read_records_file(out)
-        assert len(records) == 1 + 2 * 12
+        assert len(read_table_file(out)) == 1 + 2 * 12
 
     def test_noise_flag(self, tmp_path, capsys):
         out = tmp_path / "noisy.csv"
         assert main(["campaign", "run", "grover", "--grid-step", "90",
                      "--noise", "representative", "--out", str(out)]) == 0
-        records = read_records_file(out)
-        assert records[0].qvf > 0.0
+        assert read_table_file(out).qvf[0] > 0.0
 
 
 class TestReports:
@@ -239,6 +239,18 @@ class TestReports:
         assert main(["report", "delta", "--in", str(grover_csv),
                      "--qubit-a", "0", "--out", str(out)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("options, message", [
+        (["--in-b", "b.csv", "--qubit-a", "0"], "--in-b and --qubit-a/--qubit-b are exclusive"),
+        (["--qubit-a", "0"], "delta needs --in-b FILE or --qubit-a N --qubit-b M"),
+    ])
+    def test_delta_flags_are_checked_before_the_file(self, tmp_path, capsys, options,
+                                                      message):
+        # a usage error, not the missing record file's I/O error
+        assert main(["report", "delta", "--in", str(tmp_path / "missing.csv"), *options,
+                     "--out", str(tmp_path / "d.svg")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_timeline(self, grover_csv, tmp_path):
         out = tmp_path / "timeline.csv"
         assert main(["report", "timeline", "--in", str(grover_csv),
@@ -283,12 +295,13 @@ class TestReportsMatchOracle:
     aggregations in tests/oracles.py put through the same renderers."""
 
     def test_grid_reports(self, grover_csv, grover_sampled_csv, tmp_path):
-        rows = read_records_file(grover_csv)
+        rows = table_rows(read_table_file(grover_csv))
         circuit = HeatmapGrid(*oracles.aggregate_heatmap(rows), "circuit")
         qubits = {q: HeatmapGrid(*grid, f"qubit:{q}")
                   for q, grid in oracles.aggregate_heatmap(rows, "qubit").items()}
         other = HeatmapGrid(
-            *oracles.aggregate_heatmap(read_records_file(grover_sampled_csv)), "circuit")
+            *oracles.aggregate_heatmap(table_rows(read_table_file(grover_sampled_csv))),
+            "circuit")
         for fmt in ("svg", "ppm", "csv"):
             expected = {
                 f"heat.{fmt}": grid_bytes(circuit, fmt),
@@ -310,7 +323,7 @@ class TestReportsMatchOracle:
                 assert (tmp_path / name).read_bytes() == blob, name
 
     def test_series_reports(self, grover_csv, tmp_path, capsys):
-        rows = read_records_file(grover_csv)
+        rows = table_rows(read_table_file(grover_csv))
         series = oracles.timeline(rows, 90.0, 0.0)
         stats = HistogramStats(*oracles.histogram_stats(rows, 50))
         expected = {
@@ -471,6 +484,19 @@ class TestExitCodes:
         assert f"error: line 7: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [bad]
 
+    def test_field_above_the_csv_limit(self, grover_csv, tmp_path, capsys):
+        lines = grover_csv.read_text().splitlines()
+        row = lines[4].split(",")
+        row[COLUMNS.index("circuit_id")] = '"' + "x" * 140_000 + '"'
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:4] + [",".join(row)] + lines[5:]) + "\n")
+        code = main(["report", "hist", "--in", str(bad), "--out", str(tmp_path / "h.svg")])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 5: field larger than field limit (131072)\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [bad]
+
     @pytest.mark.parametrize("kind, extra", [
         ("heatmap", ["--format", "ppm", "--cell", "-3"]),
         ("heatmap", ["--format", "ppm", "--cell", "0"]),
@@ -554,6 +580,28 @@ class TestCampaignMemory:
         one_site = peak("--sites", "0")
         all_sites = peak()
         assert all_sites < 1.5 * one_site, (all_sites, one_site)
+
+
+def test_calls_leave_no_cyclic_garbage(tmp_path, capsys):
+    # the parser is built once per process; a parser per call is left behind
+    # as about a thousand objects of cyclic garbage
+    out = tmp_path / "g.csv"
+
+    def pair():
+        assert main(["campaign", "run", "grover", "--grid-step", "90", "--jobs", "1",
+                     "--out", str(out)]) == 0
+        assert main(["report", "hist", "--in", str(out), "--format", "csv",
+                     "--out", "-"]) == 0
+
+    gc.disable()
+    try:
+        pair()  # first-call caches are not garbage
+        gc.collect()
+        pair()
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage < 100, garbage
 
 
 def test_console_script_installed():

@@ -1,7 +1,6 @@
-"""Site enumeration, grid construction, injection, and campaign runs."""
+"""Site enumeration, grid construction, and campaign runs."""
 
 import dataclasses
-import io
 import math
 from importlib import resources
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from support import random_circuit, random_gates
+from support import campaign_csv, campaign_rows, random_circuit, random_gates
 from qvf.benchmarks import build_bernstein_vazirani, build_deutsch_jozsa, build_grover
 from qvf.circuit import Circuit, bitstring_to_index
 from qvf.injector import (
@@ -17,19 +16,15 @@ from qvf.injector import (
     IMPROVED_MARGIN,
     CampaignConfig,
     CampaignError,
-    FaultParams,
     FaultSite,
-    FaultSpec,
     baseline_record,
     campaign_blocks,
     enumerate_sites,
     grid_degrees,
-    inject,
-    run_campaign,
 )
 from qvf.metrics import qvf_of_distribution, score
 from qvf.noise import NoiseModel, load_noise_config
-from qvf.records import BlockWriter, QvfRecord, records_to_string
+from qvf.records import QvfRecord
 from qvf.simulator import PROB_FLOOR, draw_counts, measured_probabilities, run_exact
 
 
@@ -46,18 +41,18 @@ class TestSites:
 
 class TestGrid:
     def test_default_grid_shape(self):
-        grid = [FaultParams(math.radians(t), math.radians(p)) for t, p in grid_degrees()]
+        grid = [(math.radians(t), math.radians(p)) for t, p in grid_degrees()]
         assert len(grid) == 312
-        assert grid[0] == FaultParams(0.0, 0.0)
+        assert grid[0] == (0.0, 0.0)
         degs = grid_degrees()
         assert degs[0] == (0, 0)
         assert degs[1] == (0, 15)   # phi is the fast axis
         assert degs[24] == (15, 0)
         assert degs[-1] == (180, 345)
         assert len(degs) == len(grid)
-        for params, (t, p) in zip(grid, degs):
-            assert math.isclose(params.theta, math.radians(t), abs_tol=1e-12)
-            assert math.isclose(params.phi, math.radians(p), abs_tol=1e-12)
+        for (theta, phi), (t, p) in zip(grid, degs):
+            assert math.isclose(theta, math.radians(t), abs_tol=1e-12)
+            assert math.isclose(phi, math.radians(p), abs_tol=1e-12)
 
     def test_coarse_grid(self):
         assert len(grid_degrees(90)) == 3 * 4
@@ -74,74 +69,25 @@ class TestGrid:
             with pytest.raises(ValueError):
                 CampaignConfig(grid_step=step)
 
-    def test_fault_params_ranges(self):
-        FaultParams(math.pi, 0.0)
-        with pytest.raises(ValueError):
-            FaultParams(0.0, 0.0, lam=0.1)
-        with pytest.raises(ValueError):
-            FaultParams(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            FaultParams(3.5, 0.0)
-        with pytest.raises(ValueError):
-            FaultParams(0.0, 2.0 * math.pi)
-        with pytest.raises(ValueError):
-            FaultParams(0.0, -0.1)
+
+def faulted(circuit, site, theta, phi):
+    """The circuit with a u(theta, phi, 0) fault gate after the site's
+    gate, inserted by the oracle's insert_fault."""
+    gates = oracles.insert_fault(circuit.gates, site.gate_index, site.qubit, theta, phi)
+    return dataclasses.replace(circuit, gates=gates)
 
 
 class TestInject:
-    def test_inserts_after_site_gate(self):
-        c = build_grover()
-        fault = FaultSpec(FaultSite(0, 0), FaultParams(0.5, 1.0))
-        out = inject(c, [fault])
-        assert len(out.gates) == len(c.gates) + 1
-        inserted = out.gates[1]
-        assert inserted.name == "u"
-        assert inserted.qubits == (0,)
-        assert inserted.params == (0.5, 1.0, 0.0)
-        assert out.gates[0] == c.gates[0]
-        assert out.gates[2:] == c.gates[1:]
-        assert len(c.gates) == 16  # input untouched
-
-    def test_multiple_faults_keep_list_order(self):
-        c = Circuit(2, [("cx", (0, 1), ())], (0, 1))
-        faults = [
-            FaultSpec(FaultSite(0, 1), FaultParams(0.1, 0.0)),
-            FaultSpec(FaultSite(0, 0), FaultParams(0.2, 0.0)),
-        ]
-        out = inject(c, faults)
-        assert [g.qubits[0] for g in out.gates[1:]] == [1, 0]
-
-    def test_rejects_bad_sites(self):
-        c = build_grover()
-        with pytest.raises(ValueError):
-            inject(c, [FaultSpec(FaultSite(99, 0), FaultParams(0.1, 0.0))])
-        with pytest.raises(ValueError):
-            # gate 0 is h on qubit 0, so qubit 1 is not a target
-            inject(c, [FaultSpec(FaultSite(0, 1), FaultParams(0.1, 0.0))])
-
     def test_quarter_turn_after_first_hadamard(self):
         c = build_grover()
-        fault = FaultSpec(FaultSite(0, 0), FaultParams(math.pi / 4, 0.0))
-        dist = run_exact(inject(c, [fault]))
+        dist = run_exact(faulted(c, FaultSite(0, 0), math.pi / 4, 0.0))
         summary = qvf_of_distribution(dist, c.correct_states)
         assert math.isclose(summary.pst, math.cos(math.pi / 8) ** 2, abs_tol=1e-12)
         assert math.isclose(summary.qvf, (1.0 - 2 ** -0.5) / 2.0, abs_tol=1e-12)
 
-    def test_matches_oracle_route(self):
-        c = build_grover()
-        raw = [(g.name, g.qubits, g.params) for g in c.gates]
-        for theta, phi, (gi, q) in ((0.7, 2.2, (3, 1)), (2.9, 5.1, (7, 0))):
-            fault = FaultSpec(FaultSite(gi, q), FaultParams(theta, phi))
-            mine = run_exact(inject(c, [fault])).entries
-            theirs = oracles.exact_distribution(
-                2, oracles.insert_fault(raw, gi, q, theta, phi), c.measured
-            )
-            for key in set(mine) | set(theirs):
-                assert abs(mine.get(key, 0.0) - theirs.get(key, 0.0)) < 1e-10
-
 
 def campaign_list(circuit, **kw):
-    return list(run_campaign(circuit, CampaignConfig(**kw)))
+    return campaign_rows(circuit, CampaignConfig(**kw))
 
 
 def representative_noise():
@@ -280,20 +226,16 @@ class TestCampaign:
         with pytest.raises(ValueError, match="no fault sites"):
             campaign_blocks(bare, CampaignConfig())
 
-    def test_records_are_plain_dataclasses(self):
-        r = campaign_list(build_grover(), grid_step=90)[0]
-        assert dataclasses.is_dataclass(r)
-
 
 class TestThetaZeroFaults:
     """theta=0 faults are pure phase gates: invisible to a measurement that
     follows directly, but convertible to amplitude error by later gates."""
 
-    PHASE = FaultParams(0.0, math.pi / 2)
+    PHASE = (0.0, math.pi / 2)
 
     def qvf_with_fault(self, circuit, site):
-        faulted = inject(circuit, [FaultSpec(site, self.PHASE)])
-        return qvf_of_distribution(run_exact(faulted), circuit.correct_states).qvf
+        dist = run_exact(faulted(circuit, site, *self.PHASE))
+        return qvf_of_distribution(dist, circuit.correct_states).qvf
 
     def test_flat_everywhere_on_basis_preserving_circuit(self):
         c = Circuit(
@@ -373,7 +315,7 @@ class TestCorrectMask:
 
     def test_exact_rows_match_oracle(self):
         for c in self.circuits():
-            for r in run_campaign(c, CampaignConfig(grid_step=self.GRID_STEP)):
+            for r in campaign_rows(c, CampaignConfig(grid_step=self.GRID_STEP)):
                 dist = oracles.exact_distribution(
                     c.n_qubits, self.row_gates(c, r), c.measured
                 )
@@ -387,7 +329,7 @@ class TestCorrectMask:
         for c in self.circuits():
             width = len(c.measured)
             keys = [oracles.bitstring(i, width) for i in range(2 ** width)]
-            for r in run_campaign(c, config):
+            for r in campaign_rows(c, config):
                 dist = oracles.exact_distribution(
                     c.n_qubits, self.row_gates(c, r), c.measured, tol=-1.0
                 )
@@ -406,12 +348,13 @@ class TestCorrectMask:
 class TestBlockKernel:
     """The site-batched campaign kernel against a per-record reference.
 
-    The reference re-simulates one injected circuit per record (a state
+    The reference re-simulates one faulted circuit per record (a state
     vector, or a density matrix under noise), as the campaign runner did
-    before it swept a site's grid as one block.  Every amplitude undergoes
-    the same floating-point operations on both routes, so the CSV text must
-    match byte for byte; a drift of one ulp changes the repr-formatted
-    values or, in sampled mode, the draws.
+    before it swept a site's grid as one block, and writes the rows with
+    ``oracles.record_csv``.  Every amplitude undergoes the same
+    floating-point operations on both routes, so the CSV text that
+    BlockWriter writes must match byte for byte; a drift of one ulp changes
+    the repr-formatted values or, in sampled mode, the draws.
     """
 
     @staticmethod
@@ -446,22 +389,9 @@ class TestBlockKernel:
         for site_index in picked:
             site = sites[site_index]
             for grid_index, (t, p) in enumerate(grid_degrees(config.grid_step)):
-                fault = FaultSpec(site, FaultParams(math.radians(t), math.radians(p)))
-                rows.append(row(
-                    site_index, site, (t, p), inject(circuit, [fault]), grid_index, base.qvf
-                ))
-        return records_to_string(rows)
-
-    @staticmethod
-    def block_csv(circuit, config):
-        """The CSV as ``qvf campaign run`` writes it: a BlockWriter fed the
-        site blocks of campaign_blocks."""
-        buf = io.StringIO()
-        baseline, blocks = campaign_blocks(circuit, config)
-        writer = BlockWriter(buf, baseline, grid_degrees(config.grid_step))
-        for block in blocks:
-            writer.write(*block)
-        return buf.getvalue()
+                fault = faulted(circuit, site, math.radians(t), math.radians(p))
+                rows.append(row(site_index, site, (t, p), fault, grid_index, base.qvf))
+        return oracles.record_csv(rows)
 
     #: circuit ids that csv must quote
     QUOTED_IDS = ("a,b", 'say "hi"', "x\ny")
@@ -514,8 +444,7 @@ class TestBlockKernel:
             config = CampaignConfig(grid_step=int(rng.choice([45, 90])), mode=mode,
                                     shots=200, seed=17, noise=self.NOISE[i % 2])
             want = self.reference_csv(c, config)
-            assert records_to_string(run_campaign(c, config)) == want, (c, config)
-            assert self.block_csv(c, config) == want, (c, config)
+            assert campaign_csv(c, config) == want, (c, config)
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_csv_matches_per_record_reference(self, mode):
@@ -526,9 +455,7 @@ class TestBlockKernel:
             want = self.reference_csv(circuit, config)
             for jobs in (1, 2):
                 config = dataclasses.replace(config, jobs=jobs)
-                got = records_to_string(run_campaign(circuit, config))
-                assert got == want, (circuit, config)
-                assert self.block_csv(circuit, config) == want, (circuit, config)
+                assert campaign_csv(circuit, config) == want, (circuit, config)
 
 
 class TestImprovedFlag:

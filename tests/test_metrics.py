@@ -1,5 +1,6 @@
 """Metric chain regressions and campaign aggregation behavior."""
 
+import dataclasses
 import io
 import math
 import re
@@ -20,7 +21,7 @@ from qvf.metrics import (
     score,
     timeline,
 )
-from qvf.records import QvfRecord, read_table, records_to_string
+from qvf.records import QvfRecord, read_table
 from qvf.simulator import OutcomeDistribution
 
 
@@ -176,7 +177,14 @@ def rec(**kw):
         improved=False,
     )
     base.update(kw)
+    if base["site_index"] == -1:  # the reader takes a baseline only with -1/-1/-1
+        base.update(gate_index=-1, qubit=-1)
     return QvfRecord(**base)
+
+
+def as_table(rows):
+    """The RecordTable that read_table parses from the rows' record file."""
+    return read_table(io.StringIO(oracles.record_csv(rows)))
 
 
 def grid_records():
@@ -200,40 +208,40 @@ def grid_records():
 
 class TestAggregations:
     def test_circuit_grid_means(self):
-        grid = aggregate_heatmap(grid_records())
+        grid = aggregate_heatmap(as_table(grid_records()))
         assert grid.theta_degs == (0, 90)
         assert grid.phi_degs == (0, 180)
         assert np.allclose(grid.cells, [[0.3, 0.4], [0.5, 0.6]])
 
     def test_baseline_rows_excluded(self):
         records = [rec(site_index=-1, qvf=0.77)] + grid_records()
-        grid = aggregate_heatmap(records)
+        grid = aggregate_heatmap(as_table(records))
         assert np.allclose(grid.cells, [[0.3, 0.4], [0.5, 0.6]])
 
     def test_grouped_by_qubit_and_site(self):
-        by_qubit = aggregate_heatmap(grid_records(), grouping="qubit")
+        by_qubit = aggregate_heatmap(as_table(grid_records()), grouping="qubit")
         assert sorted(by_qubit) == [0, 1]
         assert np.allclose(by_qubit[0].cells, [[0.1, 0.2], [0.3, 0.4]])
         assert by_qubit[1].group == "qubit:1"
-        by_site = aggregate_heatmap(grid_records(), grouping="site")
+        by_site = aggregate_heatmap(as_table(grid_records()), grouping="site")
         assert np.allclose(by_site[1].cells, [[0.5, 0.6], [0.7, 0.8]])
 
     def test_empty_cell_is_an_error(self):
         records = grid_records()[:-1]
         with pytest.raises(MetricsError):
-            aggregate_heatmap(records, grouping="site")
+            aggregate_heatmap(as_table(records), grouping="site")
 
     def test_unknown_grouping(self):
         with pytest.raises(MetricsError):
-            aggregate_heatmap(grid_records(), grouping="shot")
+            aggregate_heatmap(as_table(grid_records()), grouping="shot")
 
     def test_no_fault_records(self):
         with pytest.raises(MetricsError):
-            aggregate_heatmap([rec(site_index=-1)])
+            aggregate_heatmap(as_table([rec(site_index=-1)]))
 
     def test_delta_antisymmetric_and_axis_checked(self):
-        a = aggregate_heatmap(grid_records(), grouping="qubit")[0]
-        b = aggregate_heatmap(grid_records(), grouping="qubit")[1]
+        a = aggregate_heatmap(as_table(grid_records()), grouping="qubit")[0]
+        b = aggregate_heatmap(as_table(grid_records()), grouping="qubit")[1]
         d = delta_qvf(a, b)
         assert np.allclose(d.cells, -delta_qvf(b, a).cells)
         assert np.allclose(d.cells, -0.4)
@@ -249,14 +257,14 @@ class TestAggregations:
             rec(site_index=3, gate_index=8, qubit=0, theta_deg=45, qvf=0.9),
             rec(site_index=-1, theta_deg=90, qvf=0.5),
         ]
-        series = timeline(records, 90, 0)
+        series = timeline(as_table(records), 90, 0)
         assert series == {0: [(1, 0.1), (5, 0.3)], 1: [(3, 0.2)]}
         with pytest.raises(MetricsError):
-            timeline(records, 15, 0)
+            timeline(as_table(records), 15, 0)
 
     def test_histogram_stats(self):
         records = [rec(qvf=v) for v in (0.0, 0.5, 1.0)]
-        stats = histogram_stats(records, bins=2)
+        stats = histogram_stats(as_table(records), bins=2)
         assert stats.mean == pytest.approx(0.5)
         assert stats.stddev == pytest.approx(math.sqrt(1 / 6))
         assert stats.counts == (1, 2)
@@ -264,9 +272,9 @@ class TestAggregations:
 
     def test_histogram_errors(self):
         with pytest.raises(MetricsError):
-            histogram_stats([rec()], bins=0)
+            histogram_stats(as_table([rec()]), bins=0)
         with pytest.raises(MetricsError):
-            histogram_stats([rec(site_index=-1)])
+            histogram_stats(as_table([rec(site_index=-1)]))
 
 
 # fractional angles and angles on the integer grid, unsorted
@@ -321,28 +329,28 @@ class TestAgainstPerRecordOracle:
     @given(campaign_records(), st.integers(1, 12))
     def test_table_path_is_bit_identical(self, case, bins):
         records, theta, phi = case
-        table = read_table(io.StringIO(records_to_string(records)))
-        assert table.records() == records
-        for source in (records, table):
-            for grouping in ("circuit", "qubit", "site"):
-                expected, got = both(
-                    lambda: oracles.aggregate_heatmap(records, grouping),
-                    lambda: aggregate_heatmap(source, grouping))
-                if grouping == "circuit" and got:
-                    assert got.group == "circuit"
-                    same_grid(got, expected)
-                elif got:
-                    assert list(got) == list(expected)
-                    for key, grid in got.items():
-                        assert grid.group == f"{grouping}:{key}"
-                        same_grid(grid, expected[key])
-            expected, series = both(lambda: oracles.timeline(records, theta, phi),
-                                    lambda: timeline(source, theta, phi))
-            assert series == expected
-            for qubit, points in (series or {}).items():
-                assert type(qubit) is int
-                assert all(type(g) is int and type(v) is float for g, v in points)
-            expected, stats = both(lambda: oracles.histogram_stats(records, bins),
-                                   lambda: histogram_stats(source, bins=bins))
-            if stats:
-                assert (stats.mean, stats.stddev, stats.counts, stats.bin_edges) == expected
+        table = as_table(records)
+        for f in dataclasses.fields(QvfRecord):
+            assert getattr(table, f.name).tolist() == [getattr(r, f.name) for r in records]
+        for grouping in ("circuit", "qubit", "site"):
+            expected, got = both(
+                lambda: oracles.aggregate_heatmap(records, grouping),
+                lambda: aggregate_heatmap(table, grouping))
+            if grouping == "circuit" and got:
+                assert got.group == "circuit"
+                same_grid(got, expected)
+            elif got:
+                assert list(got) == list(expected)
+                for key, grid in got.items():
+                    assert grid.group == f"{grouping}:{key}"
+                    same_grid(grid, expected[key])
+        expected, series = both(lambda: oracles.timeline(records, theta, phi),
+                                lambda: timeline(table, theta, phi))
+        assert series == expected
+        for qubit, points in (series or {}).items():
+            assert type(qubit) is int
+            assert all(type(g) is int and type(v) is float for g, v in points)
+        expected, stats = both(lambda: oracles.histogram_stats(records, bins),
+                               lambda: histogram_stats(table, bins=bins))
+        if stats:
+            assert (stats.mean, stats.stddev, stats.counts, stats.bin_edges) == expected

@@ -10,29 +10,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from support import campaign_csv, campaign_rows, table_rows
 from qvf import records
 from qvf.benchmarks import build_deutsch_jozsa, build_grover
-from qvf.injector import CampaignConfig, run_campaign
+from qvf.injector import CampaignConfig
 from qvf.records import (
     COLUMNS,
     SCHEMA_LINE,
     QvfRecord,
     RecordFileError,
-    read_records,
-    read_records_file,
     read_table,
     read_table_file,
-    records_to_string,
-    write_records_file,
 )
 
 
 def sample_records():
-    return list(run_campaign(build_grover(), CampaignConfig(grid_step=90)))
+    return campaign_rows(build_grover(), CampaignConfig(grid_step=90))
+
+
+def read_rows(stream):
+    """The rows read_table parses from a record file, as QvfRecords."""
+    return table_rows(read_table(stream))
 
 
 def test_layout():
-    text = records_to_string(sample_records())
+    text = oracles.record_csv(sample_records())
     lines = text.splitlines()
     assert lines[0] == SCHEMA_LINE == "# qvf-csv v1"
     assert lines[1] == ",".join(COLUMNS)
@@ -44,7 +47,7 @@ def test_layout():
 
 
 def test_angles_written_as_integers_on_the_grid():
-    text = records_to_string(sample_records())
+    text = oracles.record_csv(sample_records())
     row = text.splitlines()[3].split(",")
     assert row[COLUMNS.index("theta_deg")] == "0"
     assert row[COLUMNS.index("phi_deg")] == "0"
@@ -55,34 +58,33 @@ def test_angles_written_as_integers_on_the_grid():
 
 def test_round_trip_is_exact():
     records = sample_records()
-    back = read_records(io.StringIO(records_to_string(records)))
+    back = read_rows(io.StringIO(oracles.record_csv(records)))
     assert back == records
 
 
 def test_sampled_mode_round_trip(tmp_path):
-    records = list(
-        run_campaign(
-            build_grover(),
-            CampaignConfig(grid_step=90, mode="sampled", shots=64, seed=9),
-        )
+    text = campaign_csv(
+        build_grover(), CampaignConfig(grid_step=90, mode="sampled", shots=64, seed=9)
     )
     path = tmp_path / "campaign.csv"
-    assert write_records_file(path, records) == len(records)
-    assert read_records_file(path) == records
+    path.write_text(text, encoding="utf-8")
+    records = table_rows(read_table_file(path))
+    assert len(records) == 1 + 18 * 12
+    assert oracles.record_csv(records) == text
 
 
 def test_fractional_angles_survive():
     row = QvfRecord(
         "c", 0, 0, 0, 7.5, 0.125, "exact", 0, 0, 1.0, 0.0, 1.0, 0.0, 0.0, False
     )
-    back = read_records(io.StringIO(records_to_string([row])))
+    back = read_rows(io.StringIO(oracles.record_csv([row])))
     assert back == [row]
-    assert ",7.5,0.125," in records_to_string([row])
+    assert ",7.5,0.125," in oracles.record_csv([row])
 
 
 def reject(text):
     with pytest.raises(RecordFileError) as ei:
-        read_records(io.StringIO(text))
+        read_table(io.StringIO(text))
     return str(ei.value)
 
 
@@ -96,7 +98,7 @@ def with_value(lines, index, column, value):
 def test_schema_line_checked():
     reject("")
     reject("# qvf-csv v2\n" + ",".join(COLUMNS) + "\n")
-    good = records_to_string(sample_records()[:1])
+    good = oracles.record_csv(sample_records()[:1])
     reject(good.splitlines()[1] + "\n")  # header without schema line
 
 
@@ -106,7 +108,7 @@ def test_header_checked():
 
 
 def test_row_shape_and_types_checked():
-    good = records_to_string(sample_records()[:1])
+    good = oracles.record_csv(sample_records()[:1])
     reject(good + "short,row\n")
     bad_int = good.splitlines()
     row = bad_int[2].split(",")
@@ -115,7 +117,7 @@ def test_row_shape_and_types_checked():
 
 
 def test_metric_values_must_be_finite():
-    good = records_to_string(sample_records()[:2]).splitlines()
+    good = oracles.record_csv(sample_records()[:2]).splitlines()
     for column in ("pst", "p_b", "contrast", "qvf", "baseline_qvf"):
         for value in ("nan", "inf", "-inf"):
             row = good[3].split(",")
@@ -124,45 +126,45 @@ def test_metric_values_must_be_finite():
 
 
 def test_rows_must_share_the_campaign():
-    good = records_to_string(sample_records()[:3]).splitlines()
+    good = oracles.record_csv(sample_records()[:3]).splitlines()
     for column, value in (("circuit_id", "other"), ("mode", "sampled"),
                           ("shots", "64"), ("seed", "1")):
         row = good[4].split(",")
         row[COLUMNS.index(column)] = value
         reject("\n".join(good[:4] + [",".join(row)]) + "\n")
     with pytest.raises(RecordFileError) as ei:
-        read_records(io.StringIO("\n".join(good[:4] + [",".join(row)]) + "\n"))
+        read_table(io.StringIO("\n".join(good[:4] + [",".join(row)]) + "\n"))
     assert "line 5" in str(ei.value)
 
 
 def test_at_most_one_baseline():
     records = sample_records()
-    reject(records_to_string([records[0], records[0]]))
+    reject(oracles.record_csv([records[0], records[0]]))
 
 
 def test_error_names_offending_line():
-    good = records_to_string(sample_records()[:2])
+    good = oracles.record_csv(sample_records()[:2])
     with pytest.raises(RecordFileError) as ei:
-        read_records(io.StringIO(good + "short,row\n"))
+        read_table(io.StringIO(good + "short,row\n"))
     assert "line 5" in str(ei.value)
 
 
 def test_fault_angles_must_be_finite():
-    good = records_to_string(sample_records()[:3]).splitlines()
+    good = oracles.record_csv(sample_records()[:3]).splitlines()
     for column in ("theta_deg", "phi_deg"):
         for value in ("nan", "inf", "-inf"):
             assert reject(with_value(good, 3, column, value)).startswith("line 4:")
 
 
 def test_improved_flag_must_be_0_or_1():
-    good = records_to_string(sample_records()[:3]).splitlines()
+    good = oracles.record_csv(sample_records()[:3]).splitlines()
     for value in ("7", "-1", "2"):
         message = reject(with_value(good, 4, "improved_flag", value))
         assert message == f"line 5: improved_flag {value} is not 0 or 1"
 
 
 def test_only_the_baseline_has_negative_indices():
-    good = records_to_string(sample_records()[:3]).splitlines()
+    good = oracles.record_csv(sample_records()[:3]).splitlines()
     # a lone fault row that looks like a baseline
     assert reject("\n".join(good[:2]) + "\n" + with_value(
         good[3:4], 0, "site_index", "-5")).startswith("line 3:")
@@ -176,14 +178,26 @@ def test_only_the_baseline_has_negative_indices():
 
 def test_first_bad_row_is_named():
     # the later row's bad value sits in an earlier column
-    good = records_to_string(sample_records()[:3]).splitlines()
+    good = oracles.record_csv(sample_records()[:3]).splitlines()
     text = with_value(good, 3, "pst", "nope")
     text = with_value(text.splitlines(), 4, "site_index", "one")
     assert reject(text) == "line 4: could not convert string to float: 'nope'"
 
 
+@pytest.mark.parametrize("quoted", [True, False])
+def test_field_above_the_csv_limit_is_a_record_error(quoted):
+    # csv.reader refuses fields over 131,072 characters; an unquoted one
+    # reaches it because its changed key moves the chunk to the csv route
+    good = oracles.record_csv(sample_records()).splitlines()
+    field = '"' + "x" * 140_000 + '"' if quoted else "x" * 140_000
+    text = with_value(good, 4, "circuit_id", field)
+    assert reject(text) == "line 5: field larger than field limit (131072)"
+    header = with_value(good, 1, "circuit_id", field)
+    assert reject(header) == "line 2: field larger than field limit (131072)"
+
+
 def test_quote_free_chunks_take_the_loadtxt_route():
-    lines = records_to_string(sample_records()).splitlines(keepends=True)[2:]
+    lines = oracles.record_csv(sample_records()).splitlines(keepends=True)[2:]
     cols = records._loadtxt_columns(lines)
     assert cols is not None
     for key in ("circuit_id", "mode", "shots", "seed"):
@@ -203,7 +217,7 @@ def test_float_text_in_an_int_column_is_rejected(monkeypatch, value):
         return loadtxt([line.replace(f",{value}\n", ",0\n") for line in lines], **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
-    text = with_value(records_to_string(sample_records()).splitlines(), 3,
+    text = with_value(oracles.record_csv(sample_records()).splitlines(), 3,
                       "improved_flag", value)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)
@@ -218,9 +232,9 @@ def test_chunking_keeps_rows_whole(monkeypatch, chunk_rows, circuit_id):
     # may have no trailing newline
     monkeypatch.setattr(records, "CHUNK_ROWS", chunk_rows)
     rows = [dataclasses.replace(r, circuit_id=circuit_id) for r in sample_records()[:5]]
-    text = records_to_string(rows)
-    assert read_records(io.StringIO(text)) == rows
-    assert read_records(io.StringIO(text.rstrip("\n"))) == rows
+    text = oracles.record_csv(rows)
+    assert read_rows(io.StringIO(text)) == rows
+    assert read_rows(io.StringIO(text.rstrip("\n"))) == rows
 
 
 @functools.cache
@@ -229,7 +243,7 @@ def campaign_lines(sampled):
     if sampled:  # a seed beyond int64
         rows = [dataclasses.replace(r, mode="sampled", shots=64, seed=2**64 + 5)
                 for r in rows]
-    return records_to_string(rows).splitlines()
+    return oracles.record_csv(rows).splitlines()
 
 
 MUTATIONS = ("nan", "inf", "x", "", "1_0", "\u0661", " 1", "2", "-1", "1.5",
@@ -286,7 +300,8 @@ def test_loadtxt_route_agrees_with_csv_route(text, chunk_rows):
 def test_reader_memory_per_row(tmp_path):
     # key columns share one object per chunk and no csv row lists are kept
     path = tmp_path / "dj10.csv"
-    write_records_file(path, run_campaign(build_deutsch_jozsa(), CampaignConfig(grid_step=10)))
+    path.write_text(campaign_csv(build_deutsch_jozsa(), CampaignConfig(grid_step=10)),
+                    encoding="utf-8")
     read_table_file(path)  # first-call caches are not per-row memory
     tracemalloc.start()
     try:
