@@ -8,6 +8,10 @@ distribution with the Quantum Vulnerability Factor:
     contrast = (P(A) - P(B)) / (P(A) + P(B))
     qvf      = 1 - (contrast + 1) / 2
 
+:func:`measured_probabilities` gives a circuit's outcome distribution as an
+array, :func:`draw_counts` samples shots from it and :func:`score` scores it
+against a mask of the correct outcomes.  A campaign does so per site block:
+
 >>> import io, qvf
 >>> config = qvf.CampaignConfig(grid_step=90)
 >>> baseline, blocks = qvf.campaign_blocks(qvf.build_grover("11"), config)
@@ -42,7 +46,7 @@ from .metrics import (
     delta_qvf,
     histogram_stats,
     qvf,
-    qvf_of_distribution,
+    score,
     timeline,
 )
 from .noise import (
@@ -60,11 +64,6 @@ from .records import (
     read_table,
     read_table_file,
 )
-from .simulator import (
-    OutcomeDistribution,
-    SimulationError,
-    run_exact,
-    sample,
-)
+from .simulator import SimulationError, draw_counts, measured_probabilities
 
 __version__ = "0.1.0"

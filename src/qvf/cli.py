@@ -24,11 +24,12 @@ from importlib import resources
 import numpy as np
 
 from . import benchmarks, metrics, render
+from .circuit import index_to_bitstring
 from .injector import CampaignConfig, CampaignError, campaign_blocks, grid_degrees
 from .noise import NoiseConfigError, load_noise_config, load_noise_file
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .records import BlockWriter, RecordFileError, read_table_file
-from .simulator import SimulationError, run_exact
+from .simulator import SimulationError, measured_probabilities
 
 EXIT_USAGE = 2
 EXIT_PARSE = 3
@@ -97,10 +98,10 @@ def _load_noise(ref):
 
 def _derived_correct(circuit):
     """Argmax set of the noiseless exact distribution."""
-    dist = run_exact(circuit)
-    peak = max(dist.entries.values())
+    probs = measured_probabilities(circuit)
     return frozenset(
-        s for s, p in dist.entries.items() if p >= peak - DERIVE_TOL
+        index_to_bitstring(int(i), len(circuit.measured))
+        for i in np.flatnonzero(probs >= probs.max() - DERIVE_TOL)
     )
 
 

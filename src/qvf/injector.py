@@ -43,7 +43,6 @@ from .gates import canonical_u_params, gate_matrix
 from .metrics import score
 from .records import QvfRecord
 from .simulator import (
-    PROB_FLOOR,
     SimulationError,
     check_state,
     compile_steps,
@@ -70,6 +69,9 @@ class FaultSite:
 #: in column chunks of at most this size (one column at least), so peak
 #: memory does not grow with the grid
 BLOCK_AMPLITUDES = 1 << 16
+
+#: exact-mode probabilities at or below this count as zero, a loss far below NORM_TOL
+PROB_FLOOR = 1e-14
 
 #: a fault counts as improved only when its qvf is more than this below the
 #: baseline, so a rounding tie between two equal states never sets the flag

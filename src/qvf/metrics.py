@@ -1,9 +1,9 @@
 """Vulnerability metrics and campaign aggregations.
 
 The per-distribution chain, computed by :func:`score` on a probability
-vector, or column by column on a (2^m, G) block, and a mask of correct
-outcomes (:func:`qvf_of_distribution` builds both from a distribution),
-gives a :class:`MetricSummary` of:
+vector (as :func:`qvf.simulator.measured_probabilities` gives it), or
+column by column on a (2^m, G) block, and a boolean mask over its rows
+marking the correct outcomes, gives a :class:`MetricSummary` of:
 
 * ``pst``: total mass on the designated correct states.
 * ``p_b``: the largest single incorrect-state mass.
@@ -81,21 +81,6 @@ def score(probs, correct_mask) -> MetricSummary:
     if probs.ndim == 1:
         fields = tuple(float(v[0]) for v in fields)
     return MetricSummary(*fields)
-
-
-def qvf_of_distribution(dist, correct) -> MetricSummary:
-    """Full metric chain for one distribution: :func:`score` on its entry
-    probabilities and their correct-state mask."""
-    if not correct:
-        raise MetricsError("correct-state set is empty")
-    widths = {len(s) for s in correct} | {len(s) for s in dist.entries}
-    if len(widths) > 1:
-        raise MetricsError(f"mixed bitstring lengths {sorted(widths)}")
-    probs = dist.probabilities()
-    return score(
-        np.array(list(probs.values()), dtype=float),
-        np.array([state in correct for state in probs], dtype=bool),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -99,9 +99,12 @@ class BlockWriter:
     """Writes a campaign file: the schema, header and ``baseline`` row at
     once, then one site block per :meth:`write`.  Text is formatted only as
     often as it changes: per campaign, per (theta, phi) pair of ``angles``,
-    per site, and per row only four metric reprs and the flag."""
+    per site, and per row only four metric reprs and the flag.  It refuses
+    a circuit_id that no reader would take, one over the csv field limit."""
 
     def __init__(self, stream, baseline: QvfRecord, angles):
+        if len(baseline.circuit_id) > (limit := csv.field_size_limit()):
+            raise ValueError(f"circuit_id is longer than the csv field limit ({limit})")
         self._stream = stream
         # an empty neighbour field keeps csv from quoting a lone empty value
         self._id = _csv_text([baseline.circuit_id, ""])
@@ -229,13 +232,16 @@ def _chunk_columns(rows, first_line):
 _ROW = np.dtype([(name, np.int64 if dtype is bool else dtype)
                  for name, dtype in zip(COLUMNS, _DTYPES)])
 
-def _loadtxt_columns(lines):
-    """Checked columns of quote-free lines, parsed in C by np.loadtxt; the
-    key columns share one object.  None when the chunk needs the csv
-    route: a line without 15 fields, a value loadtxt refuses, a key that
-    changes within the chunk, or a failed check."""
-    # loadtxt refuses a line without 15 fields, but skips a blank one
-    if "\n" in lines:
+def _loadtxt_columns(lines, size):
+    """Checked columns of quote-free lines, ``size`` characters in all,
+    parsed in C by np.loadtxt; the key columns share one object.  None when
+    the chunk needs the csv route: a line without 15 fields or over the csv
+    field limit, a value loadtxt refuses, a key that changes within the
+    chunk, or a failed check."""
+    # loadtxt refuses a line without 15 fields, but skips a blank one and
+    # takes a field that csv.reader would refuse
+    limit = csv.field_size_limit()
+    if "\n" in lines or size > limit and max(map(len, lines)) > limit:
         return None
     try:
         with warnings.catch_warnings():
@@ -283,7 +289,8 @@ def _chunks(stream):
                 yield _chunk_columns(rows, line)
                 line += len(rows)
             return
-        yield _loadtxt_columns(lines) or _chunk_columns(_csv_rows(csv.reader(lines), line), line)
+        yield (_loadtxt_columns(lines, len(text))
+               or _chunk_columns(_csv_rows(csv.reader(lines), line), line))
         line += len(lines)
 
 

@@ -1,4 +1,4 @@
-"""Outcome distributions of a circuit: exact or sampled, with or without noise.
+"""Measured-outcome probabilities of a circuit, with or without noise.
 
 Amplitudes are stored in a dense complex vector of length 2^n with
 little-endian indexing (bit q of index i = (i >> q) & 1).  Gates are
@@ -24,20 +24,20 @@ a (4^n, G) block of flat matrices takes the same steps, one per column.
 A run is :func:`initial_state`, :func:`compile_steps`, :func:`evolve`,
 :func:`check_state` and :func:`readout`; :func:`final_state` chains the
 first four for one circuit and :func:`measured_probabilities` adds the
-readout.  Every distribution comes from the latter; :func:`draw_counts`
-is the one seeded multinomial draw.
+readout.  Every distribution is the latter's probability vector, indexed
+like :func:`qvf.circuit.bitstring_to_index`; :func:`draw_counts` is the one
+seeded multinomial draw from it.
 
 >>> from .circuit import Circuit
->>> run_exact(Circuit(1, [("h", (0,), ())], (0,))).entries
-{'0': 0.4999999999999999, '1': 0.4999999999999999}
+>>> measured_probabilities(Circuit(1, [("h", (0,), ())], (0,)))
+array([0.5, 0.5])
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, index_to_bitstring
+from .circuit import Circuit
 from .gates import gate_matrix
 from .noise import apply_readout_flips
 
@@ -45,10 +45,6 @@ NORM_TOL = 1e-10
 TRACE_TOL = 1e-9
 HERMITIAN_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
-
-#: probabilities at or below this are dropped from distributions; the loss
-#: is far below NORM_TOL even with every state populated
-PROB_FLOOR = 1e-14
 
 
 class SimulationError(RuntimeError):
@@ -73,25 +69,6 @@ def require(*checks):
     at = () if column is None else column
     _, message, values = next(c for c, ok in zip(checks, oks) if not ok[at])
     raise SimulationError(message.format(np.asarray(values)[at].item()), column)
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Map from measured bitstrings to probability or sampled count.
-
-    ``shots`` is None in exact mode (values are probabilities summing to 1)
-    and the shot count in sampled mode (values are integer counts summing
-    to ``shots``).
-    """
-
-    entries: dict
-    shots: int = None
-
-    def probabilities(self) -> dict:
-        """Entries normalized to probabilities in either mode."""
-        if self.shots is None:
-            return dict(self.entries)
-        return {k: v / self.shots for k, v in self.entries.items()}
 
 
 #: largest state a simulation may allocate, in qubits of a state vector
@@ -250,17 +227,6 @@ def measured_probabilities(circuit: Circuit, noise=None) -> np.ndarray:
     return readout(final_state(circuit, noise), circuit.n_qubits, circuit.measured, noise)
 
 
-def run_exact(circuit: Circuit, noise=None) -> OutcomeDistribution:
-    """Exact output distribution marginalized onto the measured qubits;
-    entries at or below PROB_FLOOR are dropped."""
-    width = len(circuit.measured)
-    return OutcomeDistribution({
-        index_to_bitstring(i, width): float(p)
-        for i, p in enumerate(measured_probabilities(circuit, noise))
-        if p > PROB_FLOOR
-    })
-
-
 def draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     """Multinomial shot counts per index of a probability vector.
 
@@ -274,16 +240,3 @@ def draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     if abs(total - 1.0) > NORM_TOL:
         raise SimulationError(f"probabilities sum to {total!r}")
     return np.random.default_rng(seed).multinomial(shots, pvals / total)
-
-
-def sample(circuit: Circuit, shots: int, seed, noise=None) -> OutcomeDistribution:
-    """Sampled counts for a circuit; identical inputs give identical counts.
-
-    With ``noise`` given, sampling draws from the noisy exact distribution.
-    """
-    width = len(circuit.measured)
-    counts = draw_counts(measured_probabilities(circuit, noise), shots, seed)
-    return OutcomeDistribution(
-        {index_to_bitstring(i, width): int(c) for i, c in enumerate(counts) if c > 0},
-        shots=shots,
-    )

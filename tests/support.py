@@ -1,12 +1,17 @@
-"""Shared random-circuit generators and campaign runners for the test suite."""
+"""Shared random-circuit generators, distribution adapters and campaign
+runners for the test suite."""
 
 import dataclasses
 import io
 import math
 
-from qvf.circuit import Circuit
+import numpy as np
+
+from qvf.circuit import Circuit, index_to_bitstring
 from qvf.injector import campaign_blocks, grid_degrees
+from qvf.metrics import score
 from qvf.records import BlockWriter, QvfRecord, read_table
+from qvf.simulator import measured_probabilities
 
 GATE_POOL = ("h", "x", "y", "z", "s", "sdg", "t", "tdg", "u", "cx", "cz")
 
@@ -38,6 +43,26 @@ def random_circuit(rng, max_qubits=4, max_gates=12):
             for _ in range(int(rng.integers(1, 3)))
         }
     return Circuit(n, gates, measured, name=name, correct_states=correct)
+
+
+def entries(circuit, noise=None) -> dict:
+    """measured_probabilities as a ``{bitstring: p}`` dict in index order,
+    without the entries at or below 1e-14."""
+    width = len(circuit.measured)
+    return {
+        index_to_bitstring(i, width): float(p)
+        for i, p in enumerate(measured_probabilities(circuit, noise))
+        if p > 1e-14
+    }
+
+
+def score_entries(entries, correct, shots=None):
+    """qvf.metrics.score of a ``{bitstring: p}`` dict, or of shot counts
+    when ``shots`` is given, with the states in ``correct`` marked."""
+    probs = np.array(list(entries.values()), dtype=float)
+    if shots is not None:
+        probs = probs / shots
+    return score(probs, np.array([s in correct for s in entries], dtype=bool))
 
 
 def campaign_csv(circuit, config) -> str:

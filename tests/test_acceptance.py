@@ -16,15 +16,14 @@ import numpy as np
 import pytest
 
 import oracles
-from support import campaign_csv, campaign_rows, random_gates
+from support import campaign_csv, campaign_rows, entries, random_gates, score_entries
 from qvf.benchmarks import DEFAULTS
 from qvf.circuit import Circuit
 from qvf.injector import CampaignConfig, FaultSite, enumerate_sites
-from qvf.metrics import histogram_stats, qvf_of_distribution
+from qvf.metrics import histogram_stats
 from qvf.noise import load_noise_config
 from qvf.qasm import emit_qasm, parse_qasm
 from qvf.records import read_table
-from qvf.simulator import OutcomeDistribution, run_exact
 
 JOBS = min(os.cpu_count() or 1, 8)
 
@@ -62,9 +61,7 @@ def noisy():
 
 def pair_distribution(pa, pb):
     rest = 1.0 - pa - pb
-    return OutcomeDistribution(
-        {"000": pa, "001": pb, "010": rest * 0.6, "011": rest * 0.4}
-    )
+    return {"000": pa, "001": pb, "010": rest * 0.6, "011": rest * 0.4}
 
 
 def test_01_metric_regression_on_reported_pairs():
@@ -74,15 +71,15 @@ def test_01_metric_regression_on_reported_pairs():
         ((0.484, 0.486), 0.50),
         ((0.361, 0.604), 0.63),
     ):
-        got = qvf_of_distribution(pair_distribution(pa, pb), {"000"}).qvf
+        got = score_entries(pair_distribution(pa, pb), {"000"}).qvf
         assert abs(got - expected) <= 0.01, (pa, pb, got, expected)
 
 
 def test_02_pst_qvf_divergence_case():
-    entries = {format(i, "05b"): 0.5 / 31 for i in range(32)}
-    entries["00100"] = 0.5
-    assert max(p for s, p in entries.items() if s != "00100") <= 0.0176
-    summary = qvf_of_distribution(OutcomeDistribution(entries), {"00100"})
+    spray = {format(i, "05b"): 0.5 / 31 for i in range(32)}
+    spray["00100"] = 0.5
+    assert max(p for s, p in spray.items() if s != "00100") <= 0.0176
+    summary = score_entries(spray, {"00100"})
     assert abs(summary.pst - 0.5) <= 1e-12
     assert abs(summary.qvf - 0.03) <= 0.005
 
@@ -248,7 +245,7 @@ def test_12_oracle_equivalence_with_injected_faults():
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
 
         faulted = oracles.insert_fault(raw, gi, qubit, theta, phi)
-        mine = run_exact(Circuit(n, faulted, measured)).entries
+        mine = entries(Circuit(n, faulted, measured))
         theirs = oracles.exact_distribution(n, faulted, measured)
         for key in set(mine) | set(theirs):
             diff = abs(mine.get(key, 0.0) - theirs.get(key, 0.0))

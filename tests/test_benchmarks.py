@@ -5,6 +5,7 @@ import math
 import pytest
 
 import oracles
+from support import entries
 from qvf.benchmarks import (
     BV_DEFAULT_SITES,
     DEFAULTS,
@@ -15,7 +16,6 @@ from qvf.benchmarks import (
     build_grover,
 )
 from qvf.injector import enumerate_sites
-from qvf.simulator import run_exact
 
 
 def oracle_dist(circuit):
@@ -27,7 +27,7 @@ def assert_deterministic_output(circuit, expected):
     dist = oracle_dist(circuit)
     assert math.isclose(dist[expected], 1.0, abs_tol=1e-12)
     assert all(p < 1e-12 for k, p in dist.items() if k != expected)
-    package = run_exact(circuit).entries
+    package = entries(circuit)
     assert math.isclose(package[expected], 1.0, abs_tol=1e-10)
 
 
@@ -105,7 +105,7 @@ class TestGrover:
 
     def test_second_iteration_overrotates(self):
         # amplitude sin((2k+1) pi/6): k=2 leaves only a quarter of the mass
-        dist = run_exact(build_grover("11", iterations=2)).entries
+        dist = entries(build_grover("11", iterations=2))
         assert math.isclose(dist["11"], 0.25, abs_tol=1e-10)
 
     def test_errors(self):

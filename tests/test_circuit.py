@@ -84,6 +84,8 @@ class TestCircuit:
             Circuit(2, [], (0, 1), correct_states={"0"})
         with pytest.raises(CircuitError):
             Circuit(2, [], (0, 1), correct_states={"2x"})
+        with pytest.raises(CircuitError, match="non-empty"):
+            Circuit(2, [], (0, 1), correct_states=set())
         c = Circuit(2, [], (0, 1), correct_states={"01", "10"})
         assert c.correct_states == frozenset({"01", "10"})
 

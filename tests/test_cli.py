@@ -497,6 +497,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [bad]
 
+    def test_circuit_id_above_the_csv_limit(self, tmp_path, capsys):
+        # refused before a file no reader would take is written
+        out = tmp_path / "o.csv"
+        code = main(["campaign", "run", "grover", "--grid-step", "90", "--jobs", "1",
+                     "--circuit-id", "x" * 140_000, "--out", str(out)])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: circuit_id is longer than the csv field limit (131072)\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kind, extra", [
         ("heatmap", ["--format", "ppm", "--cell", "-3"]),
         ("heatmap", ["--format", "ppm", "--cell", "0"]),

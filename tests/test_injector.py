@@ -3,17 +3,27 @@
 import dataclasses
 import math
 from importlib import resources
+from itertools import zip_longest
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oracles
-from support import campaign_csv, campaign_rows, random_circuit, random_gates
+from support import (
+    campaign_csv,
+    campaign_rows,
+    entries,
+    random_circuit,
+    random_gates,
+    score_entries,
+)
 from qvf.benchmarks import build_bernstein_vazirani, build_deutsch_jozsa, build_grover
 from qvf.circuit import Circuit, bitstring_to_index
 from qvf.injector import (
     BLOCK_AMPLITUDES,
     IMPROVED_MARGIN,
+    PROB_FLOOR,
     CampaignConfig,
     CampaignError,
     FaultSite,
@@ -22,10 +32,10 @@ from qvf.injector import (
     enumerate_sites,
     grid_degrees,
 )
-from qvf.metrics import qvf_of_distribution, score
+from qvf.metrics import score
 from qvf.noise import NoiseModel, load_noise_config
 from qvf.records import QvfRecord
-from qvf.simulator import PROB_FLOOR, draw_counts, measured_probabilities, run_exact
+from qvf.simulator import draw_counts, measured_probabilities
 
 
 class TestSites:
@@ -80,8 +90,8 @@ def faulted(circuit, site, theta, phi):
 class TestInject:
     def test_quarter_turn_after_first_hadamard(self):
         c = build_grover()
-        dist = run_exact(faulted(c, FaultSite(0, 0), math.pi / 4, 0.0))
-        summary = qvf_of_distribution(dist, c.correct_states)
+        dist = entries(faulted(c, FaultSite(0, 0), math.pi / 4, 0.0))
+        summary = score_entries(dist, c.correct_states)
         assert math.isclose(summary.pst, math.cos(math.pi / 8) ** 2, abs_tol=1e-12)
         assert math.isclose(summary.qvf, (1.0 - 2 ** -0.5) / 2.0, abs_tol=1e-12)
 
@@ -234,8 +244,8 @@ class TestThetaZeroFaults:
     PHASE = (0.0, math.pi / 2)
 
     def qvf_with_fault(self, circuit, site):
-        dist = run_exact(faulted(circuit, site, *self.PHASE))
-        return qvf_of_distribution(dist, circuit.correct_states).qvf
+        dist = entries(faulted(circuit, site, *self.PHASE))
+        return score_entries(dist, circuit.correct_states).qvf
 
     def test_flat_everywhere_on_basis_preserving_circuit(self):
         c = Circuit(
@@ -345,6 +355,78 @@ class TestCorrectMask:
                 )
 
 
+def assert_same_text(got, want, context):
+    """Fail naming the first line that differs.  pytest's own diff of two
+    long texts takes minutes, and hypothesis repeats it at every step that
+    shrinks a failing case."""
+    if got != want:
+        pairs = zip_longest(got.split("\n"), want.split("\n"))
+        line, (a, b) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
+        pytest.fail(f"line {line}: got {a!r}, want {b!r}; {context}")
+
+
+@st.composite
+def kernel_cases(draw, max_qubits, max_gates):
+    """(circuit, grid step, sites): a random_gates circuit on up to
+    ``max_qubits`` qubits measuring a permuted subset of them, with one or
+    two correct states and an optional id, a 45 or 90 degree grid, and
+    every site (None) or a subset in drawn order."""
+    n = draw(st.integers(1, max_qubits))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates = random_gates(rng, n, draw(st.integers(1, max_gates)))
+    measured = tuple(draw(st.permutations(range(n)))[:draw(st.integers(1, n))])
+    width = len(measured)
+    correct = draw(st.sets(st.integers(0, 2**width - 1), min_size=1, max_size=2))
+    circuit = Circuit(n, gates, measured,
+                      name=draw(st.sampled_from((None, "random", *QUOTED_IDS))),
+                      correct_states={oracles.bitstring(i, width) for i in correct})
+    n_sites = sum(len(g[1]) for g in gates)
+    sites = draw(st.none() | st.lists(st.integers(0, n_sites - 1), min_size=1,
+                                      unique=True).map(tuple))
+    return circuit, draw(st.sampled_from((45, 90))), sites
+
+
+def _fixed_kernel_cases():
+    """A nine-qubit case whose 15-degree grid needs several column chunks
+    per site, and one random circuit under each id that csv must quote."""
+    rng = np.random.default_rng(3031)
+    # a random rotation on every qubit first, so that each measured
+    # outcome sums 32 irregular nonzero amplitudes and the order of
+    # the sum shows in the last bits
+    spread = [("u", (q,), tuple(rng.uniform(0, 2 * math.pi, 3))) for q in range(9)]
+    wide = Circuit(9, spread + random_gates(rng, 9, 14), (4, 0, 7, 2),
+                   correct_states={"0110"})
+    assert len(grid_degrees(15)) * 2 ** wide.n_qubits > 2 * BLOCK_AMPLITUDES
+    quoted = [
+        (with_correct_state(rng, random_circuit(rng, max_qubits=4, max_gates=8))
+         .with_metadata(name=cid), 90, None)
+        for cid in QUOTED_IDS
+    ]
+    return (wide, 15, (3, 11)), quoted
+
+
+#: circuit ids that csv must quote
+QUOTED_IDS = ("a,b", 'say "hi"', "x\ny")
+WIDE_CASE, QUOTED_CASES = _fixed_kernel_cases()
+
+#: the packaged model, and one with per-qubit and per-gate overrides
+KERNEL_NOISE = (
+    representative_noise(),
+    NoiseModel(
+        default_t1=60.0, default_t2=50.0, default_duration=35.0,
+        default_depolarizing=0.002, default_p01=0.02, default_p10=0.04,
+        t1={0: 20.0, 2: 45.0}, t2={0: 15.0}, p01={1: 0.1}, p10={3: 0.0},
+        duration={"cx": 300.0, "u": 80.0, "h": 0.0},
+        depolarizing={"cx": 0.02, "t": 0.0},
+    ),
+)
+
+#: drawn examples per kernel property test and mode, on top of the fixed
+#: cases; a noisy example costs about twice a noiseless one
+KERNEL_EXAMPLES = 15
+NOISY_KERNEL_EXAMPLES = 10
+
+
 class TestBlockKernel:
     """The site-batched campaign kernel against a per-record reference.
 
@@ -393,69 +475,37 @@ class TestBlockKernel:
                 rows.append(row(site_index, site, (t, p), fault, grid_index, base.qvf))
         return oracles.record_csv(rows)
 
-    #: circuit ids that csv must quote
-    QUOTED_IDS = ("a,b", 'say "hi"', "x\ny")
-
-    @staticmethod
-    def cases():
-        """(circuit, grid step, sites) triples: random circuits up to six
-        qubits, plus a nine-qubit one whose 15-degree grid needs several
-        column chunks per site."""
-        rng = np.random.default_rng(3031)
-        out = []
-        for _ in range(20):
-            c = with_correct_state(rng, random_circuit(rng, max_qubits=6, max_gates=10))
-            out.append((c, int(rng.choice([45, 90])), None))
-        # a random rotation on every qubit first, so that each measured
-        # outcome sums 32 irregular nonzero amplitudes and the order of
-        # the sum shows in the last bits
-        spread = [("u", (q,), tuple(rng.uniform(0, 2 * math.pi, 3))) for q in range(9)]
-        wide = Circuit(9, spread + random_gates(rng, 9, 14), (4, 0, 7, 2),
-                       correct_states={"0110"})
-        assert len(grid_degrees(15)) * 2 ** wide.n_qubits > 2 * BLOCK_AMPLITUDES
-        out.append((wide, 15, (3, 11)))
-        for cid in TestBlockKernel.QUOTED_IDS:
-            c = with_correct_state(rng, random_circuit(rng, max_qubits=4, max_gates=8))
-            out.append((c.with_metadata(name=cid), 90, None))
-        assert any(len(c.measured) <= c.n_qubits - 2 for c, _, _ in out)
-        return out
-
-    #: the packaged model, and one with per-qubit and per-gate overrides
-    NOISE = (
-        representative_noise(),
-        NoiseModel(
-            default_t1=60.0, default_t2=50.0, default_duration=35.0,
-            default_depolarizing=0.002, default_p01=0.02, default_p10=0.04,
-            t1={0: 20.0, 2: 45.0}, t2={0: 15.0}, p01={1: 0.1}, p10={3: 0.0},
-            duration={"cx": 300.0, "u": 80.0, "h": 0.0},
-            depolarizing={"cx": 0.02, "t": 0.0},
-        ),
-    )
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @settings(max_examples=KERNEL_EXAMPLES, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
+    @given(kernel_cases(max_qubits=6, max_gates=10))
+    @example(WIDE_CASE)
+    @example(QUOTED_CASES[0])
+    @example(QUOTED_CASES[1])
+    @example(QUOTED_CASES[2])
+    def test_csv_matches_per_record_reference(self, mode, case):
+        circuit, step, sites = case
+        config = CampaignConfig(grid_step=step, mode=mode, shots=200, seed=17, sites=sites)
+        want = self.reference_csv(circuit, config)
+        for jobs in (1, 2):
+            config = dataclasses.replace(config, jobs=jobs)
+            assert_same_text(campaign_csv(circuit, config), want, (circuit, config))
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
-    def test_noisy_csv_matches_per_record_reference(self, mode):
+    @settings(max_examples=NOISY_KERNEL_EXAMPLES, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
+    @given(kernel_cases(max_qubits=4, max_gates=8), st.sampled_from(KERNEL_NOISE))
+    @example(QUOTED_CASES[0], KERNEL_NOISE[0])
+    @example(QUOTED_CASES[1], KERNEL_NOISE[1])
+    @example(QUOTED_CASES[2], KERNEL_NOISE[0])
+    def test_noisy_csv_matches_per_record_reference(self, mode, case, noise):
         # flat density blocks against one final_state per record, whose
         # own agreement with the dense oracle test_noise checks to 1e-12
-        rng = np.random.default_rng(4041)
-        for i in range(16 + len(self.QUOTED_IDS)):
-            c = with_correct_state(rng, random_circuit(rng, max_qubits=4, max_gates=8))
-            if i >= 16:
-                c = c.with_metadata(name=self.QUOTED_IDS[i - 16])
-            config = CampaignConfig(grid_step=int(rng.choice([45, 90])), mode=mode,
-                                    shots=200, seed=17, noise=self.NOISE[i % 2])
-            want = self.reference_csv(c, config)
-            assert campaign_csv(c, config) == want, (c, config)
-
-    @pytest.mark.parametrize("mode", ["exact", "sampled"])
-    def test_csv_matches_per_record_reference(self, mode):
-        for circuit, step, sites in self.cases():
-            config = CampaignConfig(
-                grid_step=step, mode=mode, shots=200, seed=17, sites=sites
-            )
-            want = self.reference_csv(circuit, config)
-            for jobs in (1, 2):
-                config = dataclasses.replace(config, jobs=jobs)
-                assert campaign_csv(circuit, config) == want, (circuit, config)
+        circuit, step, sites = case
+        config = CampaignConfig(grid_step=step, mode=mode, shots=200, seed=17,
+                                sites=sites, noise=noise)
+        assert_same_text(campaign_csv(circuit, config), self.reference_csv(circuit, config),
+                         (circuit, config))
 
 
 class TestImprovedFlag:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from support import score_entries
 from qvf.metrics import (
     HeatmapGrid,
     MetricsError,
@@ -17,65 +18,57 @@ from qvf.metrics import (
     delta_qvf,
     histogram_stats,
     qvf,
-    qvf_of_distribution,
     score,
     timeline,
 )
 from qvf.records import QvfRecord, read_table
-from qvf.simulator import OutcomeDistribution
-
-
-def dist(entries, shots=None):
-    return OutcomeDistribution(entries, shots=shots)
 
 
 def pair_dist(pa, pb):
     """Three-bit distribution with correct mass pa and worst incorrect pb."""
     rest = 1.0 - pa - pb
-    return dist({"000": pa, "001": pb, "010": rest * 0.6, "011": rest * 0.4})
+    return {"000": pa, "001": pb, "010": rest * 0.6, "011": rest * 0.4}
 
 
 class TestMetricChain:
     def test_high_confidence_pair(self):
-        s = qvf_of_distribution(pair_dist(0.949, 0.024), {"000"})
+        s = score_entries(pair_dist(0.949, 0.024), {"000"})
         assert math.isclose(s.contrast, 0.9506680369989722, abs_tol=1e-15)
         assert math.isclose(s.qvf, 0.02466598150051391, abs_tol=1e-15)
 
     def test_ambiguous_pair(self):
-        s = qvf_of_distribution(pair_dist(0.484, 0.486), {"000"})
+        s = score_entries(pair_dist(0.484, 0.486), {"000"})
         assert math.isclose(s.qvf, 0.5010309278, abs_tol=1e-9)
 
     def test_confidently_wrong_pair(self):
-        s = qvf_of_distribution(pair_dist(0.361, 0.604), {"000"})
+        s = score_entries(pair_dist(0.361, 0.604), {"000"})
         assert math.isclose(s.qvf, 0.6259067358, abs_tol=1e-9)
 
     def test_half_mass_against_uniform_spray(self):
         entries = {format(i, "05b"): 0.5 / 31 for i in range(32)}
         entries["00100"] = 0.5
-        s = qvf_of_distribution(dist(entries), {"00100"})
+        s = score_entries(entries, {"00100"})
         assert math.isclose(s.pst, 0.5, abs_tol=1e-12)
         assert math.isclose(s.p_b, 0.5 / 31, abs_tol=1e-15)
         assert math.isclose(s.contrast, 0.9375, abs_tol=1e-12)
         assert math.isclose(s.qvf, 0.03125, abs_tol=1e-12)
 
     def test_perfect_output(self):
-        s = qvf_of_distribution(dist({"01": 1.0}), {"01"})
+        s = score_entries({"01": 1.0}, {"01"})
         assert (s.pst, s.p_b, s.contrast, s.qvf) == (1.0, 0.0, 1.0, 0.0)
 
     def test_certain_failure(self):
-        s = qvf_of_distribution(dist({"10": 1.0}), {"01"})
+        s = score_entries({"10": 1.0}, {"01"})
         assert s.qvf == pytest.approx(1.0)
 
     def test_multiple_correct_states_sum(self):
-        d = dist({"00": 0.3, "11": 0.45, "01": 0.25})
-        assert qvf_of_distribution(d, {"00", "11"}).pst == pytest.approx(0.75)
-        assert qvf_of_distribution(d, {"00", "11"}).p_b == pytest.approx(0.25)
+        d = {"00": 0.3, "11": 0.45, "01": 0.25}
+        assert score_entries(d, {"00", "11"}).pst == pytest.approx(0.75)
+        assert score_entries(d, {"00", "11"}).p_b == pytest.approx(0.25)
 
     def test_counts_mode_matches_probability_mode(self):
-        counted = qvf_of_distribution(
-            dist({"00": 700, "01": 200, "10": 100}, shots=1000), {"00"}
-        )
-        exact = qvf_of_distribution(dist({"00": 0.7, "01": 0.2, "10": 0.1}), {"00"})
+        counted = score_entries({"00": 700, "01": 200, "10": 100}, {"00"}, shots=1000)
+        exact = score_entries({"00": 0.7, "01": 0.2, "10": 0.1}, {"00"})
         for field in ("pst", "p_b", "contrast", "qvf"):
             assert getattr(counted, field) == pytest.approx(getattr(exact, field))
 
@@ -89,7 +82,7 @@ class TestMetricChain:
             correct = set(rng.choice(labels, size=k, replace=False))
             d = dict(zip(labels, probs))
             pa, pb, contrast, vuln = oracles.metrics_fold(d, correct)
-            s = qvf_of_distribution(dist(d), correct)
+            s = score_entries(d, correct)
             assert math.isclose(s.pst, pa, abs_tol=1e-15)
             assert math.isclose(s.p_b, pb, abs_tol=1e-15)
             assert math.isclose(s.contrast, contrast, abs_tol=1e-14)
@@ -97,17 +90,13 @@ class TestMetricChain:
             assert -1e-12 <= s.qvf <= 1.0 + 1e-12
 
     def test_pst_ignores_shuffling_of_incorrect_mass(self):
-        a = dist({"00": 0.6, "01": 0.4})
-        b = dist({"00": 0.6, "01": 0.1, "10": 0.1, "11": 0.2})
-        assert qvf_of_distribution(a, {"00"}).pst == qvf_of_distribution(b, {"00"}).pst
+        a = {"00": 0.6, "01": 0.4}
+        b = {"00": 0.6, "01": 0.1, "10": 0.1, "11": 0.2}
+        assert score_entries(a, {"00"}).pst == score_entries(b, {"00"}).pst
 
     def test_error_cases(self):
         with pytest.raises(MetricsError):
-            qvf_of_distribution(dist({"00": 1.0}), set())
-        with pytest.raises(MetricsError):
-            qvf_of_distribution(dist({"00": 1.0}), {"000"})
-        with pytest.raises(MetricsError):
-            qvf_of_distribution(dist({}), {"00"})
+            score_entries({}, {"00"})
         with pytest.raises(MetricsError):
             qvf(1.5)
 
@@ -149,12 +138,12 @@ class TestMetricChain:
     def test_contrast_sign_tracks_pa_vs_pb(self, weights, data):
         total = sum(weights)
         labels = [format(i, "03b") for i in range(len(weights))]
-        d = dist({s: w / total for s, w in zip(labels, weights)})
+        d = {s: w / total for s, w in zip(labels, weights)}
         k = data.draw(st.integers(min_value=1, max_value=len(labels) - 1))
         correct = set(labels[:k])
-        c = qvf_of_distribution(d, correct).contrast
-        pa = qvf_of_distribution(d, correct).pst
-        pb = qvf_of_distribution(d, correct).p_b
+        c = score_entries(d, correct).contrast
+        pa = score_entries(d, correct).pst
+        pb = score_entries(d, correct).p_b
         assert (c > 0) == (pa > pb) or math.isclose(pa, pb, abs_tol=1e-12)
 
 

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from support import random_gates
+from support import entries, random_gates, score_entries
 from qvf.benchmarks import DEFAULTS
 from qvf.circuit import Circuit
-from qvf.metrics import qvf_of_distribution
 from qvf.noise import (
     IDEAL,
     NoiseConfigError,
@@ -27,13 +26,11 @@ from qvf.simulator import (
     SimulationError,
     apply_matrix,
     check_state,
+    draw_counts,
     final_state,
     gate_steps,
     measured_probabilities,
-    run_exact,
-    sample,
 )
-from qvf.simulator import run_exact as evolve_noisy_exact
 
 REPRESENTATIVE = """
 [qubits]
@@ -202,8 +199,8 @@ class TestDensityEvolution:
     def test_ideal_model_reproduces_exact_results(self):
         for builder in DEFAULTS.values():
             c = builder()
-            noisy = evolve_noisy_exact(c, IDEAL).entries
-            exact = run_exact(c).entries
+            noisy = entries(c, IDEAL)
+            exact = entries(c)
             for key in set(noisy) | set(exact):
                 assert abs(noisy.get(key, 0.0) - exact.get(key, 0.0)) < 1e-10
 
@@ -212,36 +209,36 @@ class TestDensityEvolution:
         m = NoiseModel(default_t1=1.0, default_t2=1.0,
                        default_duration=1000.0 * math.log(2))
         c = Circuit(1, [("x", (0,), ())], (0,))
-        dist = evolve_noisy_exact(c, m).entries
+        dist = entries(c, m)
         assert dist["1"] == pytest.approx(0.5, abs=1e-12)
 
     def test_pure_dephasing_between_hadamards(self):
         # T1 = inf isolates dephasing; off-diagonal shrinks by exp(-d/(2 T2))
         m = NoiseModel(default_t2=1.0, default_duration=1000.0 * math.log(2))
         c = Circuit(1, [("h", (0,), ()), ("h", (0,), ())], (0,))
-        dist = evolve_noisy_exact(c, m).entries
+        dist = entries(c, m)
         assert dist["0"] == pytest.approx((1.0 + 2 ** -0.5) / 2.0, abs=1e-12)
 
     def test_depolarizing_after_x(self):
         m = NoiseModel(default_depolarizing=0.3)
         c = Circuit(1, [("x", (0,), ())], (0,))
-        dist = evolve_noisy_exact(c, m).entries
+        dist = entries(c, m)
         assert dist["0"] == pytest.approx(0.2, abs=1e-12)
         assert dist["1"] == pytest.approx(0.8, abs=1e-12)
 
     def test_readout_flips(self):
         m = NoiseModel(default_p10=0.02)
         c = Circuit(1, [("x", (0,), ())], (0,))
-        dist = evolve_noisy_exact(c, m).entries
+        dist = entries(c, m)
         assert dist["1"] == pytest.approx(0.98, abs=1e-12)
         m2 = NoiseModel(default_p01=0.125)
         idle = Circuit(1, [], (0,))
-        assert evolve_noisy_exact(idle, m2).entries["1"] == pytest.approx(0.125)
+        assert entries(idle, m2)["1"] == pytest.approx(0.125)
 
     def test_readout_flip_targets_the_right_bit(self):
         m = NoiseModel(p01={1: 0.25})
         c = Circuit(2, [], (0, 1))
-        dist = evolve_noisy_exact(c, m).entries
+        dist = entries(c, m)
         # only the second output position (qubit 1) may flip
         assert dist["01"] == pytest.approx(0.25, abs=1e-12)
         assert dist["00"] == pytest.approx(0.75, abs=1e-12)
@@ -260,8 +257,8 @@ class TestDensityEvolution:
             scores = []
             for p in (0.0, 0.005, 0.02):
                 m = NoiseModel(default_depolarizing=p)
-                dist = evolve_noisy_exact(c, m)
-                scores.append(qvf_of_distribution(dist, c.correct_states).qvf)
+                dist = entries(c, m)
+                scores.append(score_entries(dist, c.correct_states).qvf)
             assert scores[0] < scores[1] < scores[2], c.name
 
     def test_random_circuits_stay_physical(self):
@@ -271,7 +268,7 @@ class TestDensityEvolution:
             c = Circuit(3, random_gates(rng, 3, 15), (0, 1, 2))
             rho = final_state(c, m)
             check_state(rho, 3, m)
-            probs = evolve_noisy_exact(c, m).probabilities()
+            probs = entries(c, m)
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_dense_oracle_evolution(self):
@@ -393,11 +390,11 @@ class TestNoisySampling:
     def test_deterministic_and_consistent(self):
         m = load_noise_config(REPRESENTATIVE)
         c = DEFAULTS["grover"]()
-        a = sample(c, 1024, seed=5, noise=m)
-        assert a.entries == sample(c, 1024, seed=5, noise=m).entries
-        assert a.shots == 1024
-        exact = evolve_noisy_exact(c, m).entries
-        for key, p in exact.items():
+        exact = measured_probabilities(c, m)
+        a = draw_counts(exact, 1024, seed=5)
+        assert (a == draw_counts(measured_probabilities(c, m), 1024, seed=5)).all()
+        assert a.sum() == 1024
+        for p, count in zip(exact, a):
             sigma = math.sqrt(p * (1.0 - p) / 1024)
-            observed = a.entries.get(key, 0) / 1024
+            observed = count / 1024
             assert abs(observed - p) <= 4 * sigma + 1e-9

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from support import random_circuit
+from support import entries, random_circuit
 from qvf.benchmarks import build_bernstein_vazirani, build_deutsch_jozsa, build_grover
 from qvf.circuit import Circuit
 from qvf.qasm import QasmError, emit_qasm, parse_qasm
-from qvf.simulator import run_exact
 
 MINIMAL = "qreg q[1]; creg c[1]; h q[0]; measure q[0] -> c[0];"
 
@@ -28,7 +27,7 @@ class TestParse:
 
     def test_u_pi_zero_pi_acts_as_x(self):
         text = "qreg q[1]; creg c[1]; u(pi,0,pi) q[0]; measure q[0] -> c[0];"
-        dist = run_exact(parse_qasm(text)).entries
+        dist = entries(parse_qasm(text))
         assert math.isclose(dist["1"], 1.0, abs_tol=1e-12)
 
     def test_parameter_grammar(self):
@@ -56,7 +55,7 @@ class TestParse:
         )
         c = parse_qasm(text)
         assert c.measured == (2, 0)
-        assert run_exact(c).entries == {"10": 1.0}
+        assert entries(c) == {"10": 1.0}
 
     def test_classical_gaps_compact_in_index_order(self):
         text = (

@@ -196,9 +196,21 @@ def test_field_above_the_csv_limit_is_a_record_error(quoted):
     assert reject(header) == "line 2: field larger than field limit (131072)"
 
 
+@pytest.mark.parametrize("circuit_id", ["x" * 140_000, "x," * 70_000],
+                         ids=["unquoted", "quoted"])
+def test_constant_key_above_the_csv_limit_is_a_record_error(circuit_id):
+    # one key in every row: quote-free, the chunk would suit np.loadtxt,
+    # which has no field limit, so its over-long line must go to the csv
+    # route to raise the error that the quoted id raises there
+    rows = [dataclasses.replace(r, circuit_id=circuit_id) for r in sample_records()]
+    text = oracles.record_csv(rows)
+    assert ('"' in text) == ("," in circuit_id)
+    assert reject(text) == "line 3: field larger than field limit (131072)"
+
+
 def test_quote_free_chunks_take_the_loadtxt_route():
     lines = oracles.record_csv(sample_records()).splitlines(keepends=True)[2:]
-    cols = records._loadtxt_columns(lines)
+    cols = records._loadtxt_columns(lines, len("".join(lines)))
     assert cols is not None
     for key in ("circuit_id", "mode", "shots", "seed"):
         col = cols[COLUMNS.index(key)]
@@ -293,7 +305,7 @@ def test_loadtxt_route_agrees_with_csv_route(text, chunk_rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(records, "CHUNK_ROWS", chunk_rows)
         fast = parse_outcome(text)
-        mp.setattr(records, "_loadtxt_columns", lambda lines: None)
+        mp.setattr(records, "_loadtxt_columns", lambda lines, size: None)
         assert fast == parse_outcome(text)
 
 

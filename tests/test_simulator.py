@@ -1,5 +1,6 @@
 """State-vector engine against closed forms and the dense-matrix oracle."""
 
+import ast
 import doctest
 import importlib
 import math
@@ -16,16 +17,13 @@ from qvf.circuit import Circuit
 from qvf.noise import NoiseModel
 from qvf.simulator import (
     MAX_QUBITS,
-    OutcomeDistribution,
     SimulationError,
     draw_counts,
     final_state,
     measured_probabilities,
-    run_exact,
-    sample,
 )
 
-from support import random_gates
+from support import entries, random_gates
 
 
 @pytest.mark.parametrize(
@@ -55,7 +53,7 @@ def test_readme_library_names_resolve():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
     names = sorted(set(re.findall(r"(?<![\w.])qvf(?:\.\w+)+", section)))
-    assert "qvf.run_exact" in names
+    assert "qvf.measured_probabilities" in names
     for dotted in names:
         try:
             _resolve(dotted)
@@ -63,44 +61,57 @@ def test_readme_library_names_resolve():
             pytest.fail(f"README names {dotted}, which does not resolve: {exc}")
 
 
+def test_oracles_share_no_code_with_the_package():
+    # the references are only independent if oracles.py imports neither qvf
+    # nor the helpers in support.py, which wrap qvf
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    roots = {name.lstrip(".").split(".")[0] for name in imported}
+    assert imported and not roots & {"qvf", "support"}, sorted(imported)
+    assert not any(name.startswith(".") for name in imported), sorted(imported)
+
+
 def test_hadamard_splits_evenly():
-    dist = run_exact(Circuit(1, [("h", (0,), ())], (0,)))
-    assert dist.shots is None
-    assert math.isclose(dist.entries["0"], 0.5, abs_tol=1e-12)
-    assert math.isclose(dist.entries["1"], 0.5, abs_tol=1e-12)
+    dist = entries(Circuit(1, [("h", (0,), ())], (0,)))
+    assert math.isclose(dist["0"], 0.5, abs_tol=1e-12)
+    assert math.isclose(dist["1"], 0.5, abs_tol=1e-12)
 
 
 def test_bell_pair():
     c = Circuit(2, [("h", (0,), ()), ("cx", (0, 1), ())], (0, 1))
-    dist = run_exact(c)
-    assert set(dist.entries) == {"00", "11"}
-    assert math.isclose(dist.entries["00"], 0.5, abs_tol=1e-12)
+    dist = entries(c)
+    assert set(dist) == {"00", "11"}
+    assert math.isclose(dist["00"], 0.5, abs_tol=1e-12)
 
 
 def test_u_rotation_probabilities():
     c = Circuit(1, [("u", (0,), (math.pi / 4, 0.3, 1.1))], (0,))
-    dist = run_exact(c)
-    assert math.isclose(dist.entries["0"], math.cos(math.pi / 8) ** 2, abs_tol=1e-12)
-    assert math.isclose(dist.entries["1"], math.sin(math.pi / 8) ** 2, abs_tol=1e-12)
+    dist = entries(c)
+    assert math.isclose(dist["0"], math.cos(math.pi / 8) ** 2, abs_tol=1e-12)
+    assert math.isclose(dist["1"], math.sin(math.pi / 8) ** 2, abs_tol=1e-12)
 
 
 def test_empty_circuit_stays_in_zero():
-    dist = run_exact(Circuit(2, [], (0, 1)))
-    assert dist.entries == {"00": 1.0}
+    assert entries(Circuit(2, [], (0, 1))) == {"00": 1.0}
 
 
 def test_x_on_middle_qubit_and_marginals():
     c = Circuit(3, [("x", (1,), ())], (0, 1, 2))
-    assert run_exact(c).entries == {"010": 1.0}
+    assert entries(c) == {"010": 1.0}
     only_middle = Circuit(3, [("x", (1,), ())], (1,))
-    assert run_exact(only_middle).entries == {"1": 1.0}
+    assert entries(only_middle) == {"1": 1.0}
 
 
 def test_measured_order_permutes_bit_positions():
     c = Circuit(2, [("x", (0,), ())], (0, 1))
     swapped = Circuit(2, [("x", (0,), ())], (1, 0))
-    assert run_exact(c).entries == {"10": 1.0}
-    assert run_exact(swapped).entries == {"01": 1.0}
+    assert entries(c) == {"10": 1.0}
+    assert entries(swapped) == {"01": 1.0}
 
 
 def test_norm_preserved_on_deep_random_circuit():
@@ -119,7 +130,7 @@ def test_matches_dense_matrix_oracle():
         k = int(rng.integers(1, n + 1))
         measured = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
         expected = oracles.exact_distribution(n, gates, measured)
-        got = run_exact(Circuit(n, gates, measured)).entries
+        got = entries(Circuit(n, gates, measured))
         keys = set(expected) | set(got)
         for key in keys:
             assert abs(expected.get(key, 0.0) - got.get(key, 0.0)) < 1e-10, (
@@ -130,32 +141,34 @@ def test_matches_dense_matrix_oracle():
 
 def test_sampling_is_seed_deterministic():
     c = Circuit(2, [("h", (0,), ()), ("cx", (0, 1), ())], (0, 1))
-    a = sample(c, 1024, seed=42)
-    b = sample(c, 1024, seed=42)
-    assert a.entries == b.entries
-    assert a.shots == 1024
-    other = sample(c, 1024, seed=43)
-    assert other.entries != a.entries
+    probs = measured_probabilities(c)
+    a = draw_counts(probs, 1024, seed=42)
+    b = draw_counts(probs, 1024, seed=42)
+    assert (a == b).all()
+    assert a.sum() == 1024
+    other = draw_counts(probs, 1024, seed=43)
+    assert (other != a).any()
 
 
 def test_sample_counts_within_binomial_bounds():
     c = Circuit(1, [("h", (0,), ())], (0,))
     sigma = math.sqrt(1024 * 0.25)
+    probs = measured_probabilities(c)
     for seed in range(20):
-        counts = sample(c, 1024, seed=seed).entries
-        assert sum(counts.values()) == 1024
-        assert abs(counts.get("0", 0) - 512) <= 4 * sigma
+        counts = draw_counts(probs, 1024, seed=seed)
+        assert counts.sum() == 1024
+        assert abs(counts[0] - 512) <= 4 * sigma
 
 
 def test_large_sample_tracks_exact_distribution():
     rng = np.random.default_rng(7)
     c = Circuit(3, random_gates(rng, 3, 30), (0, 1, 2))
-    exact = run_exact(c).probabilities()
+    exact = measured_probabilities(c)
     shots = 100_000
-    sampled = sample(c, shots, seed=99).probabilities()
-    for key, p in exact.items():
+    sampled = draw_counts(exact, shots, seed=99) / shots
+    for p, observed in zip(exact, sampled):
         sigma = math.sqrt(p * (1 - p) / shots)
-        assert abs(sampled.get(key, 0.0) - p) <= 5 * sigma + 1e-9
+        assert abs(observed - p) <= 5 * sigma + 1e-9
 
 
 def test_draw_counts_input_validation():
@@ -163,12 +176,6 @@ def test_draw_counts_input_validation():
         draw_counts(np.array([1.0]), 0, seed=0)
     with pytest.raises(SimulationError):
         draw_counts(np.array([0.5, 0.4]), 10, seed=0)
-
-
-def test_probabilities_normalizes_counts():
-    dist = OutcomeDistribution({"0": 768, "1": 256}, shots=1024)
-    probs = dist.probabilities()
-    assert probs == {"0": 0.75, "1": 0.25}
 
 
 def test_oversized_states_are_refused():
