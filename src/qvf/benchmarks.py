@@ -3,20 +3,9 @@
 All three are deterministic: noiseless simulation puts the whole output
 mass on a single known bitstring, which the builders attach to the circuit
 as ``correct_states`` metadata.
-
-Default fault-site counts (a site is one (gate, target-qubit) pair) are
-pinned by the named constants below and asserted in the test suite, so an
-alternate construction is a one-line change here plus the constant.
 """
 
 from .circuit import Circuit
-
-#: sites of the default secret-"011" circuit: 9 + 2 per secret 1-bit
-BV_DEFAULT_SITES = 13
-#: sites of the default balanced-oracle circuit
-DJ_DEFAULT_SITES = 18
-#: sites of the default marked-"11" circuit
-GROVER_DEFAULT_SITES = 18
 
 DATA_QUBITS = 3  # 3-bit secrets/masks over qubits 0..2, ancilla on qubit 3
 ANCILLA = 3

@@ -188,15 +188,20 @@ def _cmd_campaign_run(args):
 
 
 def _grid_output(args, grid, out_path):
-    thresholds = (args.green_below, args.red_above)
-    if args.format == "svg":
-        _write_out(out_path, render.render_heatmap_svg(
-            grid, overlay=args.overlay, thresholds=thresholds, cell=args.cell))
-    elif args.format == "ppm":
-        _write_out(out_path, render.render_grid_ppm(
-            grid, thresholds=thresholds, scale=args.cell))
+    """Render a heatmap, perqubit or delta grid in ``args.format``."""
+    if args.format == "csv":
+        data = render.grid_csv(grid)
+    elif args.which == "delta" and args.format == "svg":
+        data = render.render_delta_svg(grid, cell=args.cell)
+    elif args.which == "delta":
+        data = render.render_grid_ppm(grid, scale=args.cell, diverging=True)
+    elif args.format == "svg":
+        data = render.render_heatmap_svg(grid, thresholds=(args.green_below, args.red_above),
+                                         overlay=args.overlay, cell=args.cell)
     else:
-        _write_out(out_path, render.grid_csv(grid))
+        data = render.render_grid_ppm(grid, thresholds=(args.green_below, args.red_above),
+                                      scale=args.cell)
+    _write_out(out_path, data)
 
 
 def _suffixed(path: str, tag: str) -> str:
@@ -236,14 +241,7 @@ def _cmd_report(args):
                 if q not in grids:
                     raise _UsageError(f"no records for qubit {q}")
             grid_a, grid_b = grids[args.qubit_a], grids[args.qubit_b]
-        delta = metrics.delta_qvf(grid_a, grid_b)
-        if args.format == "svg":
-            _write_out(args.out, render.render_delta_svg(delta, cell=args.cell))
-        elif args.format == "ppm":
-            _write_out(args.out, render.render_grid_ppm(
-                delta, scale=args.cell, diverging=True))
-        else:
-            _write_out(args.out, render.grid_csv(delta))
+        _grid_output(args, metrics.delta_qvf(grid_a, grid_b), args.out)
     elif args.which == "timeline":
         series = metrics.timeline(table, args.theta, args.phi)
         title = f"QVF by gate index at theta={args.theta:g} phi={args.phi:g}"
@@ -264,19 +262,6 @@ def _cmd_report(args):
 # ---------------------------------------------------------------------------
 # argument wiring
 # ---------------------------------------------------------------------------
-
-
-def _add_grid_style(p, formats=("svg", "ppm", "csv")):
-    p.add_argument("--format", choices=formats, default="svg")
-    p.add_argument("--out", required=True, help="output path ('-' for stdout)")
-    p.add_argument("--green-below", type=float, default=0.45,
-                   help="lower QVF threshold for the green band")
-    p.add_argument("--red-above", type=float, default=0.55,
-                   help="upper QVF threshold for the red band")
-    p.add_argument("--cell", type=int, default=24,
-                   help="cell size in px (svg) / px per cell (ppm)")
-    p.add_argument("--overlay", action="store_true",
-                   help="mark fault angles matching common gates (X,Y,Z,S,T)")
 
 
 @functools.cache
@@ -338,16 +323,25 @@ def build_parser() -> argparse.ArgumentParser:
     timeline = report_sub.add_parser("timeline", help="QVF by gate index")
     timeline.add_argument("--theta", type=float, required=True, help="degrees")
     timeline.add_argument("--phi", type=float, required=True, help="degrees")
-    timeline.add_argument("--format", choices=("svg", "csv"), default="svg")
-    timeline.add_argument("--out", required=True)
     hist = report_sub.add_parser("hist", help="QVF histogram and moments")
     hist.add_argument("--bins", type=int, default=50)
-    hist.add_argument("--format", choices=("svg", "csv"), default="svg")
-    hist.add_argument("--out", required=True)
-    for p in (heatmap, perqubit):
-        _add_grid_style(p)
-    _add_grid_style(delta)
+    # thresholds and the overlay are for mean-QVF maps: delta has its own scale
+    maps, grids = (heatmap, perqubit), (heatmap, perqubit, delta)
     for p in (heatmap, perqubit, delta, timeline, hist):
+        p.add_argument("--format", default="svg",
+                       choices=("svg", "ppm", "csv") if p in grids else ("svg", "csv"))
+        p.add_argument("--out", required=True, help="output path ('-' for stdout)")
+        if p in maps:
+            p.add_argument("--green-below", type=float, default=0.45,
+                           help="lower QVF threshold for the green band")
+            p.add_argument("--red-above", type=float, default=0.55,
+                           help="upper QVF threshold for the red band")
+        if p in grids:
+            p.add_argument("--cell", type=int, default=24,
+                           help="cell size in px (svg) / px per cell (ppm)")
+        if p in maps:
+            p.add_argument("--overlay", action="store_true",
+                           help="mark fault angles matching common gates (X,Y,Z,S,T)")
         p.add_argument("--in", dest="infile", required=True, help="record CSV")
 
     return parser

@@ -123,9 +123,6 @@ class NoiseModel:
                               self.gate_depolarizing(name))
 
 
-IDEAL = NoiseModel()
-
-
 def _parse_section(section, plain_keys, sub_parser, what):
     """NoiseModel keyword arguments from one config section: plain keys set
     the defaults, "<entity>.<key>" keys per-entity overrides."""

@@ -23,7 +23,7 @@ Everything else after ``//`` is ignored.  Parse errors raise
 import math
 import re
 
-from .circuit import Circuit
+from .circuit import Circuit, CircuitError, Gate
 from .gates import SIGNATURES
 
 PI = math.pi
@@ -201,28 +201,24 @@ class _Parser:
         return index
 
     def _gate(self, name, qreg, tok):
-        arity, n_params = SIGNATURES[name]
-        params = ()
+        params = []
         if self.peek()[:2] == ("sym", "("):
             self.next()
-            values = [self._param()]
+            params.append(self._param())
             while self.peek()[:2] == ("sym", ","):
                 self.next()
-                values.append(self._param())
+                params.append(self._param())
             self.expect("sym", ")")
-            params = tuple(values)
-        if len(params) != n_params:
-            self.error(f"{name} takes {n_params} parameter(s), got {len(params)}", tok)
         qubits = [self._indexed_ref(qreg, "qreg", tok)]
         while self.peek()[:2] == ("sym", ","):
             self.next()
             qubits.append(self._indexed_ref(qreg, "qreg", tok))
-        if len(qubits) != arity:
-            self.error(f"{name} takes {arity} qubit(s), got {len(qubits)}", tok)
-        if arity == 2 and qubits[0] == qubits[1]:
-            self.error(f"{name} qubits must be distinct", tok)
+        try:  # Gate checks arity, parameter count and distinct targets
+            gate = Gate(name, qubits, params)
+        except CircuitError as exc:
+            self.error(str(exc), tok)
         self.expect("sym", ";")
-        return (name, tuple(qubits), params)
+        return gate
 
     def _param(self) -> float:
         sign = 1.0
@@ -266,10 +262,6 @@ def parse_qasm(text: str) -> Circuit:
     return _Parser(text).parse()
 
 
-def _fmt_param(value: float) -> str:
-    return repr(float(value))
-
-
 def emit_qasm(circuit: Circuit) -> str:
     """Emit a program that parses back to an identical gate list.
 
@@ -286,7 +278,7 @@ def emit_qasm(circuit: Circuit) -> str:
     for gate in circuit.gates:
         args = ",".join(f"q[{q}]" for q in gate.qubits)
         if gate.params:
-            ps = ",".join(_fmt_param(p) for p in gate.params)
+            ps = ",".join(repr(float(p)) for p in gate.params)
             lines.append(f"{gate.name}({ps}) {args};")
         else:
             lines.append(f"{gate.name} {args};")

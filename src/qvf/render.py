@@ -36,9 +36,12 @@ DEFAULT_THRESHOLDS = (0.45, 0.55)
 MAX_PPM_PIXELS = 1 << 26
 
 
-def _check_cell(cell: int):
+def _plot_size(grid: HeatmapGrid, cell: int):
+    """(rows, cols, width_px, height_px) of a grid drawn ``cell`` px per cell."""
     if cell < 1:
         raise ValueError(f"cell size must be >= 1 px, got {cell}")
+    rows, cols = len(grid.theta_degs), len(grid.phi_degs)
+    return rows, cols, cols * cell, rows * cell
 
 
 def _esc(text: str) -> str:
@@ -68,8 +71,31 @@ def delta_color(value: float, vmax: float):
     return _lerp(WHITE, RED, value / vmax)
 
 
+def _qvf_scale(thresholds):
+    """(color_fn, legend) of the mean-QVF maps."""
+    lo, hi = thresholds
+    legend = [
+        (f"<{lo:g}", qvf_color(0.0, thresholds)),
+        (f"{lo:g}-{hi:g}", WHITE),
+        (f">{hi:g}", qvf_color(1.0, thresholds)),
+    ]
+    return (lambda v: qvf_color(v, thresholds)), legend
+
+
+def _delta_scale(grid: HeatmapGrid):
+    """(color_fn, legend) of a difference map, symmetric about zero and
+    clipped at its largest |cell|, but never narrower than +-0.05."""
+    vmax = max(float(abs(grid.cells).max()), 0.05)
+    legend = [(f"-{vmax:.3g}", BLUE), ("0", WHITE), (f"+{vmax:.3g}", RED)]
+    return (lambda v: delta_color(v, vmax)), legend
+
+
 def _rgb(color) -> str:
     return f"rgb({color[0]},{color[1]},{color[2]})"
+
+
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
 
 
 def grid_csv(grid: HeatmapGrid) -> str:
@@ -78,7 +104,7 @@ def grid_csv(grid: HeatmapGrid) -> str:
     for i, t in enumerate(grid.theta_degs):
         for j, p in enumerate(grid.phi_degs):
             lines.append(f"{_fmt_angle(t)},{_fmt_angle(p)},{float(grid.cells[i, j])!r}")
-    return "\n".join(lines) + "\n"
+    return _lines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -91,32 +117,27 @@ _MARGIN_BOTTOM = 58
 _MARGIN_RIGHT = 24
 
 
-def _svg_open(width: int, height: int, out: list):
-    out.append(
+def _svg(width: int, height: int, title: str, body: list) -> str:
+    """One SVG document: white backdrop, title line, then the body elements."""
+    return _lines([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" font-family="monospace" font-size="11">'
-    )
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+        f'height="{height}" font-family="monospace" font-size="11">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{_MARGIN_LEFT}" y="24" font-size="14">{_esc(title)}</text>',
+        *body,
+        "</svg>",
+    ])
 
 
 def _axis_stride(count: int) -> int:
     return max(1, (count + 7) // 8)
 
 
-def _grid_svg(grid: HeatmapGrid, color_fn, title, cell: int, overlay: bool,
-              legend_labels):
-    _check_cell(cell)
-    rows = len(grid.theta_degs)
-    cols = len(grid.phi_degs)
-    plot_w = cols * cell
-    plot_h = rows * cell
+def _grid_svg(grid: HeatmapGrid, color_fn, legend, title, cell: int, overlay: bool):
+    rows, cols, plot_w, plot_h = _plot_size(grid, cell)
     width = _MARGIN_LEFT + plot_w + _MARGIN_RIGHT
     height = _MARGIN_TOP + plot_h + _MARGIN_BOTTOM
     out = []
-    _svg_open(width, height, out)
-    out.append(
-        f'<text x="{_MARGIN_LEFT}" y="24" font-size="14">{_esc(title)}</text>'
-    )
     for i, t in enumerate(grid.theta_degs):
         y = _MARGIN_TOP + i * cell
         for j, p in enumerate(grid.phi_degs):
@@ -172,51 +193,26 @@ def _grid_svg(grid: HeatmapGrid, color_fn, title, cell: int, overlay: bool,
     # legend swatches
     lx = _MARGIN_LEFT
     ly = _MARGIN_TOP + plot_h + 28
-    for label, color in legend_labels:
+    for label, color in legend:
         out.append(
             f'<rect x="{lx}" y="{ly}" width="14" height="14" '
             f'fill="{_rgb(color)}" stroke="black" stroke-width="0.5"/>'
         )
         out.append(f'<text x="{lx + 18}" y="{ly + 11}">{_esc(label)}</text>')
         lx += 18 + 8 * len(label) + 24
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _svg(width, height, title, out)
 
 
 def render_heatmap_svg(grid: HeatmapGrid, title=None,
                        thresholds=DEFAULT_THRESHOLDS, overlay=False,
                        cell: int = 24) -> str:
-    lo, hi = thresholds
-    legend = [
-        (f"<{lo:g}", qvf_color(0.0, thresholds)),
-        (f"{lo:g}-{hi:g}", WHITE),
-        (f">{hi:g}", qvf_color(1.0, thresholds)),
-    ]
-    return _grid_svg(
-        grid,
-        lambda v: qvf_color(v, thresholds),
-        title or f"mean QVF ({grid.group})",
-        cell,
-        overlay,
-        legend,
-    )
+    return _grid_svg(grid, *_qvf_scale(thresholds),
+                     title or f"mean QVF ({grid.group})", cell, overlay)
 
 
 def render_delta_svg(grid: HeatmapGrid, title=None, cell: int = 24) -> str:
-    vmax = max(float(abs(grid.cells).max()), 0.05)
-    legend = [
-        (f"-{vmax:.3g}", BLUE),
-        ("0", WHITE),
-        (f"+{vmax:.3g}", RED),
-    ]
-    return _grid_svg(
-        grid,
-        lambda v: delta_color(v, vmax),
-        title or f"delta QVF ({grid.group})",
-        cell,
-        False,
-        legend,
-    )
+    return _grid_svg(grid, *_delta_scale(grid),
+                     title or f"delta QVF ({grid.group})", cell, False)
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +222,11 @@ def render_delta_svg(grid: HeatmapGrid, title=None, cell: int = 24) -> str:
 
 def render_grid_ppm(grid: HeatmapGrid, thresholds=DEFAULT_THRESHOLDS,
                     scale: int = 16, diverging: bool = False) -> bytes:
-    rows = len(grid.theta_degs)
-    cols = len(grid.phi_degs)
-    _check_cell(scale)
-    width = cols * scale
-    height = rows * scale
+    rows, _, width, height = _plot_size(grid, scale)
     if width * height > MAX_PPM_PIXELS:
         raise ValueError(f"a {width} x {height} px image exceeds the PPM budget "
                          f"of {MAX_PPM_PIXELS} px")
-    if diverging:
-        vmax = max(float(abs(grid.cells).max()), 0.05)
-        color_fn = lambda v: delta_color(v, vmax)
-    else:
-        color_fn = lambda v: qvf_color(v, thresholds)
+    color_fn, _ = _delta_scale(grid) if diverging else _qvf_scale(thresholds)
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     lines = [header]
     for i in range(rows):
@@ -265,13 +253,10 @@ def render_timeline_svg(series: dict, title: str, width: int = 560,
     xs = [gi for points in series.values() for gi, _ in points]
     x_min, x_max = min(xs), max(xs)
     span = (x_max - x_min) or 1
-    out = []
-    _svg_open(width, height, out)
-    out.append(f'<text x="{_MARGIN_LEFT}" y="24" font-size="14">{_esc(title)}</text>')
-    out.append(
+    out = [
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="black" stroke-width="1"/>'
-    )
+    ]
     for frac, label in ((0.0, "1.0"), (0.5, "0.5"), (1.0, "0.0")):
         y = _MARGIN_TOP + frac * plot_h
         out.append(
@@ -306,8 +291,7 @@ def render_timeline_svg(series: dict, title: str, width: int = 560,
         f'<text x="{_MARGIN_LEFT + plot_w}" y="{_MARGIN_TOP + plot_h + 14}" '
         'text-anchor="end">gate index</text>'
     )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _svg(width, height, title, out)
 
 
 def timeline_csv(series: dict) -> str:
@@ -315,7 +299,7 @@ def timeline_csv(series: dict) -> str:
     for qubit in sorted(series):
         for gi, v in series[qubit]:
             lines.append(f"{qubit},{gi},{v!r}")
-    return "\n".join(lines) + "\n"
+    return _lines(lines)
 
 
 def render_hist_svg(stats: HistogramStats, title: str, width: int = 560,
@@ -324,13 +308,10 @@ def render_hist_svg(stats: HistogramStats, title: str, width: int = 560,
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
     peak = max(stats.counts) or 1
     bins = len(stats.counts)
-    out = []
-    _svg_open(width, height, out)
-    out.append(f'<text x="{_MARGIN_LEFT}" y="24" font-size="14">{_esc(title)}</text>')
-    out.append(
+    out = [
         f'<text x="{_MARGIN_LEFT}" y="{_MARGIN_TOP - 6}">'
         f"mean={stats.mean:.4f} stddev={stats.stddev:.4f}</text>"
-    )
+    ]
     bar_w = plot_w / bins
     for i, count in enumerate(stats.counts):
         h = plot_h * count / peak
@@ -354,8 +335,7 @@ def render_hist_svg(stats: HistogramStats, title: str, width: int = 560,
         f'<text x="{_MARGIN_LEFT + plot_w}" y="{_MARGIN_TOP + plot_h + 32}" '
         'text-anchor="end">QVF</text>'
     )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _svg(width, height, title, out)
 
 
 def hist_csv(stats: HistogramStats) -> str:
@@ -364,4 +344,4 @@ def hist_csv(stats: HistogramStats) -> str:
         lines.append(
             f"{stats.bin_edges[i]!r},{stats.bin_edges[i + 1]!r},{count}"
         )
-    return "\n".join(lines) + "\n"
+    return _lines(lines)

@@ -7,10 +7,7 @@ import pytest
 import oracles
 from support import entries
 from qvf.benchmarks import (
-    BV_DEFAULT_SITES,
     DEFAULTS,
-    DJ_DEFAULT_SITES,
-    GROVER_DEFAULT_SITES,
     build_bernstein_vazirani,
     build_deutsch_jozsa,
     build_grover,
@@ -38,7 +35,7 @@ class TestBernsteinVazirani:
         assert c.n_qubits == 4
         assert c.measured == (0, 1, 2)
         assert len(c.gates) == 11
-        assert len(enumerate_sites(c)) == BV_DEFAULT_SITES == 13
+        assert len(enumerate_sites(c)) == 13  # 9 + 2 per secret 1-bit
 
     def test_secret_is_recovered(self):
         for secret in ("011", "000", "111", "101"):
@@ -61,7 +58,7 @@ class TestDeutschJozsa:
     def test_default_shape(self):
         c = build_deutsch_jozsa()
         assert c.name == "dj-balanced-111"
-        assert len(enumerate_sites(c)) == DJ_DEFAULT_SITES == 18
+        assert len(enumerate_sites(c)) == 18
         assert c.correct_states == frozenset(
             format(v, "03b") for v in range(1, 8)
         )
@@ -91,7 +88,7 @@ class TestGrover:
         assert c.name == "grover-11"
         assert c.n_qubits == 2
         assert len(c.gates) == 16
-        assert len(enumerate_sites(c)) == GROVER_DEFAULT_SITES == 18
+        assert len(enumerate_sites(c)) == 18
 
     def test_one_iteration_is_exact_for_each_mark(self):
         for marked in ("00", "01", "10", "11"):

@@ -4,6 +4,7 @@ import builtins
 import errno
 import gc
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -167,6 +168,20 @@ class TestCampaign:
         assert read_table_file(out).qvf[0] > 0.0
 
 
+#: every style flag of a grid report, with a value other than its default
+GRID_STYLE_FLAGS = {
+    "heatmap": {"--green-below": "0.2", "--red-above": "0.7", "--cell": "7",
+                "--overlay": None},
+    "perqubit": {"--green-below": "0.2", "--red-above": "0.7", "--cell": "7",
+                 "--overlay": None},
+    "delta": {"--cell": "7"},
+}
+#: the options that pick one grid of a grid report, as flag, value pairs
+GRID_SELECTION = {
+    "heatmap": [], "perqubit": ["--qubit", "0"], "delta": ["--qubit-a", "0", "--qubit-b", "1"],
+}
+
+
 class TestReports:
     def test_heatmap_formats(self, grover_csv, tmp_path, capsys):
         for fmt, name in (("svg", "map.svg"), ("csv", "map.csv"), ("ppm", "map.ppm")):
@@ -276,18 +291,55 @@ class TestReports:
         assert "mean qvf:" in captured and "stddev:" in captured
         assert "<svg" in out.read_text()
 
+    @pytest.mark.parametrize("kind, flag, value", [
+        (kind, flag, value)
+        for kind, flags in GRID_STYLE_FLAGS.items() for flag, value in flags.items()
+    ])
+    def test_no_grid_flag_is_ignored(self, grover_csv, tmp_path, kind, flag, value):
+        call = ["report", kind, "--in", str(grover_csv), *GRID_SELECTION[kind]]
+        assert main([*call, "--out", str(tmp_path / "default.svg")]) == 0
+        flags = [flag] if value is None else [flag, value]
+        assert main([*call, *flags, "--out", str(tmp_path / "set.svg")]) == 0
+        assert (tmp_path / "set.svg").read_bytes() != (tmp_path / "default.svg").read_bytes()
 
-def grid_bytes(grid, fmt, delta=False):
-    """A grid rendered as the report commands do with default options."""
+    @pytest.mark.parametrize("kind", sorted(GRID_STYLE_FLAGS))
+    def test_grid_style_flags_are_all_listed(self, kind, capsys):
+        with pytest.raises(SystemExit):
+            main(["report", kind, "--help"])
+        accepted = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        # what a grid report reads, writes and picks, not how it draws it
+        selection = {"--help", "--in", "--out", "--format", "--qubit", "--in-b",
+                     "--qubit-a", "--qubit-b"}
+        assert accepted - selection == set(GRID_STYLE_FLAGS[kind])
+
+    @pytest.mark.parametrize("flags", [
+        ["--overlay"], ["--green-below", "0.2"], ["--red-above", "0.7"],
+    ])
+    def test_delta_refuses_heatmap_style_flags(self, grover_csv, tmp_path, capsys, flags):
+        out = tmp_path / "delta.svg"
+        out.write_text("kept")
+        with pytest.raises(SystemExit) as ei:
+            main(["report", "delta", "--in", str(grover_csv), *GRID_SELECTION["delta"],
+                  *flags, "--out", str(out)])
+        assert ei.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert out.read_text() == "kept"
+        assert list(tmp_path.iterdir()) == [out]
+
+
+def grid_bytes(grid, fmt, delta=False, thresholds=(0.45, 0.55), overlay=False, cell=24):
+    """A grid rendered as the report commands do; the keyword defaults are
+    the commands' defaults."""
     if fmt == "ppm":
         if delta:
-            return render.render_grid_ppm(grid, scale=24, diverging=True)
-        return render.render_grid_ppm(grid, thresholds=(0.45, 0.55), scale=24)
+            return render.render_grid_ppm(grid, scale=cell, diverging=True)
+        return render.render_grid_ppm(grid, thresholds=thresholds, scale=cell)
     if fmt == "csv":
         return render.grid_csv(grid).encode()
     if delta:
-        return render.render_delta_svg(grid, cell=24).encode()
-    return render.render_heatmap_svg(grid, thresholds=(0.45, 0.55), cell=24).encode()
+        return render.render_delta_svg(grid, cell=cell).encode()
+    return render.render_heatmap_svg(grid, thresholds=thresholds, overlay=overlay,
+                                     cell=cell).encode()
 
 
 class TestReportsMatchOracle:
@@ -302,25 +354,36 @@ class TestReportsMatchOracle:
         other = HeatmapGrid(
             *oracles.aggregate_heatmap(table_rows(read_table_file(grover_sampled_csv))),
             "circuit")
-        for fmt in ("svg", "ppm", "csv"):
-            expected = {
-                f"heat.{fmt}": grid_bytes(circuit, fmt),
-                f"dq.{fmt}": grid_bytes(delta_qvf(qubits[0], qubits[1]), fmt, delta=True),
-                f"dfile.{fmt}": grid_bytes(delta_qvf(circuit, other), fmt, delta=True),
-            }
-            expected.update({f"per_q{q}.{fmt}": grid_bytes(grid, fmt)
-                             for q, grid in qubits.items()})
-            calls = (
-                ("heatmap", [], "heat"),
-                ("perqubit", [], "per"),
-                ("delta", ["--qubit-a", "0", "--qubit-b", "1"], "dq"),
-                ("delta", ["--in-b", str(grover_sampled_csv)], "dfile"),
-            )
-            for kind, options, stem in calls:
-                assert main(["report", kind, "--in", str(grover_csv), "--format", fmt,
-                             *options, "--out", str(tmp_path / f"{stem}.{fmt}")]) == 0
-            for name, blob in expected.items():
-                assert (tmp_path / name).read_bytes() == blob, name
+        option_sets = (
+            # formats, then flags and grid_bytes arguments of heatmap/perqubit and delta
+            (("svg", "ppm", "csv"), [], {}, [], {}),
+            (("svg", "ppm"),
+             ["--overlay", "--green-below", "0.2", "--red-above", "0.7", "--cell", "7"],
+             {"overlay": True, "thresholds": (0.2, 0.7), "cell": 7},
+             ["--cell", "3"], {"cell": 3}),
+        )
+        for formats, map_flags, map_style, delta_flags, delta_style in option_sets:
+            for fmt in formats:
+                expected = {
+                    f"heat.{fmt}": grid_bytes(circuit, fmt, **map_style),
+                    f"dq.{fmt}": grid_bytes(delta_qvf(qubits[0], qubits[1]), fmt,
+                                            delta=True, **delta_style),
+                    f"dfile.{fmt}": grid_bytes(delta_qvf(circuit, other), fmt,
+                                               delta=True, **delta_style),
+                }
+                expected.update({f"per_q{q}.{fmt}": grid_bytes(grid, fmt, **map_style)
+                                 for q, grid in qubits.items()})
+                calls = (
+                    ("heatmap", map_flags, "heat"),
+                    ("perqubit", map_flags, "per"),
+                    ("delta", ["--qubit-a", "0", "--qubit-b", "1", *delta_flags], "dq"),
+                    ("delta", ["--in-b", str(grover_sampled_csv), *delta_flags], "dfile"),
+                )
+                for kind, options, stem in calls:
+                    assert main(["report", kind, "--in", str(grover_csv), "--format", fmt,
+                                 *options, "--out", str(tmp_path / f"{stem}.{fmt}")]) == 0
+                for name, blob in expected.items():
+                    assert (tmp_path / name).read_bytes() == blob, (name, map_flags)
 
     def test_series_reports(self, grover_csv, tmp_path, capsys):
         rows = table_rows(read_table_file(grover_csv))

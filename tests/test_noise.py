@@ -12,7 +12,6 @@ from support import entries, random_gates, score_entries
 from qvf.benchmarks import DEFAULTS
 from qvf.circuit import Circuit
 from qvf.noise import (
-    IDEAL,
     NoiseConfigError,
     NoiseModel,
     amplitude_damping_kraus,
@@ -49,10 +48,11 @@ cx.depolarizing = 0.01
 
 class TestModelValidation:
     def test_defaults_are_ideal(self):
-        assert load_noise_config("") == IDEAL
-        assert IDEAL.amplitude_damping_gamma("h", 0) == 0.0
-        assert IDEAL.phase_damping_lambda("h", 0) == 0.0
-        assert IDEAL.readout(3) == (0.0, 0.0)
+        ideal = NoiseModel()
+        assert load_noise_config("") == ideal
+        assert ideal.amplitude_damping_gamma("h", 0) == 0.0
+        assert ideal.phase_damping_lambda("h", 0) == 0.0
+        assert ideal.readout(3) == (0.0, 0.0)
 
     def test_damping_parameters_follow_exponential_law(self):
         m = NoiseModel(default_t1=120.0, default_t2=100.0, default_duration=35.0)
@@ -175,7 +175,7 @@ class TestChannels:
             dim = 2**n
             rho = rho_rng.normal(size=(dim, dim)) + 1j * rho_rng.normal(size=(dim, dim))
 
-            _, steps = gate_steps("u", mat, qubits, n, IDEAL)
+            _, steps = gate_steps("u", mat, qubits, n, NoiseModel())
             assert len(steps) == 2
             flat = rho.reshape(-1).copy()
             for m, flat_qubits in steps:
@@ -199,7 +199,7 @@ class TestDensityEvolution:
     def test_ideal_model_reproduces_exact_results(self):
         for builder in DEFAULTS.values():
             c = builder()
-            noisy = entries(c, IDEAL)
+            noisy = entries(c, NoiseModel())
             exact = entries(c)
             for key in set(noisy) | set(exact):
                 assert abs(noisy.get(key, 0.0) - exact.get(key, 0.0)) < 1e-10
@@ -312,27 +312,27 @@ class TestDensityEvolution:
         good = np.diag([1.0, 0.0]).astype(complex).reshape(-1)
         skew = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex).reshape(-1)
         indefinite = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex).reshape(-1)
-        check_state(np.column_stack([good, good]), 1, IDEAL)
+        check_state(np.column_stack([good, good]), 1, NoiseModel())
         # column 3 fails an earlier check, but column 2 is the first to fail
         with pytest.raises(SimulationError, match="negative eigenvalue") as info:
-            check_state(np.column_stack([good, good, indefinite, skew]), 1, IDEAL)
+            check_state(np.column_stack([good, good, indefinite, skew]), 1, NoiseModel())
         assert info.value.column == 2
         with pytest.raises(SimulationError) as info:
-            check_state(0.9 * good, 1, IDEAL)  # a lone matrix: nothing to name
+            check_state(0.9 * good, 1, NoiseModel())  # a lone matrix: nothing to name
         assert info.value.column is None
 
     def test_density_validation_catches_bad_states(self):
         good = np.zeros((2, 2), dtype=complex)
         good[0, 0] = 1.0
-        check_state(good.reshape(-1), 1, IDEAL)
+        check_state(good.reshape(-1), 1, NoiseModel())
         with pytest.raises(SimulationError):
-            check_state(0.9 * good.reshape(-1), 1, IDEAL)
+            check_state(0.9 * good.reshape(-1), 1, NoiseModel())
         skew = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
         with pytest.raises(SimulationError):
-            check_state(skew.reshape(-1), 1, IDEAL)
+            check_state(skew.reshape(-1), 1, NoiseModel())
         indefinite = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex)
         with pytest.raises(SimulationError):
-            check_state(indefinite.reshape(-1), 1, IDEAL)
+            check_state(indefinite.reshape(-1), 1, NoiseModel())
 
 
 #: the packaged model, and one with per-qubit and per-gate overrides

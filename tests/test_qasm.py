@@ -91,12 +91,19 @@ class TestParseErrors:
             assert ei.value.line == line
         return ei.value
 
+    # gate shape errors point at the gate keyword
     def test_arity_error(self):
-        self.check("qreg q[2]; creg c[1]; cx q[0]; measure q[0] -> c[0];", "2 qubit(s)")
+        err = self.check("qreg q[2]; creg c[1]; cx q[0]; measure q[0] -> c[0];", "2 qubit(s)",
+                         line=1)
+        assert err.col == 23
 
     def test_wrong_parameter_count(self):
-        self.check("qreg q[1]; creg c[1]; u(1) q[0]; measure q[0] -> c[0];", "3 parameter(s)")
-        self.check("qreg q[1]; creg c[1]; h(0.5) q[0]; measure q[0] -> c[0];", "0 parameter(s)")
+        err = self.check("qreg q[1]; creg c[1]; u(1) q[0]; measure q[0] -> c[0];",
+                         "3 parameter(s)", line=1)
+        assert err.col == 23
+        err = self.check("qreg q[1]; creg c[1]; h(0.5) q[0]; measure q[0] -> c[0];",
+                         "0 parameter(s)", line=1)
+        assert err.col == 23
 
     def test_unknown_statement_position(self):
         err = self.check("qreg q[1];\ncreg c[1];\nbogus q[0];\nmeasure q[0] -> c[0];", "bogus", line=3)
@@ -133,7 +140,9 @@ class TestParseErrors:
         self.check("OPENQASM 3.0;\n" + MINIMAL, "unsupported version", line=1)
 
     def test_duplicate_two_qubit_target(self):
-        self.check("qreg q[2]; creg c[1]; cx q[1],q[1]; measure q[0] -> c[0];", "distinct")
+        err = self.check("qreg q[2]; creg c[1]; cx q[1],q[1]; measure q[0] -> c[0];",
+                         "cx targets must be distinct", line=1)
+        assert err.col == 23
 
 
 class TestEmit:
