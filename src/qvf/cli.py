@@ -212,6 +212,10 @@ def _suffixed(path: str, tag: str) -> str:
 def _cmd_report(args):
     if args.which == "perqubit" and args.qubit is None and args.out == "-":
         raise _UsageError("perqubit writes one file per qubit; --out - needs --qubit N")
+    if args.which in ("heatmap", "perqubit") and not (
+            0.0 <= args.green_below <= args.red_above <= 1.0):  # also refuses nan
+        raise _UsageError("thresholds must satisfy 0 <= --green-below <= --red-above <= 1, "
+                          f"got {args.green_below:g} and {args.red_above:g}")
     if args.which == "delta":
         qubits = (args.qubit_a, args.qubit_b)
         if args.in_b and qubits != (None, None):

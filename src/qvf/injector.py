@@ -33,13 +33,14 @@ would, so each record scores, bit for bit, what
 :func:`qvf.simulator.measured_probabilities` gives for that circuit.
 """
 
+import cmath
 import math
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .circuit import Circuit, bitstring_to_index
-from .gates import canonical_u_params, gate_matrix
+from .gates import canonical_u_params
 from .metrics import score
 from .records import QvfRecord
 from .simulator import (
@@ -134,6 +135,25 @@ def grid_degrees(step: int = 15):
     if step < 1 or 360 % step != 0:
         raise ValueError(f"grid step {step} is not a positive divisor of 360")
     return [(t, p) for t in range(0, 181, step) for p in range(0, 360, step)]
+
+
+def grid_matrices(step: int = 15) -> np.ndarray:
+    """The (G, 2, 2) canonical u(theta, phi, 0) matrices in :func:`grid_degrees`
+    order, bit for bit as a u Gate holds them: :func:`qvf.gates.u_matrix`'s
+    scalar calls run once per theta and once per phi, then broadcast."""
+    grid_degrees(step)  # validates the step
+    lam = 0.0
+    halves = [0.5 * canonical_u_params(math.radians(t), 0.0, lam)[0] for t in range(0, 181, step)]
+    phis = [canonical_u_params(0.0, math.radians(p), lam)[1] for p in range(0, 360, step)]
+    c = np.array([math.cos(h) for h in halves])
+    s = np.array([math.sin(h) for h in halves])
+    phase = np.array([cmath.exp(1j * p) for p in phis])  # exp(i*(phi + lam)) too
+    mats = np.empty((len(halves), len(phis), 2, 2), dtype=complex)
+    mats[..., 0, 0] = c[:, None]
+    mats[..., 0, 1] = np.array([-cmath.exp(1j * lam) * v for v in s.tolist()])[:, None]
+    mats[..., 1, 0] = phase * s[:, None]
+    mats[..., 1, 1] = phase * c[:, None]
+    return mats.reshape(-1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +262,7 @@ def campaign_blocks(circuit: Circuit, config: CampaignConfig = CampaignConfig())
                 raise CampaignError(f"site index {s} out of range")
         picked = [(s, all_sites[s]) for s in config.sites]
     base = baseline_record(circuit, config)
-    # canonical u(theta, phi, 0) matrices, as a u Gate holds them
-    mats = np.array([
-        gate_matrix("u", canonical_u_params(math.radians(t), math.radians(p), 0.0))
-        for t, p in grid_degrees(config.grid_step)
-    ])
+    mats = grid_matrices(config.grid_step)
     program = compile_steps(circuit.gates, circuit.n_qubits, config.noise)
     jobs = [
         (circuit, config, mask, idx, site, mats, program, base.qvf)

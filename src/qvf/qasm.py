@@ -49,9 +49,10 @@ _TOKEN = re.compile(
 
 
 def _tokenize(text: str):
-    """Token stream of (kind, value, line, col); comments stripped here."""
+    """Token stream of (kind, value, line, col) and the metadata comments
+    (a correct comment with its position); comments stripped here."""
     tokens = []
-    meta = {"name": None, "correct": None}
+    meta = {"name": None, "correct": None, "correct_at": None}
     for lineno, line in enumerate(text.splitlines(), start=1):
         comment_at = line.find("//")
         if comment_at >= 0:
@@ -60,6 +61,7 @@ def _tokenize(text: str):
                 meta["name"] = comment[len("qvf:name "):].strip()
             elif comment.startswith("qvf:correct "):
                 meta["correct"] = comment[len("qvf:correct "):].split()
+                meta["correct_at"] = (lineno, comment_at + 1)
             line = line[:comment_at]
         pos = 0
         while pos < len(line):
@@ -168,13 +170,16 @@ class _Parser:
             self.error("program measures no qubits")
         measured = tuple(measures[cb] for cb in sorted(measures))
         correct = self.meta["correct"]
-        return Circuit(
-            qreg[1],
-            tuple(gates),
-            measured,
-            name=self.meta["name"],
-            correct_states=frozenset(correct) if correct else None,
-        )
+        try:  # every other check passed above, so only the correct states can fail
+            return Circuit(
+                qreg[1],
+                tuple(gates),
+                measured,
+                name=self.meta["name"],
+                correct_states=frozenset(correct) if correct else None,
+            )
+        except CircuitError as exc:
+            raise QasmError(str(exc), *self.meta["correct_at"]) from None
 
     def _register_decl(self):
         name = self.expect("id", what="register name")[1]

@@ -45,7 +45,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice
 
 import numpy as np
@@ -95,12 +95,22 @@ def _csv_text(fields) -> str:
     return buf.getvalue()[:-1]
 
 
+def _texts(*columns):
+    """The ``repr`` texts of float columns, one list per column, with one
+    call per distinct bit pattern (-0.0 and 0.0 are equal, not alike)."""
+    values = np.concatenate(columns, dtype=float)
+    _, first, index = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    texts = np.array([repr(v) for v in values[first].tolist()], dtype=object)[index]
+    return texts.reshape(len(columns), -1).tolist()
+
+
 class BlockWriter:
     """Writes a campaign file: the schema, header and ``baseline`` row at
     once, then one site block per :meth:`write`.  Text is formatted only as
-    often as it changes: per campaign, per (theta, phi) pair of ``angles``,
-    per site, and per row only four metric reprs and the flag.  It refuses
-    a circuit_id that no reader would take, one over the csv field limit."""
+    often as it changes: per campaign, per distinct angle and (theta, phi)
+    pair of ``angles``, per site, and per distinct metric bit pattern within
+    a site.  It refuses a circuit_id that no reader would take, one over the
+    csv field limit."""
 
     def __init__(self, stream, baseline: QvfRecord, angles):
         if len(baseline.circuit_id) > (limit := csv.field_size_limit()):
@@ -109,7 +119,8 @@ class BlockWriter:
         # an empty neighbour field keeps csv from quoting a lone empty value
         self._id = _csv_text([baseline.circuit_id, ""])
         self._key = _csv_text(["", baseline.mode, baseline.shots, baseline.seed, ""])
-        self._angles = [f"{_fmt_angle(t)},{_fmt_angle(p)}{self._key}" for t, p in angles]
+        fmt = cache(_fmt_angle)  # equal angles format alike, even 0 and -0.0
+        self._angles = [f"{fmt(t)},{fmt(p)}{self._key}" for t, p in angles]
         base = repr(float(baseline.baseline_qvf))
         self._tails = (f",{base},0\n", f",{base},1\n")
         b = baseline
@@ -118,13 +129,14 @@ class BlockWriter:
                + ",".join(repr(float(v)) for v in (b.pst, b.p_b, b.contrast, b.qvf)))
         stream.write(f"{SCHEMA_LINE}\n{','.join(COLUMNS)}\n{row}{self._tails[b.improved]}")
 
-    def write(self, site_index, site, *scores):
+    def write(self, site_index, site, pst, p_b, contrast, qvf, improved):
         """One site's rows; the five score arrays run over ``angles``."""
         head = f"{self._id}{site_index},{site.gate_index},{site.qubit},"
         tails = self._tails
         self._stream.write("".join([
-            f"{head}{angle}{a!r},{b!r},{c!r},{q!r}{tails[flag]}"
-            for angle, a, b, c, q, flag in zip(self._angles, *(s.tolist() for s in scores))
+            f"{head}{angle}{a},{b},{c},{q}{tails[flag]}"
+            for angle, a, b, c, q, flag in zip(
+                self._angles, *_texts(pst, p_b, contrast, qvf), improved.tolist())
         ]))
 
 

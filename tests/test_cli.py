@@ -326,6 +326,37 @@ class TestReports:
         assert out.read_text() == "kept"
         assert list(tmp_path.iterdir()) == [out]
 
+    @pytest.mark.parametrize("kind", ["heatmap", "perqubit"])
+    @pytest.mark.parametrize("thresholds", [
+        ["--green-below", "0.9", "--red-above", "0.1"],
+        ["--red-above=-inf"],
+        ["--green-below=-0.1"],
+        ["--red-above", "1.5"],
+        ["--red-above", "inf"],
+        ["--green-below", "nan"],
+        ["--red-above", "nan"],
+        ["--green-below", "nan", "--red-above", "nan"],
+    ])
+    def test_bad_thresholds_are_usage_errors(self, grover_csv, tmp_path, capsys, kind,
+                                             thresholds):
+        out = tmp_path / "map.svg"
+        out.write_text("kept")
+        assert main(["report", kind, "--in", str(grover_csv), *GRID_SELECTION[kind],
+                     *thresholds, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: thresholds must satisfy")
+        assert captured.out == ""
+        assert out.read_text() == "kept"
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("kind", ["heatmap", "perqubit"])
+    @pytest.mark.parametrize("lo, hi", [("0.5", "0.5"), ("0", "1"), ("0", "0"), ("1", "1")])
+    def test_threshold_edges_are_accepted(self, grover_csv, tmp_path, kind, lo, hi):
+        call = ["report", kind, "--in", str(grover_csv), *GRID_SELECTION[kind]]
+        assert main([*call, "--green-below", lo, "--red-above", hi,
+                     "--out", str(tmp_path / "map.svg")]) == 0
+        assert (tmp_path / "map.svg").read_text().startswith("<svg")
+
 
 def grid_bytes(grid, fmt, delta=False, thresholds=(0.45, 0.55), overlay=False, cell=24):
     """A grid rendered as the report commands do; the keyword defaults are

@@ -31,7 +31,9 @@ from qvf.injector import (
     campaign_blocks,
     enumerate_sites,
     grid_degrees,
+    grid_matrices,
 )
+from qvf.gates import canonical_u_params, gate_matrix
 from qvf.metrics import score
 from qvf.noise import NoiseModel, load_noise_config
 from qvf.records import QvfRecord
@@ -78,6 +80,19 @@ class TestGrid:
                 grid_degrees(step)
             with pytest.raises(ValueError):
                 CampaignConfig(grid_step=step)
+            with pytest.raises(ValueError):
+                grid_matrices(step)
+
+    @pytest.mark.parametrize("step", [d for d in range(1, 361) if 360 % d == 0])
+    def test_matrices_are_u_gates_bit_for_bit(self, step):
+        expected = np.array([
+            gate_matrix("u", canonical_u_params(math.radians(t), math.radians(p), 0.0))
+            for t, p in grid_degrees(step)
+        ])
+        mats = grid_matrices(step)
+        assert mats.shape == expected.shape == (len(grid_degrees(step)), 2, 2)
+        assert mats.dtype == complex
+        np.testing.assert_array_equal(mats.view(np.int64), expected.view(np.int64))
 
 
 def faulted(circuit, site, theta, phi):

@@ -105,6 +105,17 @@ class TestParseErrors:
                          "0 parameter(s)", line=1)
         assert err.col == 23
 
+    @pytest.mark.parametrize("text, fragment, line, col", [
+        ("qreg q[2];\ncreg c[2];\n// qvf:correct 111\n"
+         "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n", "bad correct state '111'", 3, 1),
+        ("qreg q[1]; creg c[1]; measure q[0] -> c[0]; // qvf:correct 1 2\n",
+         "bad correct state '2'", 1, 45),
+    ])
+    def test_bad_correct_comment_position(self, text, fragment, line, col):
+        # the finished circuit checks the states; the error points at the comment
+        err = self.check(text, f"line {line}, col {col}: {fragment}", line=line)
+        assert err.col == col
+
     def test_unknown_statement_position(self):
         err = self.check("qreg q[1];\ncreg c[1];\nbogus q[0];\nmeasure q[0] -> c[0];", "bogus", line=3)
         assert err.col == 1

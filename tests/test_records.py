@@ -14,10 +14,11 @@ import oracles
 from support import campaign_csv, campaign_rows, table_rows
 from qvf import records
 from qvf.benchmarks import build_deutsch_jozsa, build_grover
-from qvf.injector import CampaignConfig
+from qvf.injector import CampaignConfig, FaultSite, grid_degrees
 from qvf.records import (
     COLUMNS,
     SCHEMA_LINE,
+    BlockWriter,
     QvfRecord,
     RecordFileError,
     read_table,
@@ -307,6 +308,44 @@ def test_loadtxt_route_agrees_with_csv_route(text, chunk_rows):
         fast = parse_outcome(text)
         mp.setattr(records, "_loadtxt_columns", lambda lines, size: None)
         assert fast == parse_outcome(text)
+
+
+_TINY = [0.5, 5e-324, 0.5, 1e-310, 5e-324, 0.5] * 2  # 5e-324 and 1e-310 are subnormal
+
+#: angles and four metric columns for BlockWriter
+SYNTHETIC_BLOCKS = {
+    "signed_zeros": (grid_degrees(90), [[0.0, -0.0] * 6, [-0.0, 0.0, 0.0] * 4,
+                                        [0.0] * 11 + [-0.0], [-0.0] * 12]),
+    "repeats_and_subnormals": (grid_degrees(90), [_TINY, _TINY[::-1], [0.25] * 12,
+                                                  [1.0, 0.1, 0.1] * 4]),
+    "all_distinct": (grid_degrees(90), np.random.default_rng(12).random((4, 12)).tolist()),
+    "single_point": ([(45, 90)], [[0.3], [-0.0], [1e-310], [0.7]]),
+    # equal angles of another type or sign, and angles off the degree lattice
+    "mixed_angles": ([(0, -0.0), (0.0, 22.5), (-0.0, 0), (180.0, 1e-7)],
+                     [[0.5, -0.0, 0.5, 0.0], [0.1] * 4, [0.2, 0.3] * 2, [1.0] * 4]),
+}
+
+
+@pytest.mark.parametrize("angles, columns", SYNTHETIC_BLOCKS.values(), ids=list(SYNTHETIC_BLOCKS))
+def test_block_writer_formats_each_distinct_value_as_the_oracle(angles, columns):
+    # one repr per distinct bit pattern must still give every row its own text
+    baseline = QvfRecord("synthetic", -1, -1, -1, 0.0, 0.0, "exact", 0, 7,
+                         1.0, 0.0, 1.0, 0.0, 0.25, False)
+    buf = io.StringIO()
+    writer = BlockWriter(buf, baseline, angles)
+    rows = [baseline]
+    for site_index in range(2):  # the second site gets the columns rotated
+        site = FaultSite(gate_index=3 + site_index, qubit=site_index)
+        cols = [np.array(c, dtype=float) for c in columns[site_index:] + columns[:site_index]]
+        improved = cols[3] < 0.5
+        writer.write(site_index, site, *cols, improved)
+        rows += [
+            QvfRecord("synthetic", site_index, site.gate_index, site.qubit, t, p, "exact", 0, 7,
+                      *values, 0.25, flag)
+            for (t, p), *values, flag in zip(angles, *(c.tolist() for c in cols),
+                                            improved.tolist())
+        ]
+    assert buf.getvalue() == oracles.record_csv(rows)
 
 
 def test_reader_memory_per_row(tmp_path):
