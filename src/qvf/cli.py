@@ -204,6 +204,27 @@ def _grid_output(args, grid, out_path):
     _write_out(out_path, data)
 
 
+#: grid-report style flags and their defaults; the parser leaves them None,
+#: so that :func:`_grid_style` can tell a flag given from one left out
+GRID_STYLE_DEFAULTS = {"green_below": 0.45, "red_above": 0.55, "cell": 24, "overlay": False}
+#: the style flags each grid format ignores; giving one is a usage error
+IGNORED_BY_FORMAT = {"svg": (), "ppm": ("overlay",),
+                     "csv": ("green_below", "red_above", "cell", "overlay")}
+
+
+def _grid_style(args):
+    """Refuse a style flag given with a format that ignores it, then give
+    every flag not given its default."""
+    for name, default in GRID_STYLE_DEFAULTS.items():
+        if not hasattr(args, name):  # delta takes --cell only
+            continue
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name in IGNORED_BY_FORMAT[args.format]:
+            flag = "--" + name.replace("_", "-")
+            raise _UsageError(f"{flag} does nothing with --format {args.format}")
+
+
 def _suffixed(path: str, tag: str) -> str:
     stem, ext = os.path.splitext(path)
     return f"{stem}_{tag}{ext}"
@@ -212,6 +233,8 @@ def _suffixed(path: str, tag: str) -> str:
 def _cmd_report(args):
     if args.which == "perqubit" and args.qubit is None and args.out == "-":
         raise _UsageError("perqubit writes one file per qubit; --out - needs --qubit N")
+    if args.which in ("heatmap", "perqubit", "delta"):
+        _grid_style(args)
     if args.which in ("heatmap", "perqubit") and not (
             0.0 <= args.green_below <= args.red_above <= 1.0):  # also refuses nan
         raise _UsageError("thresholds must satisfy 0 <= --green-below <= --red-above <= 1, "
@@ -336,16 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("svg", "ppm", "csv") if p in grids else ("svg", "csv"))
         p.add_argument("--out", required=True, help="output path ('-' for stdout)")
         if p in maps:
-            p.add_argument("--green-below", type=float, default=0.45,
-                           help="lower QVF threshold for the green band")
-            p.add_argument("--red-above", type=float, default=0.55,
-                           help="upper QVF threshold for the red band")
+            p.add_argument("--green-below", type=float, default=None,
+                           help="lower QVF threshold for the green band, svg and ppm "
+                                f"(default {GRID_STYLE_DEFAULTS['green_below']})")
+            p.add_argument("--red-above", type=float, default=None,
+                           help="upper QVF threshold for the red band, svg and ppm "
+                                f"(default {GRID_STYLE_DEFAULTS['red_above']})")
         if p in grids:
-            p.add_argument("--cell", type=int, default=24,
-                           help="cell size in px (svg) / px per cell (ppm)")
+            p.add_argument("--cell", type=int, default=None,
+                           help="cell size in px (svg) / px per cell (ppm) "
+                                f"(default {GRID_STYLE_DEFAULTS['cell']})")
         if p in maps:
-            p.add_argument("--overlay", action="store_true",
-                           help="mark fault angles matching common gates (X,Y,Z,S,T)")
+            p.add_argument("--overlay", action="store_true", default=None,
+                           help="mark fault angles matching common gates (X,Y,Z,S,T), svg only")
         p.add_argument("--in", dest="infile", required=True, help="record CSV")
 
     return parser

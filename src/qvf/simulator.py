@@ -15,11 +15,17 @@ Every function that builds, evolves, checks or reads a state takes
 alone picks the state kind: an amplitude vector without a model, a
 density matrix with one.  Density matrices are stored flat: rho[r, c] is
 entry r * 2^n + c of a 4^n vector, so row bit q is flat qubit q + n and
-column bit q is flat qubit q.  A gate U on qubits Q is U on flat qubits
-Q + n, then conj(U) on flat qubits Q; the channels after it on qubit q
-fuse into one 4x4 superoperator sum_K kron(K, K*) on flat qubits
-(q, q + n).  Every step runs on :func:`apply_matrix` over 2n qubits, and
-a (4^n, G) block of flat matrices takes the same steps, one per column.
+column bit q is flat qubit q.  A 1-qubit gate U on qubit q and the
+channels after it are one step: the 4x4 map S kron(U, conj(U)) on flat
+qubits (q, q + n), where S = sum_K kron(K, K*) is the channels'
+superoperator and sub-index bit 1 is the row bit.  A 2-qubit gate U on
+qubits Q is U on flat qubits Q + n, then conj(U) on flat qubits Q, then
+S on (q, q + n) for each target q.  Every step runs on
+:func:`apply_matrix` over 2n qubits, and a (4^n, G) block of flat
+matrices takes the same steps, one per column.  The eigenvalue check is
+screened: one batched Cholesky factorisation clears a whole block whose
+every column is safely above the floor, and only a block it cannot clear
+goes to ``eigvalsh``, which then decides exactly as an unscreened check.
 
 A run is :func:`initial_state`, :func:`compile_steps`, :func:`evolve`,
 :func:`check_state` and :func:`readout`; :func:`final_state` chains the
@@ -91,43 +97,63 @@ def initial_state(n_qubits: int, noise=None) -> np.ndarray:
     return state
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # an entry holds 2^n indices, 8 MiB at MAX_QUBITS
 def _group_indices(n_qubits: int, targets: tuple):
-    """Basis indices with all target bits clear, plus per-target strides."""
-    idx = np.arange(2 ** n_qubits)
+    """Gather/scatter indices of a matrix on ``targets``: one array per
+    sub-index a, the basis indices of each group's member whose target bits
+    spell a (bit k of a is ``targets[k]``)."""
+    base = np.arange(2 ** n_qubits)
+    offs = [0]
     for q in targets:
-        idx = idx[(idx >> q) & 1 == 0]
-    return idx, tuple(1 << q for q in targets)
+        base = base[(base >> q) & 1 == 0]
+        offs += [o + (1 << q) for o in offs]
+    return tuple(base + o for o in offs)
 
 
 def apply_matrix(state: np.ndarray, n_qubits: int, mat: np.ndarray, qubits) -> np.ndarray:
-    """Apply a 2x2 or 4x4 matrix on ``qubits`` in place and return the state.
+    """Apply a 2^k x 2^k matrix on ``qubits`` in place and return the state.
 
     ``state`` is a 2^n vector or a (2^n, G) block; ``mat`` may be a
     (G, d, d) stack holding one matrix per block column.  Sub-index bit a
     of the matrix is the value of ``qubits[a]``.
     """
-    base, strides = _group_indices(n_qubits, tuple(qubits))
-    offs = [0]
-    for s in strides:
-        offs += [o + s for o in offs]
-    amps = [state[base + o] for o in offs]
-    for row, o in enumerate(offs):
+    index = _group_indices(n_qubits, tuple(qubits))
+    amps = [state[i] for i in index]
+    for row, i in enumerate(index):
         acc = mat[..., row, 0] * amps[0]
-        for col in range(1, len(offs)):
+        for col in range(1, len(index)):
             acc = acc + mat[..., row, col] * amps[col]
-        state[base + o] = acc
+        state[i] = acc
     return state
+
+
+def _fused(mat: np.ndarray, sup) -> np.ndarray:
+    """``sup @ kron(mat, mat.conj())``, a 1-qubit gate and then its channels
+    as one 4x4 map on flat qubits (q, q + n), for a 2x2 matrix or a
+    (G, 2, 2) stack.  Elementwise products and sums in a fixed order build
+    it, so each matrix of a stack gets the bits it gets alone."""
+    kron = mat[..., :, None, :, None] * mat.conj()[..., None, :, None, :]
+    kron = kron.reshape(mat.shape[:-2] + (4, 4))
+    if sup is None:
+        return kron
+    out = sup[:, 0, None] * kron[..., 0, None, :]
+    for k in range(1, 4):
+        out = out + sup[:, k, None] * kron[..., k, None, :]
+    return out
 
 
 def gate_steps(name: str, mat: np.ndarray, qubits, n_qubits: int, noise=None):
     """(name, steps) taking a state through one gate: the one (matrix,
-    qubits) step for a state vector; under ``noise``, for a flat rho,
+    qubits) step for a state vector.  Under ``noise``, for a flat rho, a
+    1-qubit gate is one fused 4x4 step (:func:`_fused`); a wider gate is
     ``mat`` on the row bits, its conjugate on the column bits and one
     channel superoperator per target.  ``mat`` may be a (G, d, d) stack,
     one matrix per block column."""
     if noise is None:
         return name, [(mat, tuple(qubits))]
+    if len(qubits) == 1:
+        (q,) = qubits
+        return name, [(_fused(mat, noise.superoperator(name, q)), (q, q + n_qubits))]
     steps = [(mat, tuple(q + n_qubits for q in qubits)), (mat.conj(), tuple(qubits))]
     for q in qubits:
         sup = noise.superoperator(name, q)
@@ -144,7 +170,7 @@ def compile_steps(gates, n_qubits: int, noise=None):
     ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_QUBITS // 2 + 1)  # every size a density matrix may have
 def _diagonal(n_qubits: int) -> np.ndarray:
     """Flat indices of the diagonal entries rho[i, i]."""
     return np.arange(1 << n_qubits) * ((1 << n_qubits) + 1)
@@ -176,14 +202,27 @@ def check_state(state: np.ndarray, n_qubits: int, noise=None):
     mats = state.reshape(d, d, -1).transpose(2, 0, 1)
     trace = np.trace(mats, axis1=1, axis2=2)
     skew = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)), axis=(1, 2))
-    smallest = np.linalg.eigvalsh(mats)[:, 0]
+    checks = [(np.abs(trace - 1.0) <= TRACE_TOL, "density trace drifted to {!r}", trace),
+              (skew <= HERMITIAN_TOL, "density matrix is not Hermitian (off by {!r})", skew)]
+    if not _clears_floor(mats):
+        smallest = np.linalg.eigvalsh(mats)[:, 0]
+        checks.append((smallest >= EIGENVALUE_FLOOR, "negative eigenvalue {!r}", smallest))
     if state.ndim == 1:  # a lone matrix has no column to name
-        trace, skew, smallest = trace[0], skew[0], smallest[0]
-    require(
-        (np.abs(trace - 1.0) <= TRACE_TOL, "density trace drifted to {!r}", trace),
-        (skew <= HERMITIAN_TOL, "density matrix is not Hermitian (off by {!r})", skew),
-        (smallest >= EIGENVALUE_FLOOR, "negative eigenvalue {!r}", smallest),
-    )
+        checks = [(ok[0], message, values[0]) for ok, message, values in checks]
+    require(*checks)
+
+
+def _clears_floor(mats: np.ndarray) -> bool:
+    """True when every matrix's smallest eigenvalue is above
+    EIGENVALUE_FLOOR + 1e-12: mats minus that times I has a finite
+    Cholesky factor.  The margin is far above Cholesky's rounding on a
+    unit-trace matrix, so a True here is one eigvalsh would agree with;
+    both read the lower triangle only."""
+    shift = (EIGENVALUE_FLOOR + 1e-12) * np.eye(mats.shape[-1])
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(mats - shift)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def final_state(circuit: Circuit, noise=None) -> np.ndarray:
@@ -195,27 +234,42 @@ def final_state(circuit: Circuit, noise=None) -> np.ndarray:
     return state
 
 
-@lru_cache(maxsize=None)
-def _marginal_keys(n_qubits: int, measured: tuple) -> np.ndarray:
-    """For each basis index, the packed index over the measured qubits."""
+@lru_cache(maxsize=8)  # an entry holds 2 * 2^n indices, 16 MiB at MAX_QUBITS
+def _marginal_index(n_qubits: int, measured: tuple):
+    """(keys, members): each basis index's packed index over the measured
+    qubits, and the basis indices by key, row j holding every key's j-th
+    smallest basis index."""
     idx = np.arange(2 ** n_qubits)
     keys = np.zeros_like(idx)
     for pos, q in enumerate(measured):
         keys |= ((idx >> q) & 1) << pos
-    return keys
+    members = np.argsort(keys, kind="stable").reshape(2 ** len(measured), -1).T.copy()
+    return keys, members
+
+
+#: a block's marginal of at least this many entries is summed one pass per
+#: row of members; on a vector or a smaller block a pass costs more than
+#: ``np.add.at`` does per entry, so that adds in the same order instead
+MIN_PASS_ENTRIES = 128
 
 
 def readout(state: np.ndarray, n_qubits: int, measured, noise=None) -> np.ndarray:
     """Probabilities over the measured qubits of a state, or of each column
     of a block: the basis probabilities, |amplitude|^2 or under ``noise`` the
-    clipped diagonal of rho, summed onto the measured-qubit indices in
-    basis-index order; under ``noise`` then through the readout flips."""
+    clipped diagonal of rho, summed from zero onto the measured-qubit
+    indices in basis-index order; under ``noise`` then through the readout
+    flips."""
     if noise is None:
         probs = np.abs(state) ** 2
     else:
         probs = np.clip(state[_diagonal(n_qubits)].real, 0.0, None)
     out = np.zeros((2 ** len(measured),) + probs.shape[1:])
-    np.add.at(out, _marginal_keys(n_qubits, tuple(measured)), probs)
+    keys, members = _marginal_index(n_qubits, tuple(measured))
+    if probs.ndim == 1 or out.size < MIN_PASS_ENTRIES:
+        np.add.at(out, keys, probs)
+    else:
+        for row in members:
+            out += probs[row]
     return out if noise is None else apply_readout_flips(out, noise, measured)
 
 

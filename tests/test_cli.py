@@ -302,6 +302,39 @@ class TestReports:
         assert main([*call, *flags, "--out", str(tmp_path / "set.svg")]) == 0
         assert (tmp_path / "set.svg").read_bytes() != (tmp_path / "default.svg").read_bytes()
 
+    @pytest.mark.parametrize("kind, flag, value", [
+        (kind, flag, value)
+        for kind, flags in GRID_STYLE_FLAGS.items() for flag, value in flags.items()
+        if flag != "--overlay"
+    ])
+    def test_ppm_reads_every_style_flag_but_overlay(self, grover_csv, tmp_path, kind, flag,
+                                                    value):
+        call = ["report", kind, "--in", str(grover_csv), *GRID_SELECTION[kind],
+                "--format", "ppm"]
+        assert main([*call, "--out", str(tmp_path / "default.ppm")]) == 0
+        assert main([*call, flag, value, "--out", str(tmp_path / "set.ppm")]) == 0
+        assert (tmp_path / "set.ppm").read_bytes() != (tmp_path / "default.ppm").read_bytes()
+
+    @pytest.mark.parametrize("kind, fmt, flags", [
+        (kind, fmt, [flag] if value is None else [flag, value])
+        for kind, style in GRID_STYLE_FLAGS.items() for flag, value in style.items()
+        for fmt in ("ppm", "csv") if fmt == "csv" or flag == "--overlay"
+    ] + [("heatmap", "csv", ["--cell", "24"]),  # a default value given is still given
+         ("delta", "csv", ["--cell", "24"]),
+         ("perqubit", "csv", ["--green-below", "0.45", "--red-above", "0.55"])])
+    def test_style_flags_a_format_ignores_are_refused(self, grover_csv, tmp_path, capsys,
+                                                      kind, fmt, flags):
+        out = tmp_path / f"map.{fmt}"
+        out.write_text("kept")
+        for infile in (grover_csv, tmp_path / "missing.csv"):  # refused before reading
+            assert main(["report", kind, "--in", str(infile), *GRID_SELECTION[kind],
+                         "--format", fmt, *flags, "--out", str(out)]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {flags[0]} does nothing with --format {fmt}\n"
+            assert captured.out == ""
+        assert out.read_text() == "kept"
+        assert list(tmp_path.iterdir()) == [out]
+
     @pytest.mark.parametrize("kind", sorted(GRID_STYLE_FLAGS))
     def test_grid_style_flags_are_all_listed(self, kind, capsys):
         with pytest.raises(SystemExit):
@@ -388,9 +421,13 @@ class TestReportsMatchOracle:
         option_sets = (
             # formats, then flags and grid_bytes arguments of heatmap/perqubit and delta
             (("svg", "ppm", "csv"), [], {}, [], {}),
-            (("svg", "ppm"),
+            (("svg",),
              ["--overlay", "--green-below", "0.2", "--red-above", "0.7", "--cell", "7"],
              {"overlay": True, "thresholds": (0.2, 0.7), "cell": 7},
+             ["--cell", "3"], {"cell": 3}),
+            (("ppm",),  # a ppm refuses --overlay, which it cannot draw
+             ["--green-below", "0.2", "--red-above", "0.7", "--cell", "7"],
+             {"thresholds": (0.2, 0.7), "cell": 7},
              ["--cell", "3"], {"cell": 3}),
         )
         for formats, map_flags, map_style, delta_flags, delta_style in option_sets:

@@ -36,6 +36,7 @@ from qvf.injector import (
 from qvf.gates import canonical_u_params, gate_matrix
 from qvf.metrics import score
 from qvf.noise import NoiseModel, load_noise_config
+from qvf import simulator
 from qvf.records import QvfRecord
 from qvf.simulator import draw_counts, measured_probabilities
 
@@ -533,6 +534,26 @@ class TestImprovedFlag:
         assert sum(r.improved for r in bv) == 0
         dj = campaign_list(build_deutsch_jozsa(), noise=noise)[1:]
         assert sum(r.improved for r in dj) > 0
+
+
+class TestNoisyKernelWork:
+    def test_apply_matrix_calls_on_dj(self, monkeypatch):
+        # one fused step per 1-qubit gate and four per cx: 12 + 3 * 4 = 24
+        # steps a circuit, so 18 sites x (24 + the fault's 1) + the baseline's
+        # 24 on a one-chunk 30-degree grid; three steps per 1-qubit gate
+        # made it 966
+        calls = []
+        real = simulator.apply_matrix
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(simulator, "apply_matrix", counted)
+        config = CampaignConfig(grid_step=30, noise=representative_noise())
+        _, blocks = campaign_blocks(build_deutsch_jozsa(), config)
+        assert len(list(blocks)) == 18
+        assert len(calls) <= 474
 
 
 class TestFailureReport:

@@ -176,7 +176,10 @@ class TestChannels:
             rho = rho_rng.normal(size=(dim, dim)) + 1j * rho_rng.normal(size=(dim, dim))
 
             _, steps = gate_steps("u", mat, qubits, n, NoiseModel())
-            assert len(steps) == 2
+            if k == 1:  # one fused U (x) conj(U) step on (row bit, column bit)
+                assert [(m.shape, fq) for m, fq in steps] == [((4, 4), (qubits[0], qubits[0] + n))]
+            else:
+                assert len(steps) == 2
             flat = rho.reshape(-1).copy()
             for m, flat_qubits in steps:
                 apply_matrix(flat, 2 * n, m, flat_qubits)
@@ -193,6 +196,43 @@ class TestChannels:
             for kraus in oracles.kraus_sets(strong, "h", q):
                 want = oracles.apply_kraus(want, kraus, q, n)
             assert np.allclose(flat.reshape(dim, dim), want, atol=1e-12)
+
+    def test_fused_noisy_steps_match_oracle(self):
+        """Random 1-qubit gates under strong channels, one fused 4x4 step each,
+        against the dense Kraus evolution."""
+        strong = NoiseModel(default_t1=1.0, default_t2=1.5, default_duration=300.0,
+                            default_depolarizing=0.2, duration={"x": 0.0},
+                            depolarizing={"x": 0.0})  # x: no channel at all
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            gates = []
+            for _ in range(int(rng.integers(1, 7))):
+                q = (int(rng.integers(n)),)
+                name = str(rng.choice(["h", "x", "s", "u"]))
+                params = tuple(rng.uniform(-4, 4, size=3)) if name == "u" else ()
+                gates.append((name, q, params))
+            flat = np.zeros(4 ** n, dtype=complex)
+            flat[0] = 1.0
+            for name, q, params in gates:
+                _, steps = gate_steps(name, oracles.gate_matrix(name, params), q, n, strong)
+                assert len(steps) == 1 and steps[0][1] == (q[0], q[0] + n)
+                apply_matrix(flat, 2 * n, *steps[0])
+            want = oracles.evolve_density(n, gates, strong)
+            assert np.allclose(flat.reshape(2**n, 2**n), want, rtol=0, atol=1e-12)
+
+    def test_fused_stack_is_bitwise_each_lone_matrix(self):
+        """A (G, 2, 2) stack fuses, matrix by matrix, to the bits each matrix
+        fuses to alone, with and without channels."""
+        rng = np.random.default_rng(44)
+        stack = rng.normal(size=(7, 2, 2)) + 1j * rng.normal(size=(7, 2, 2))
+        stack[0] = [[1, 0], [0, -1]]  # exact zeros and signs
+        for model in (NoiseModel(), load_noise_config(REPRESENTATIVE)):
+            (fused, where), = gate_steps("u", stack, (1,), 3, model)[1]
+            assert fused.shape == (7, 4, 4) and where == (1, 4)
+            for g, mat in enumerate(stack):
+                (lone, _), = gate_steps("u", mat, (1,), 3, model)[1]
+                assert np.array_equal(lone.view(np.int64), fused[g].view(np.int64))
 
 
 class TestDensityEvolution:
@@ -333,6 +373,65 @@ class TestDensityEvolution:
         indefinite = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex)
         with pytest.raises(SimulationError):
             check_state(indefinite.reshape(-1), 1, NoiseModel())
+
+
+def density_with_smallest(values, rng, d=4):
+    """(d*d, len(values)) block of flat unit-trace Hermitian matrices in a
+    random eigenbasis, column j with smallest eigenvalue values[j]."""
+    cols = []
+    for low in values:
+        basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        eig = np.array([low] + [(1.0 - low) / (d - 1)] * (d - 1))
+        rho = (basis * eig) @ basis.conj().T
+        cols.append(((rho + rho.conj().T) / 2).reshape(-1))
+    return np.column_stack(cols)
+
+
+def eigvalsh_verdict(block, floor):
+    """(message, column) of the first column whose smallest eigenvalue, by
+    eigvalsh over the whole block, is below ``floor``; None if none is."""
+    d = int(round(math.sqrt(block.shape[0])))
+    smallest = np.linalg.eigvalsh(block.reshape(d, d, -1).transpose(2, 0, 1))[:, 0]
+    bad = np.flatnonzero(smallest < floor)
+    return None if not len(bad) else (f"negative eigenvalue {smallest[bad[0]].item()!r}", int(bad[0]))
+
+
+class TestEigenvalueScreen:
+    """check_state's Cholesky screen gives eigvalsh's verdicts at the edges."""
+
+    @pytest.mark.parametrize("floor", [-1e-8, 1e-3])
+    def test_verdicts_at_the_floor_match_eigvalsh(self, monkeypatch, floor):
+        monkeypatch.setattr("qvf.simulator.EIGENVALUE_FLOOR", floor)
+        edges = [floor * (1 - 1e-3), floor * (1 + 1e-3), floor - 1e-13, floor + 1e-13, 0.1]
+        block = density_with_smallest(edges, np.random.default_rng(51))
+        verdicts = [eigvalsh_verdict(block[:, [j]], floor) for j in range(len(edges))]
+        # below the floor fails and above it passes, whichever way floor*(1+-1e-3) lies
+        assert [v is None for v in verdicts] == [e >= floor for e in edges]
+        picks = [[j] for j in range(len(edges))] + [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [4, 0, 3]]
+        for pick in picks:
+            sub = np.ascontiguousarray(block[:, pick])
+            want = eigvalsh_verdict(sub, floor)
+            cases = [(sub, want)]
+            if len(pick) == 1:  # a lone matrix: the same message, no column
+                cases.append((sub[:, 0], want and (want[0], None)))
+            for state, expect in cases:
+                if expect is None:
+                    check_state(state, 2, NoiseModel())
+                    continue
+                with pytest.raises(SimulationError) as info:
+                    check_state(state, 2, NoiseModel())
+                assert (str(info.value), info.value.column) == expect, pick
+
+    def test_eigvalsh_runs_only_on_a_block_the_screen_cannot_clear(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or real(m))
+        rng = np.random.default_rng(52)
+        check_state(density_with_smallest([0.0, 1e-9, 0.2], rng), 2, NoiseModel())
+        assert calls == []
+        # inside the 1e-12 margin, eigvalsh decides, and passes the block
+        check_state(density_with_smallest([0.2, -1e-8 + 1e-13], rng), 2, NoiseModel())
+        assert calls == [1]
 
 
 #: the packaged model, and one with per-qubit and per-gate overrides

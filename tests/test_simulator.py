@@ -15,12 +15,15 @@ import oracles
 import qvf
 from qvf.circuit import Circuit
 from qvf.noise import NoiseModel
+from qvf import simulator
 from qvf.simulator import (
     MAX_QUBITS,
+    MIN_PASS_ENTRIES,
     SimulationError,
     draw_counts,
     final_state,
     measured_probabilities,
+    readout,
 )
 
 from support import entries, random_gates
@@ -188,3 +191,62 @@ def test_oversized_states_are_refused():
     assert len(measured_probabilities(half)) == 2
     with pytest.raises(SimulationError, match="density matrix"):
         measured_probabilities(half, NoiseModel())
+
+
+def marginal_by_add_at(probs, n, measured):
+    """np.add.at onto the measured-qubit indices, from zero, in basis order."""
+    keys = [sum(((i >> q) & 1) << pos for pos, q in enumerate(measured)) for i in range(2**n)]
+    out = np.zeros((2 ** len(measured),) + probs.shape[1:])
+    np.add.at(out, keys, probs)
+    return out
+
+
+@pytest.mark.parametrize("n, measured, columns, passes", [
+    (3, (0, 2), None, False), (4, (3, 1, 0), None, False), (2, (), None, False),
+    (5, (1,), None, False), (3, (2,), 1, False), (4, (0, 1, 2), 5, False),
+    (4, (1, 3), 40, True), (5, (4,), 70, True), (3, (0, 1, 2), 20, True),
+    (5, (), 200, True),
+])
+def test_readout_sums_bitwise_as_np_add_at(n, measured, columns, passes):
+    # ``passes``: a block whose marginal readout sums one pass per member row
+    assert passes == (columns is not None and 2 ** len(measured) * columns >= MIN_PASS_ENTRIES)
+    rng = np.random.default_rng(61)
+    shape = (2**n,) if columns is None else (2**n, columns)
+    # magnitudes spread over 20 decades, so a different summation order shows
+    mags = rng.random(shape) * 10.0 ** rng.integers(-20, 1, size=shape)
+    amps = np.sqrt(mags) * np.exp(2j * np.pi * rng.random(shape))
+    amps[rng.random(shape) < 0.25] = 0.0
+    amps[rng.random(shape) < 0.1] = complex(-0.0, -0.0)
+    want = marginal_by_add_at(np.abs(amps) ** 2, n, measured)
+    got = readout(amps, n, measured)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    # a flat rho: the diagonal, with signed zeros and clipped negatives
+    diag = mags.copy()
+    diag[rng.random(shape) < 0.2] = 0.0
+    diag[rng.random(shape) < 0.2] = -0.0
+    diag[rng.random(shape) < 0.1] = -1e-17
+    rho = np.zeros((4**n,) + shape[1:], dtype=complex)
+    rho[np.arange(2**n) * (2**n + 1)] = diag
+    want = marginal_by_add_at(np.clip(diag, 0.0, None), n, measured)
+    got = readout(rho, n, measured, NoiseModel())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_index_caches_stay_bounded():
+    """Sweeping more distinct keys than a simulator cache keeps leaves it
+    at its bound."""
+    sweeps = {
+        simulator._group_indices: [(6, (q,)) for q in range(6)]
+        + [(6, (a, b)) for a in range(6) for b in range(6) if a != b],
+        simulator._marginal_index: [
+            (6, tuple(q for q in range(6) if mask >> q & 1)) for mask in range(64)],
+        simulator._diagonal: [(n,) for n in range(16)],
+    }
+    for cache, keys in sweeps.items():
+        bound = cache.cache_info().maxsize
+        assert bound is not None and len(keys) > bound
+        for key in keys:
+            cache(*key)
+        assert cache.cache_info().currsize == bound
