@@ -187,42 +187,42 @@ def _cmd_campaign_run(args):
 # ---------------------------------------------------------------------------
 
 
+#: the style flags each grid format reads; one given with a format that
+#: does not read it is refused
+STYLE_READ_BY_FORMAT = {"svg": ("green_below", "red_above", "cell", "overlay"),
+                        "ppm": ("green_below", "red_above", "cell"), "csv": ()}
+
+
+class _StyleFlag(argparse.Action):
+    """Store a grid style flag and add it to ``namespace.given``, in
+    command-line order, so that a flag the format ignores can be refused
+    even at its default value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True if self.nargs == 0 else values)
+        namespace.given += (self.dest,)
+
+
 def _grid_output(args, grid, out_path):
-    """Render a heatmap, perqubit or delta grid in ``args.format``."""
+    """Render a heatmap, perqubit or delta grid in ``args.format``, reading
+    only the style flags that format reads."""
+    style = {name: getattr(args, name) for name in STYLE_READ_BY_FORMAT[args.format]
+             if hasattr(args, name)}  # delta takes --cell only
     if args.format == "csv":
         data = render.grid_csv(grid)
     elif args.which == "delta" and args.format == "svg":
-        data = render.render_delta_svg(grid, cell=args.cell)
+        data = render.render_delta_svg(grid, cell=style["cell"])
     elif args.which == "delta":
-        data = render.render_grid_ppm(grid, scale=args.cell, diverging=True)
+        data = render.render_grid_ppm(grid, scale=style["cell"], diverging=True)
     elif args.format == "svg":
-        data = render.render_heatmap_svg(grid, thresholds=(args.green_below, args.red_above),
-                                         overlay=args.overlay, cell=args.cell)
+        data = render.render_heatmap_svg(grid, thresholds=(style["green_below"],
+                                                           style["red_above"]),
+                                         overlay=style["overlay"], cell=style["cell"])
     else:
-        data = render.render_grid_ppm(grid, thresholds=(args.green_below, args.red_above),
-                                      scale=args.cell)
+        data = render.render_grid_ppm(grid, thresholds=(style["green_below"],
+                                                        style["red_above"]),
+                                      scale=style["cell"])
     _write_out(out_path, data)
-
-
-#: grid-report style flags and their defaults; the parser leaves them None,
-#: so that :func:`_grid_style` can tell a flag given from one left out
-GRID_STYLE_DEFAULTS = {"green_below": 0.45, "red_above": 0.55, "cell": 24, "overlay": False}
-#: the style flags each grid format ignores; giving one is a usage error
-IGNORED_BY_FORMAT = {"svg": (), "ppm": ("overlay",),
-                     "csv": ("green_below", "red_above", "cell", "overlay")}
-
-
-def _grid_style(args):
-    """Refuse a style flag given with a format that ignores it, then give
-    every flag not given its default."""
-    for name, default in GRID_STYLE_DEFAULTS.items():
-        if not hasattr(args, name):  # delta takes --cell only
-            continue
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif name in IGNORED_BY_FORMAT[args.format]:
-            flag = "--" + name.replace("_", "-")
-            raise _UsageError(f"{flag} does nothing with --format {args.format}")
 
 
 def _suffixed(path: str, tag: str) -> str:
@@ -233,8 +233,10 @@ def _suffixed(path: str, tag: str) -> str:
 def _cmd_report(args):
     if args.which == "perqubit" and args.qubit is None and args.out == "-":
         raise _UsageError("perqubit writes one file per qubit; --out - needs --qubit N")
-    if args.which in ("heatmap", "perqubit", "delta"):
-        _grid_style(args)
+    for name in getattr(args, "given", ()):
+        if name not in STYLE_READ_BY_FORMAT[args.format]:
+            flag = "--" + name.replace("_", "-")
+            raise _UsageError(f"{flag} does nothing with --format {args.format}")
     if args.which in ("heatmap", "perqubit") and not (
             0.0 <= args.green_below <= args.red_above <= 1.0):  # also refuses nan
         raise _UsageError("thresholds must satisfy 0 <= --green-below <= --red-above <= 1, "
@@ -358,20 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="svg",
                        choices=("svg", "ppm", "csv") if p in grids else ("svg", "csv"))
         p.add_argument("--out", required=True, help="output path ('-' for stdout)")
-        if p in maps:
-            p.add_argument("--green-below", type=float, default=None,
-                           help="lower QVF threshold for the green band, svg and ppm "
-                                f"(default {GRID_STYLE_DEFAULTS['green_below']})")
-            p.add_argument("--red-above", type=float, default=None,
-                           help="upper QVF threshold for the red band, svg and ppm "
-                                f"(default {GRID_STYLE_DEFAULTS['red_above']})")
         if p in grids:
-            p.add_argument("--cell", type=int, default=None,
-                           help="cell size in px (svg) / px per cell (ppm) "
-                                f"(default {GRID_STYLE_DEFAULTS['cell']})")
+            p.set_defaults(given=())
         if p in maps:
-            p.add_argument("--overlay", action="store_true", default=None,
-                           help="mark fault angles matching common gates (X,Y,Z,S,T), svg only")
+            p.add_argument("--green-below", type=float, default=0.45, action=_StyleFlag,
+                           help="lower QVF threshold for the green band (svg, ppm)")
+            p.add_argument("--red-above", type=float, default=0.55, action=_StyleFlag,
+                           help="upper QVF threshold for the red band (svg, ppm)")
+        if p in grids:
+            p.add_argument("--cell", type=int, default=24, action=_StyleFlag,
+                           help="cell size in px (svg) / px per cell (ppm)")
+        if p in maps:
+            p.add_argument("--overlay", nargs=0, default=False, action=_StyleFlag,
+                           help="mark fault angles matching common gates (X,Y,Z,S,T) (svg)")
         p.add_argument("--in", dest="infile", required=True, help="record CSV")
 
     return parser

@@ -101,11 +101,16 @@ def initial_state(n_qubits: int, noise=None) -> np.ndarray:
 def _group_indices(n_qubits: int, targets: tuple):
     """Gather/scatter indices of a matrix on ``targets``: one array per
     sub-index a, the basis indices of each group's member whose target bits
-    spell a (bit k of a is ``targets[k]``)."""
-    base = np.arange(2 ** n_qubits)
+    spell a (bit k of a is ``targets[k]``), in ascending order.
+
+    The group bases (every target bit 0) come from counting with a zero bit
+    opened at each target, so a miss costs a few integer passes over 2^n,
+    no scan of all 2^n basis indices per target."""
+    base = np.arange(2 ** (n_qubits - len(targets)))
+    for q in sorted(targets):  # bits q and up move up one
+        base += base & -(1 << q)
     offs = [0]
     for q in targets:
-        base = base[(base >> q) & 1 == 0]
         offs += [o + (1 << q) for o in offs]
     return tuple(base + o for o in offs)
 
@@ -213,12 +218,15 @@ def check_state(state: np.ndarray, n_qubits: int, noise=None):
 
 
 def _clears_floor(mats: np.ndarray) -> bool:
-    """True when every matrix's smallest eigenvalue is above
-    EIGENVALUE_FLOOR + 1e-12: mats minus that times I has a finite
-    Cholesky factor.  The margin is far above Cholesky's rounding on a
-    unit-trace matrix, so a True here is one eigvalsh would agree with;
-    both read the lower triangle only."""
-    shift = (EIGENVALUE_FLOOR + 1e-12) * np.eye(mats.shape[-1])
+    """True when every d x d matrix's smallest eigenvalue is above
+    EIGENVALUE_FLOOR plus a margin: mats minus that times I has a finite
+    Cholesky factor.  The margin, max(1e-12, 4 d^2 eps), covers Cholesky's
+    backward error, at most d (d + 1) eps / 2 times the norm, which is about
+    1 for a unit-trace matrix, and eigvalsh's smaller one, so a True here is
+    one eigvalsh would agree with; both read the lower triangle only."""
+    d = mats.shape[-1]
+    margin = max(1e-12, 4 * d * d * np.finfo(float).eps)
+    shift = (EIGENVALUE_FLOOR + margin) * np.eye(d)
     try:
         return bool(np.isfinite(np.linalg.cholesky(mats - shift)).all())
     except np.linalg.LinAlgError:
@@ -234,42 +242,33 @@ def final_state(circuit: Circuit, noise=None) -> np.ndarray:
     return state
 
 
-@lru_cache(maxsize=8)  # an entry holds 2 * 2^n indices, 16 MiB at MAX_QUBITS
-def _marginal_index(n_qubits: int, measured: tuple):
-    """(keys, members): each basis index's packed index over the measured
-    qubits, and the basis indices by key, row j holding every key's j-th
-    smallest basis index."""
+@lru_cache(maxsize=8)  # an entry holds 2^n indices, 8 MiB at MAX_QUBITS
+def _marginal_members(n_qubits: int, measured: tuple) -> np.ndarray:
+    """The basis indices by measured-qubit index k, one column per k: row j
+    holds every k's j-th smallest basis index among those whose measured
+    qubits spell k."""
     idx = np.arange(2 ** n_qubits)
     keys = np.zeros_like(idx)
     for pos, q in enumerate(measured):
         keys |= ((idx >> q) & 1) << pos
-    members = np.argsort(keys, kind="stable").reshape(2 ** len(measured), -1).T.copy()
-    return keys, members
-
-
-#: a block's marginal of at least this many entries is summed one pass per
-#: row of members; on a vector or a smaller block a pass costs more than
-#: ``np.add.at`` does per entry, so that adds in the same order instead
-MIN_PASS_ENTRIES = 128
+    return np.argsort(keys, kind="stable").reshape(2 ** len(measured), -1).T.copy()
 
 
 def readout(state: np.ndarray, n_qubits: int, measured, noise=None) -> np.ndarray:
     """Probabilities over the measured qubits of a state, or of each column
     of a block: the basis probabilities, |amplitude|^2 or under ``noise`` the
     clipped diagonal of rho, summed from zero onto the measured-qubit
-    indices in basis-index order; under ``noise`` then through the readout
-    flips."""
+    indices in basis-index order, as ``np.add.at`` sums them; under
+    ``noise`` then through the readout flips."""
     if noise is None:
         probs = np.abs(state) ** 2
     else:
         probs = np.clip(state[_diagonal(n_qubits)].real, 0.0, None)
-    out = np.zeros((2 ** len(measured),) + probs.shape[1:])
-    keys, members = _marginal_index(n_qubits, tuple(measured))
-    if probs.ndim == 1 or out.size < MIN_PASS_ENTRIES:
-        np.add.at(out, keys, probs)
-    else:
-        for row in members:
-            out += probs[row]
+    members = probs[_marginal_members(n_qubits, tuple(measured))]
+    # a reduction over the leading axis adds the rows one at a time onto the
+    # initial zero, with no pairwise regrouping, because each row holds
+    # 2^m >= 2 entries: every circuit measures a qubit
+    out = np.add.reduce(members, axis=0, initial=0.0)
     return out if noise is None else apply_readout_flips(out, noise, measured)
 
 

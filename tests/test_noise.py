@@ -375,13 +375,17 @@ class TestDensityEvolution:
             check_state(indefinite.reshape(-1), 1, NoiseModel())
 
 
-def density_with_smallest(values, rng, d=4):
+def density_with_smallest(values, rng, d=4, top=None):
     """(d*d, len(values)) block of flat unit-trace Hermitian matrices in a
-    random eigenbasis, column j with smallest eigenvalue values[j]."""
+    random eigenbasis, column j with smallest eigenvalue values[j], the
+    rest of the trace spread evenly, or ``top`` of it on one eigenvalue."""
     cols = []
     for low in values:
         basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        eig = np.array([low] + [(1.0 - low) / (d - 1)] * (d - 1))
+        if top is None:
+            eig = np.array([low] + [(1.0 - low) / (d - 1)] * (d - 1))
+        else:
+            eig = np.array([low] + [(1.0 - low - top) / (d - 2)] * (d - 2) + [top])
         rho = (basis * eig) @ basis.conj().T
         cols.append(((rho + rho.conj().T) / 2).reshape(-1))
     return np.column_stack(cols)
@@ -399,11 +403,15 @@ def eigvalsh_verdict(block, floor):
 class TestEigenvalueScreen:
     """check_state's Cholesky screen gives eigvalsh's verdicts at the edges."""
 
+    @pytest.mark.parametrize("n", [2, 8])
     @pytest.mark.parametrize("floor", [-1e-8, 1e-3])
-    def test_verdicts_at_the_floor_match_eigvalsh(self, monkeypatch, floor):
+    def test_verdicts_at_the_floor_match_eigvalsh(self, monkeypatch, floor, n):
+        """At d = 4, and at d = 256 with half the trace on one eigenvalue,
+        where Cholesky's rounding is d^2 times larger."""
         monkeypatch.setattr("qvf.simulator.EIGENVALUE_FLOOR", floor)
         edges = [floor * (1 - 1e-3), floor * (1 + 1e-3), floor - 1e-13, floor + 1e-13, 0.1]
-        block = density_with_smallest(edges, np.random.default_rng(51))
+        block = density_with_smallest(edges, np.random.default_rng(51), d=2**n,
+                                      top=None if n == 2 else 0.5)
         verdicts = [eigvalsh_verdict(block[:, [j]], floor) for j in range(len(edges))]
         # below the floor fails and above it passes, whichever way floor*(1+-1e-3) lies
         assert [v is None for v in verdicts] == [e >= floor for e in edges]
@@ -416,10 +424,10 @@ class TestEigenvalueScreen:
                 cases.append((sub[:, 0], want and (want[0], None)))
             for state, expect in cases:
                 if expect is None:
-                    check_state(state, 2, NoiseModel())
+                    check_state(state, n, NoiseModel())
                     continue
                 with pytest.raises(SimulationError) as info:
-                    check_state(state, 2, NoiseModel())
+                    check_state(state, n, NoiseModel())
                 assert (str(info.value), info.value.column) == expect, pick
 
     def test_eigvalsh_runs_only_on_a_block_the_screen_cannot_clear(self, monkeypatch):

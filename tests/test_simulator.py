@@ -18,7 +18,6 @@ from qvf.noise import NoiseModel
 from qvf import simulator
 from qvf.simulator import (
     MAX_QUBITS,
-    MIN_PASS_ENTRIES,
     SimulationError,
     draw_counts,
     final_state,
@@ -201,15 +200,13 @@ def marginal_by_add_at(probs, n, measured):
     return out
 
 
-@pytest.mark.parametrize("n, measured, columns, passes", [
-    (3, (0, 2), None, False), (4, (3, 1, 0), None, False), (2, (), None, False),
-    (5, (1,), None, False), (3, (2,), 1, False), (4, (0, 1, 2), 5, False),
-    (4, (1, 3), 40, True), (5, (4,), 70, True), (3, (0, 1, 2), 20, True),
-    (5, (), 200, True),
+@pytest.mark.parametrize("n, measured, columns", [
+    (3, (0, 2), None), (4, (3, 1, 0), None), (2, (), None), (5, (1,), None),
+    (12, (5,), None), (3, (2,), 1), (4, (0, 1, 2), 5), (4, (1, 3), 40), (5, (4,), 70),
+    (3, (0, 1, 2), 20), (5, (), 200), (10, (3,), 64), (12, (0, 11), 2),
 ])
-def test_readout_sums_bitwise_as_np_add_at(n, measured, columns, passes):
-    # ``passes``: a block whose marginal readout sums one pass per member row
-    assert passes == (columns is not None and 2 ** len(measured) * columns >= MIN_PASS_ENTRIES)
+def test_readout_sums_bitwise_as_np_add_at(n, measured, columns):
+    # vectors and blocks, from one member row per outcome to 2048 of them
     rng = np.random.default_rng(61)
     shape = (2**n,) if columns is None else (2**n, columns)
     # magnitudes spread over 20 decades, so a different summation order shows
@@ -240,7 +237,7 @@ def test_index_caches_stay_bounded():
     sweeps = {
         simulator._group_indices: [(6, (q,)) for q in range(6)]
         + [(6, (a, b)) for a in range(6) for b in range(6) if a != b],
-        simulator._marginal_index: [
+        simulator._marginal_members: [
             (6, tuple(q for q in range(6) if mask >> q & 1)) for mask in range(64)],
         simulator._diagonal: [(n,) for n in range(16)],
     }
