@@ -116,16 +116,3 @@ class Circuit:
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "measured", measured)
         object.__setattr__(self, "correct_states", correct)
-
-    def with_metadata(self, name=None, correct_states=None) -> "Circuit":
-        """Copy with name and/or correct_states replaced."""
-        return Circuit(
-            self.n_qubits,
-            self.gates,
-            self.measured,
-            name=self.name if name is None else name,
-            correct_states=(
-                self.correct_states if correct_states is None
-                else frozenset(correct_states)
-            ),
-        )

@@ -16,6 +16,7 @@ record file, noise config), 4 simulation failure, 5 I/O failure.
 """
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -136,19 +137,18 @@ def _cmd_bench_build(args):
 def _cmd_campaign_run(args):
     """Stream rows to --out site block by site block; keep only the QVF column."""
     circuit = _load_circuit(args.circuit)
+    correct = circuit.correct_states
     if args.correct:
-        states = [s for chunk in args.correct for s in chunk.replace(",", " ").split()]
-        circuit = circuit.with_metadata(correct_states=states)
-    elif circuit.correct_states is None:
-        derived = _derived_correct(circuit)
+        correct = [s for chunk in args.correct for s in chunk.replace(",", " ").split()]
+    elif correct is None:
+        correct = _derived_correct(circuit)
         print(
-            f"note: no correct states given; derived {sorted(derived)} "
+            f"note: no correct states given; derived {sorted(correct)} "
             "from the noiseless output",
             file=sys.stderr,
         )
-        circuit = circuit.with_metadata(correct_states=derived)
-    if args.circuit_id:
-        circuit = circuit.with_metadata(name=args.circuit_id)
+    circuit = dataclasses.replace(circuit, name=args.circuit_id or circuit.name,
+                                  correct_states=correct)
 
     config = CampaignConfig(
         grid_step=args.grid_step,
@@ -225,6 +225,12 @@ def _grid_output(args, grid, out_path):
     _write_out(out_path, data)
 
 
+def _qubit_grid(grids, qubit):
+    if qubit not in grids:
+        raise _UsageError(f"no records for qubit {qubit}")
+    return grids[qubit]
+
+
 def _suffixed(path: str, tag: str) -> str:
     stem, ext = os.path.splitext(path)
     return f"{stem}_{tag}{ext}"
@@ -254,9 +260,7 @@ def _cmd_report(args):
     elif args.which == "perqubit":
         grids = metrics.aggregate_heatmap(table, "qubit")
         if args.qubit is not None:
-            if args.qubit not in grids:
-                raise _UsageError(f"no records for qubit {args.qubit}")
-            _grid_output(args, grids[args.qubit], args.out)
+            _grid_output(args, _qubit_grid(grids, args.qubit), args.out)
         else:
             for qubit, grid in sorted(grids.items()):
                 _grid_output(args, grid, _suffixed(args.out, f"q{qubit}"))
@@ -266,10 +270,7 @@ def _cmd_report(args):
             grid_b = metrics.aggregate_heatmap(read_table_file(args.in_b), "circuit")
         else:
             grids = metrics.aggregate_heatmap(table, "qubit")
-            for q in (args.qubit_a, args.qubit_b):
-                if q not in grids:
-                    raise _UsageError(f"no records for qubit {q}")
-            grid_a, grid_b = grids[args.qubit_a], grids[args.qubit_b]
+            grid_a, grid_b = (_qubit_grid(grids, q) for q in (args.qubit_a, args.qubit_b))
         _grid_output(args, metrics.delta_qvf(grid_a, grid_b), args.out)
     elif args.which == "timeline":
         series = metrics.timeline(table, args.theta, args.phi)
@@ -356,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     hist.add_argument("--bins", type=int, default=50)
     # thresholds and the overlay are for mean-QVF maps: delta has its own scale
     maps, grids = (heatmap, perqubit), (heatmap, perqubit, delta)
+    green, red = render.DEFAULT_THRESHOLDS
     for p in (heatmap, perqubit, delta, timeline, hist):
         p.add_argument("--format", default="svg",
                        choices=("svg", "ppm", "csv") if p in grids else ("svg", "csv"))
@@ -363,12 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
         if p in grids:
             p.set_defaults(given=())
         if p in maps:
-            p.add_argument("--green-below", type=float, default=0.45, action=_StyleFlag,
+            p.add_argument("--green-below", type=float, default=green, action=_StyleFlag,
                            help="lower QVF threshold for the green band (svg, ppm)")
-            p.add_argument("--red-above", type=float, default=0.55, action=_StyleFlag,
+            p.add_argument("--red-above", type=float, default=red, action=_StyleFlag,
                            help="upper QVF threshold for the red band (svg, ppm)")
         if p in grids:
-            p.add_argument("--cell", type=int, default=24, action=_StyleFlag,
+            p.add_argument("--cell", type=int, default=render.DEFAULT_CELL, action=_StyleFlag,
                            help="cell size in px (svg) / px per cell (ppm)")
         if p in maps:
             p.add_argument("--overlay", nargs=0, default=False, action=_StyleFlag,

@@ -105,7 +105,7 @@ class CampaignConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        grid_degrees(self.grid_step)  # validates the step
+        _grid_axes(self.grid_step)  # validates the step
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if self.jobs < 1:
@@ -124,6 +124,13 @@ def enumerate_sites(circuit: Circuit):
     return [FaultSite(gi, q) for gi, gate in enumerate(circuit.gates) for q in gate.qubits]
 
 
+def _grid_axes(step):
+    """The (theta, phi) axes of the sweep lattice, in degrees."""
+    if step < 1 or 360 % step != 0:
+        raise ValueError(f"grid step {step} is not a positive divisor of 360")
+    return range(0, 181, step), range(0, 360, step)
+
+
 def grid_degrees(step: int = 15):
     """(theta_deg, phi_deg) integer pairs of the sweep lattice.
 
@@ -132,19 +139,18 @@ def grid_degrees(step: int = 15):
     element is (0, 0).  A 15 degree step gives 13 * 24 = 312 points.
     ``step`` must be a positive divisor of 360.
     """
-    if step < 1 or 360 % step != 0:
-        raise ValueError(f"grid step {step} is not a positive divisor of 360")
-    return [(t, p) for t in range(0, 181, step) for p in range(0, 360, step)]
+    thetas, phis = _grid_axes(step)
+    return [(t, p) for t in thetas for p in phis]
 
 
 def grid_matrices(step: int = 15) -> np.ndarray:
     """The (G, 2, 2) canonical u(theta, phi, 0) matrices in :func:`grid_degrees`
     order, bit for bit as a u Gate holds them: :func:`qvf.gates.u_matrix`'s
     scalar calls run once per theta and once per phi, then broadcast."""
-    grid_degrees(step)  # validates the step
+    theta_degs, phi_degs = _grid_axes(step)
     lam = 0.0
-    halves = [0.5 * canonical_u_params(math.radians(t), 0.0, lam)[0] for t in range(0, 181, step)]
-    phis = [canonical_u_params(0.0, math.radians(p), lam)[1] for p in range(0, 360, step)]
+    halves = [0.5 * canonical_u_params(math.radians(t), 0.0, lam)[0] for t in theta_degs]
+    phis = [canonical_u_params(0.0, math.radians(p), lam)[1] for p in phi_degs]
     c = np.array([math.cos(h) for h in halves])
     s = np.array([math.sin(h) for h in halves])
     phase = np.array([cmath.exp(1j * p) for p in phis])  # exp(i*(phi + lam)) too

@@ -112,8 +112,7 @@ class _Parser:
     # -- grammar ------------------------------------------------------
 
     def parse(self) -> Circuit:
-        qreg = None  # (name, size)
-        creg = None
+        regs = {"qreg": None, "creg": None}  # keyword -> (name, size)
         gates = []
         measures = {}  # classical bit -> qubit
         measured_qubits = set()
@@ -136,21 +135,16 @@ class _Parser:
             if tok[0] != "id":
                 self.error(f"expected a statement, got {tok[1]!r}")
             keyword = tok[1]
-            if keyword == "qreg":
-                if qreg is not None:
-                    self.error("only one qreg is supported", tok)
+            if keyword in regs:
+                if regs[keyword] is not None:
+                    self.error(f"only one {keyword} is supported", tok)
                 self.next()
-                qreg = self._register_decl()
-            elif keyword == "creg":
-                if creg is not None:
-                    self.error("only one creg is supported", tok)
-                self.next()
-                creg = self._register_decl()
+                regs[keyword] = self._register_decl()
             elif keyword == "measure":
                 self.next()
-                qb = self._indexed_ref(qreg, "qreg", tok)
+                qb = self._indexed_ref(regs["qreg"], "qreg", tok)
                 self.expect("arrow", what="->")
-                cb = self._indexed_ref(creg, "creg", tok)
+                cb = self._indexed_ref(regs["creg"], "creg", tok)
                 if cb in measures:
                     self.error(f"classical bit {cb} written twice", tok)
                 if qb in measured_qubits:
@@ -160,11 +154,11 @@ class _Parser:
                 self.expect("sym", ";")
             elif keyword in SIGNATURES:
                 self.next()
-                gates.append(self._gate(keyword, qreg, tok))
+                gates.append(self._gate(keyword, regs["qreg"], tok))
             else:
                 self.error(f"unknown gate or statement {keyword!r}", tok)
 
-        if qreg is None:
+        if regs["qreg"] is None:
             self.error("program declares no qreg")
         if not measures:
             self.error("program measures no qubits")
@@ -172,7 +166,7 @@ class _Parser:
         correct = self.meta["correct"]
         try:  # every other check passed above, so only the correct states can fail
             return Circuit(
-                qreg[1],
+                regs["qreg"][1],
                 tuple(gates),
                 measured,
                 name=self.meta["name"],

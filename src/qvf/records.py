@@ -120,32 +120,32 @@ class BlockWriter:
         self._id = _csv_text([baseline.circuit_id, ""])
         self._key = _csv_text(["", baseline.mode, baseline.shots, baseline.seed, ""])
         fmt = cache(_fmt_angle)  # equal angles format alike, even 0 and -0.0
-        self._angles = [f"{fmt(t)},{fmt(p)}{self._key}" for t, p in angles]
-        base = repr(float(baseline.baseline_qvf))
-        self._tails = (f",{base},0\n", f",{base},1\n")
         b = baseline
-        row = (f"{self._id}{b.site_index},{b.gate_index},{b.qubit},"
-               f"{_fmt_angle(b.theta_deg)},{_fmt_angle(b.phi_deg)}{self._key}"
-               + ",".join(repr(float(v)) for v in (b.pst, b.p_b, b.contrast, b.qvf)))
-        stream.write(f"{SCHEMA_LINE}\n{','.join(COLUMNS)}\n{row}{self._tails[b.improved]}")
+        base_angle, *self._angles = [f"{fmt(t)},{fmt(p)}{self._key}"
+                                     for t, p in [(b.theta_deg, b.phi_deg), *angles]]
+        base = repr(float(b.baseline_qvf))
+        self._tails = (f",{base},0\n", f",{base},1\n")
+        stream.write(f"{SCHEMA_LINE}\n{','.join(COLUMNS)}\n")
+        self._rows(b.site_index, b, [base_angle],
+                   [b.pst], [b.p_b], [b.contrast], [b.qvf], [b.improved])
 
     def write(self, site_index, site, pst, p_b, contrast, qvf, improved):
-        """One site's rows; the five score arrays run over ``angles``."""
+        """One site's rows over ``angles``; score arrays of another length raise ValueError."""
+        self._rows(site_index, site, self._angles, pst, p_b, contrast, qvf, improved.tolist())
+
+    def _rows(self, site_index, site, angles, pst, p_b, contrast, qvf, flags):
+        """Write one row per entry of ``angles``; ``site`` may be the baseline record."""
         head = f"{self._id}{site_index},{site.gate_index},{site.qubit},"
         tails = self._tails
         self._stream.write("".join([
             f"{head}{angle}{a},{b},{c},{q}{tails[flag]}"
             for angle, a, b, c, q, flag in zip(
-                self._angles, *_texts(pst, p_b, contrast, qvf), improved.tolist())
+                angles, *_texts(pst, p_b, contrast, qvf), flags, strict=True)
         ]))
 
 
 #: rows parsed per chunk, so a large file is never held as strings at once
 CHUNK_ROWS = 1024
-
-#: dtype per field; the campaign key columns keep their Python values
-_DTYPES = (object, np.int64, np.int64, np.int64, float, float, object,
-           object, object, float, float, float, float, float, bool)
 
 
 def _python_ints(text):
@@ -240,9 +240,9 @@ def _chunk_columns(rows, first_line):
         raise
 
 
-#: one row for np.loadtxt: improved_flag as int64, the key columns as str
-_ROW = np.dtype([(name, np.int64 if dtype is bool else dtype)
-                 for name, dtype in zip(COLUMNS, _DTYPES)])
+#: one row for np.loadtxt, each field of the dtype its converter gives:
+#: improved_flag as int64, the key columns (object) as str
+_ROW = np.dtype([(name, convert(["0"]).dtype) for name, convert in zip(COLUMNS, _CONVERTERS)])
 
 def _loadtxt_columns(lines, size):
     """Checked columns of quote-free lines, ``size`` characters in all,
@@ -262,9 +262,9 @@ def _loadtxt_columns(lines, size):
             rows = np.loadtxt(lines, delimiter=",", dtype=_ROW, comments=None,
                               quotechar=None, ndmin=1)
         cols = []
-        for name, dtype, convert in zip(COLUMNS, _DTYPES, _CONVERTERS):
+        for name, convert in zip(COLUMNS, _CONVERTERS):
             col = rows[name]
-            if dtype is object:  # a campaign key column
+            if col.dtype == object:  # a campaign key column
                 if (col != col[0]).any():
                     return None
                 key = np.empty(len(col), dtype=object)

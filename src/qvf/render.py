@@ -30,6 +30,7 @@ REFERENCE_GATES = (
 )
 
 DEFAULT_THRESHOLDS = (0.45, 0.55)
+DEFAULT_CELL = 24  # px per cell of an SVG grid
 
 #: largest PPM a report renders, in pixels: 24 px cells on a 1 degree grid
 #: (8,640 x 4,344) fit, an image that would need gigabytes does not
@@ -115,6 +116,8 @@ _MARGIN_LEFT = 64
 _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 58
 _MARGIN_RIGHT = 24
+#: width and height in px of a timeline or histogram chart, then of its plot area
+_CHART = (560, 300, 560 - _MARGIN_LEFT - _MARGIN_RIGHT, 300 - _MARGIN_TOP - _MARGIN_BOTTOM)
 
 
 def _svg(width: int, height: int, title: str, body: list) -> str:
@@ -205,12 +208,12 @@ def _grid_svg(grid: HeatmapGrid, color_fn, legend, title, cell: int, overlay: bo
 
 def render_heatmap_svg(grid: HeatmapGrid, title=None,
                        thresholds=DEFAULT_THRESHOLDS, overlay=False,
-                       cell: int = 24) -> str:
+                       cell: int = DEFAULT_CELL) -> str:
     return _grid_svg(grid, *_qvf_scale(thresholds),
                      title or f"mean QVF ({grid.group})", cell, overlay)
 
 
-def render_delta_svg(grid: HeatmapGrid, title=None, cell: int = 24) -> str:
+def render_delta_svg(grid: HeatmapGrid, title=None, cell: int = DEFAULT_CELL) -> str:
     return _grid_svg(grid, *_delta_scale(grid),
                      title or f"delta QVF ({grid.group})", cell, False)
 
@@ -245,11 +248,9 @@ _SERIES_COLORS = (
 )
 
 
-def render_timeline_svg(series: dict, title: str, width: int = 560,
-                        height: int = 300) -> str:
+def render_timeline_svg(series: dict, title: str) -> str:
     """Per-qubit QVF-vs-gate-index polylines for one fixed fault."""
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    width, height, plot_w, plot_h = _CHART
     xs = [gi for points in series.values() for gi, _ in points]
     x_min, x_max = min(xs), max(xs)
     span = (x_max - x_min) or 1
@@ -302,10 +303,8 @@ def timeline_csv(series: dict) -> str:
     return _lines(lines)
 
 
-def render_hist_svg(stats: HistogramStats, title: str, width: int = 560,
-                    height: int = 300) -> str:
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+def render_hist_svg(stats: HistogramStats, title: str) -> str:
+    width, height, plot_w, plot_h = _CHART
     peak = max(stats.counts) or 1
     bins = len(stats.counts)
     out = [

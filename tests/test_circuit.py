@@ -1,5 +1,6 @@
 """Structural validation and the bitstring convention."""
 
+import dataclasses
 import math
 
 import pytest
@@ -41,6 +42,10 @@ class TestGate:
         assert 0.0 <= g.params[0] <= math.pi
         assert math.isclose(g.params[0], math.pi / 2)
 
+    def test_negative_qubit(self):
+        with pytest.raises(CircuitError, match="negative qubit index"):
+            Gate("h", (-1,))
+
     def test_bad_arity(self):
         with pytest.raises(CircuitError):
             Gate("h", (0, 1))
@@ -67,6 +72,10 @@ class TestCircuit:
         c = Circuit(2, [("h", (0,), ()), ("cx", (0, 1), ())], (0, 1))
         assert all(isinstance(g, Gate) for g in c.gates)
 
+    def test_needs_a_qubit(self):
+        with pytest.raises(CircuitError, match="circuit needs at least one qubit"):
+            Circuit(0, [], (0,))
+
     def test_target_out_of_range(self):
         with pytest.raises(CircuitError):
             Circuit(2, [("h", (2,), ())], (0,))
@@ -91,8 +100,11 @@ class TestCircuit:
 
     def test_with_metadata(self):
         c = Circuit(1, [("h", (0,), ())], (0,))
-        named = c.with_metadata(name="coin", correct_states={"0"})
+        named = dataclasses.replace(c, name="coin", correct_states={"0"})
         assert named.name == "coin"
         assert named.correct_states == frozenset({"0"})
         assert c.name is None and c.correct_states is None
         assert named.gates == c.gates
+        # the copy is validated like any other circuit
+        with pytest.raises(CircuitError, match="bad correct state"):
+            dataclasses.replace(c, correct_states={"01"})

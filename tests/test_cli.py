@@ -76,6 +76,11 @@ class TestBench:
         assert circuit.name == "bv-101"
         assert circuit.correct_states == frozenset({"101"})
 
+    def test_build_dj_constant_round_trips(self, capsys):
+        assert main(["bench", "build", "dj", "--oracle", "constant", "--bit", "1"]) == 0
+        circuit = parse_qasm(capsys.readouterr().out)
+        assert circuit.gates == qvf.build_deutsch_jozsa("constant", bit=1).gates
+
     def test_build_rejects_bad_secret(self, capsys):
         assert main(["bench", "build", "bv", "--secret", "21"]) == EXIT_PARSE
         assert "error:" in capsys.readouterr().err
@@ -229,6 +234,17 @@ class TestReports:
         assert main(["report", "perqubit", "--in", str(bv_csv), "--qubit", "2",
                      "--out", "-"]) == 0
         assert capsys.readouterr().out.startswith("<svg")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("options", [
+        ["perqubit", "--qubit", "9"],
+        ["delta", "--qubit-a", "0", "--qubit-b", "9"],
+        ["delta", "--qubit-a", "9", "--qubit-b", "0"],
+    ])
+    def test_absent_qubit_is_a_usage_error(self, bv_csv, tmp_path, capsys, options):
+        out = tmp_path / "absent.svg"
+        assert main(["report", *options, "--in", str(bv_csv), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: no records for qubit 9\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_delta_between_qubits(self, bv_csv, tmp_path):

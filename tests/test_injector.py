@@ -126,7 +126,7 @@ def with_correct_state(rng, circuit):
     if circuit.correct_states is not None:
         return circuit
     width = len(circuit.measured)
-    return circuit.with_metadata(correct_states={
+    return dataclasses.replace(circuit, correct_states={
         oracles.bitstring(int(rng.integers(2 ** width)), width)
     })
 
@@ -315,8 +315,8 @@ class TestCorrectMask:
                 width = len(c.measured)
                 size = int(rng.integers(1, min(2, 2 ** width) + 1))
                 picked = rng.choice(2 ** width, size=size, replace=False)
-                c = c.with_metadata(
-                    correct_states={oracles.bitstring(int(i), width) for i in picked}
+                c = dataclasses.replace(
+                    c, correct_states={oracles.bitstring(int(i), width) for i in picked}
                 )
             out.append(c)
         assert any(len(c.correct_states) == 2 for c in out)
@@ -413,11 +413,10 @@ def _fixed_kernel_cases():
     wide = Circuit(9, spread + random_gates(rng, 9, 14), (4, 0, 7, 2),
                    correct_states={"0110"})
     assert len(grid_degrees(15)) * 2 ** wide.n_qubits > 2 * BLOCK_AMPLITUDES
-    quoted = [
-        (with_correct_state(rng, random_circuit(rng, max_qubits=4, max_gates=8))
-         .with_metadata(name=cid), 90, None)
-        for cid in QUOTED_IDS
-    ]
+    quoted = []
+    for cid in QUOTED_IDS:
+        circuit = with_correct_state(rng, random_circuit(rng, max_qubits=4, max_gates=8))
+        quoted.append((dataclasses.replace(circuit, name=cid), 90, None))
     return (wide, 15, (3, 11)), quoted
 
 

@@ -238,6 +238,10 @@ class TestAggregations:
         with pytest.raises(MetricsError):
             delta_qvf(a, other)
 
+    def test_grid_cells_must_match_the_axes(self):
+        with pytest.raises(MetricsError, match="cell block does not match the axes"):
+            HeatmapGrid((0,), (0, 1), np.zeros((1, 1)))
+
     def test_timeline_orders_by_depth(self):
         records = [
             rec(site_index=2, gate_index=5, qubit=0, theta_deg=90, qvf=0.3),

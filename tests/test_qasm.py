@@ -116,6 +116,20 @@ class TestParseErrors:
         err = self.check(text, f"line {line}, col {col}: {fragment}", line=line)
         assert err.col == col
 
+    @pytest.mark.parametrize("text, message", [
+        ("qreg q[1] creg c[1];", "line 1, col 11: expected ;, got 'creg'"),
+        ("qreg q[1.5]; creg c[1];", "line 1, col 8: register size must be an integer"),
+        ("qreg q[1]; creg c[1]; 3 q[0];", "line 1, col 23: expected a statement, got '3'"),
+        ("qreg q[1]; creg c[1]; creg d[1];", "line 1, col 23: only one creg is supported"),
+        ("creg c[1];", "line 1, col 1: program declares no qreg"),
+        ("qreg q[1]; creg c[1]; u(pi/x, 0, 0) q[0]; measure q[0] -> c[0];",
+         "line 1, col 28: expected a number after '/'"),
+    ])
+    def test_statement_errors(self, text, message):
+        with pytest.raises(QasmError) as ei:
+            parse_qasm(text)
+        assert str(ei.value) == message
+
     def test_unknown_statement_position(self):
         err = self.check("qreg q[1];\ncreg c[1];\nbogus q[0];\nmeasure q[0] -> c[0];", "bogus", line=3)
         assert err.col == 1

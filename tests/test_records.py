@@ -348,6 +348,29 @@ def test_block_writer_formats_each_distinct_value_as_the_oracle(angles, columns)
     assert buf.getvalue() == oracles.record_csv(rows)
 
 
+def test_block_writer_baseline_row_formats_as_the_oracle():
+    baseline = QvfRecord("synthetic", -1, -1, -1, -0.0, 22.5, "sampled", 64, 2 ** 70,
+                         5e-324, -0.0, 0.1, 1.0, 0.3, True)
+    buf = io.StringIO()
+    BlockWriter(buf, baseline, grid_degrees(90))
+    assert buf.getvalue() == oracles.record_csv([baseline])
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_block_writer_refuses_a_block_unlike_the_angles(extra):
+    # a block cut short or run long would write a site with the wrong rows
+    angles = grid_degrees(90)
+    baseline = QvfRecord("synthetic", -1, -1, -1, 0.0, 0.0, "exact", 0, 7,
+                         1.0, 0.0, 1.0, 0.0, 0.0, False)
+    buf = io.StringIO()
+    writer = BlockWriter(buf, baseline, angles)
+    head = buf.getvalue()
+    cols = [np.full(len(angles) + extra, 0.5) for _ in range(4)]
+    with pytest.raises(ValueError):
+        writer.write(0, FaultSite(0, 0), *cols, cols[3] < 0.5)
+    assert buf.getvalue() == head
+
+
 def test_reader_memory_per_row(tmp_path):
     # key columns share one object per chunk and no csv row lists are kept
     path = tmp_path / "dj10.csv"

@@ -6,6 +6,7 @@ import importlib
 import math
 import pkgutil
 import re
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +52,13 @@ def _resolve(dotted):
     raise ImportError(dotted)
 
 
-def test_readme_library_names_resolve():
+def _readme_library_section():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_names_resolve():
+    section = _readme_library_section()
     names = sorted(set(re.findall(r"(?<![\w.])qvf(?:\.\w+)+", section)))
     assert "qvf.measured_probabilities" in names
     for dotted in names:
@@ -61,6 +66,16 @@ def test_readme_library_names_resolve():
             _resolve(dotted)
         except (ImportError, AttributeError) as exc:
             pytest.fail(f"README names {dotted}, which does not resolve: {exc}")
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch):
+    code = _readme_library_section().split("```python\n", 1)[1].split("```", 1)[0]
+    noise = resources.files("qvf") / "data" / "representative_noise.ini"
+    (tmp_path / "noise.ini").write_text(noise.read_text(encoding="utf-8"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert len(namespace["faults"]) == len(qvf.enumerate_sites(namespace["circ"])) * 312
 
 
 def test_oracles_share_no_code_with_the_package():
