@@ -78,21 +78,6 @@ def canonical_u_params(theta: float, phi: float, lam: float):
     return theta, phi % TWO_PI, lam % TWO_PI
 
 
-#: gate name -> (number of targets, number of parameters)
-SIGNATURES = {
-    "h": (1, 0),
-    "x": (1, 0),
-    "y": (1, 0),
-    "z": (1, 0),
-    "s": (1, 0),
-    "sdg": (1, 0),
-    "t": (1, 0),
-    "tdg": (1, 0),
-    "u": (1, 3),
-    "cx": (2, 0),
-    "cz": (2, 0),
-}
-
 _FIXED = {
     "h": H,
     "x": X,
@@ -105,6 +90,9 @@ _FIXED = {
     "cx": CX,
     "cz": CZ,
 }
+
+#: gate name -> (number of targets, number of parameters)
+SIGNATURES = {name: (len(m).bit_length() - 1, 0) for name, m in _FIXED.items()} | {"u": (1, 3)}
 
 
 def gate_matrix(name: str, params=()) -> np.ndarray:

@@ -24,12 +24,15 @@ A site is swept as one block: the state after the site's gate is
 computed once and copied into a (2^n, G) block with one column per grid
 point, the G fault rotations act on it in one broadcast step, and the
 remaining gates run on the whole block (in column chunks of at most
-``BLOCK_AMPLITUDES`` entries).  Under noise the block holds flat density
-matrices, (4^n, G) in the layout of :mod:`qvf.simulator`, which alone
-decides the state kind from the campaign's noise model; every gate's
-steps are compiled once per campaign.  Every column undergoes exactly the
-floating-point operations that simulating its faulted circuit alone
-would, so each record scores, bit for bit, what
+``BLOCK_AMPLITUDES`` entries).  The baseline is site -1 of the same
+sweep: the whole program on the initial state, in one column with no
+fault.  Under noise the block holds flat density matrices, (4^n, G) in
+the layout of :mod:`qvf.simulator`, which alone decides the state kind
+from the campaign's noise model.  Every step is compiled once per
+campaign, the fault's once per faulted qubit as a (G, d, d) stack that
+each chunk slices.  Every column undergoes exactly the floating-point
+operations that simulating its faulted circuit alone would, so each
+record scores, bit for bit, what
 :func:`qvf.simulator.measured_probabilities` gives for that circuit.
 """
 
@@ -51,7 +54,6 @@ from .simulator import (
     evolve,
     gate_steps,
     initial_state,
-    measured_probabilities,
     readout,
 )
 
@@ -183,17 +185,6 @@ def _record_seed(campaign_seed: int, site_index: int, grid_index: int):
     return np.random.SeedSequence([campaign_seed, site_index + 1, grid_index])
 
 
-def _block(circuit, noise, program, site, prefix, rotations):
-    """Measured probabilities of a site's faulted circuits, one column per
-    fault rotation, from the state after the site's gate."""
-    n = circuit.n_qubits
-    block = np.repeat(prefix[:, None], len(rotations), axis=1)
-    fault = gate_steps("u", rotations, (site.qubit,), n, noise)
-    evolve(block, n, [fault] + program[site.gate_index + 1:], noise)
-    check_state(block, n, noise)
-    return readout(block, n, circuit.measured, noise)
-
-
 def _mode_probs(probs, config, site_index, start):
     """Apply the campaign mode to a block of exact probabilities whose
     columns are grid points ``start``, ``start + 1``, ... of a site: shot
@@ -213,20 +204,30 @@ SiteBlock = namedtuple("SiteBlock", "site_index site pst p_b contrast qvf improv
 
 
 def _site_worker(args):
-    """The :class:`SiteBlock` of one site; runs in a worker process."""
-    circuit, config, mask, site_index, site, mats, program, baseline_qvf = args
+    """The :class:`SiteBlock` of one site; runs in a worker process.  The
+    baseline is site -1 with no ``fault``: one column, no fault step, and a
+    :class:`SimulationError` of its own escapes unwrapped."""
+    circuit, config, mask, program, site_index, site, fault, baseline_qvf = args
+    n, noise = circuit.n_qubits, config.noise
     columns = []
     try:
-        n = circuit.n_qubits
-        prefix = evolve(initial_state(n, config.noise), n,
-                        program[:site.gate_index + 1], config.noise)
+        prefix = evolve(initial_state(n, noise), n, program[:site.gate_index + 1], noise)
+        width = 1 if fault is None else len(fault[0])
         chunk = max(1, BLOCK_AMPLITUDES // prefix.size)
-        for start in range(0, len(mats), chunk):
-            rotations = mats[start:start + chunk]
-            probs = _block(circuit, config.noise, program, site, prefix, rotations)
+        for start in range(0, width, chunk):
+            block = np.repeat(prefix[:, None], min(chunk, width - start), axis=1)
+            steps = program[site.gate_index + 1:]
+            if fault is not None:
+                stack, qubits = fault
+                steps = [("u", [(stack[start:start + chunk], qubits)])] + steps
+            evolve(block, n, steps, noise)
+            check_state(block, n, noise)
+            probs = readout(block, n, circuit.measured, noise)
             s = score(_mode_probs(probs, config, site_index, start), mask)
             columns.append((s.pst, s.p_b, s.contrast, s.qvf))
     except SimulationError as exc:
+        if fault is None:
+            raise
         where = f"site {site_index} (gate {site.gate_index}, qubit {site.qubit})"
         if exc.column is not None:
             where += " at theta {}, phi {}".format(
@@ -235,15 +236,6 @@ def _site_worker(args):
     pst, p_b, contrast, qvf = map(np.concatenate, zip(*columns))
     return SiteBlock(site_index, site, pst, p_b, contrast, qvf,
                      qvf < baseline_qvf - IMPROVED_MARGIN)
-
-
-def baseline_record(circuit: Circuit, config: CampaignConfig) -> QvfRecord:
-    """Fault-free reference row, evaluated with the campaign settings."""
-    probs = measured_probabilities(circuit, config.noise)[:, None]
-    s = score(_mode_probs(probs, config, -1, 0)[:, 0], _correct_mask(circuit))
-    return QvfRecord(circuit.name or "circuit", -1, -1, -1, 0.0, 0.0,
-                     config.mode, config.shots if config.mode == "sampled" else 0,
-                     config.seed, s.pst, s.p_b, s.contrast, s.qvf, s.qvf, False)
 
 
 def _pooled(jobs, workers):
@@ -267,13 +259,17 @@ def campaign_blocks(circuit: Circuit, config: CampaignConfig = CampaignConfig())
             if not 0 <= s < len(all_sites):
                 raise CampaignError(f"site index {s} out of range")
         picked = [(s, all_sites[s]) for s in config.sites]
-    base = baseline_record(circuit, config)
+    n, noise = circuit.n_qubits, config.noise
+    shared = (circuit, config, mask, compile_steps(circuit.gates, n, noise))
+    b = _site_worker(shared + (-1, FaultSite(-1, -1), None, -math.inf))  # never improved
+    pst, p_b, contrast, qvf = (float(v[0]) for v in (b.pst, b.p_b, b.contrast, b.qvf))
+    base = QvfRecord(circuit.name or "circuit", -1, -1, -1, 0.0, 0.0,
+                     config.mode, config.shots if config.mode == "sampled" else 0,
+                     config.seed, pst, p_b, contrast, qvf, qvf, False)
     mats = grid_matrices(config.grid_step)
-    program = compile_steps(circuit.gates, circuit.n_qubits, config.noise)
-    jobs = [
-        (circuit, config, mask, idx, site, mats, program, base.qvf)
-        for idx, site in picked
-    ]
+    faults = {q: gate_steps("u", mats, (q,), n, noise)[1][0]  # noiseless, mats itself
+              for q in {site.qubit for _, site in picked}}
+    jobs = [shared + (idx, site, faults[site.qubit], qvf) for idx, site in picked]
     if config.jobs == 1 or len(jobs) == 1:
         return base, map(_site_worker, jobs)
     return base, _pooled(jobs, config.jobs)

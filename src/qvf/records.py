@@ -98,7 +98,7 @@ def _csv_text(fields) -> str:
 def _texts(*columns):
     """The ``repr`` texts of float columns, one list per column, with one
     call per distinct bit pattern (-0.0 and 0.0 are equal, not alike)."""
-    values = np.concatenate(columns, dtype=float)
+    values = np.array(columns, dtype=float).ravel()  # unequal lengths raise ValueError
     _, first, index = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
     texts = np.array([repr(v) for v in values[first].tolist()], dtype=object)[index]
     return texts.reshape(len(columns), -1).tolist()
@@ -130,7 +130,7 @@ class BlockWriter:
                    [b.pst], [b.p_b], [b.contrast], [b.qvf], [b.improved])
 
     def write(self, site_index, site, pst, p_b, contrast, qvf, improved):
-        """One site's rows over ``angles``; score arrays of another length raise ValueError."""
+        """One site's rows over ``angles``; any array of another length raises ValueError."""
         self._rows(site_index, site, self._angles, pst, p_b, contrast, qvf, improved.tolist())
 
     def _rows(self, site_index, site, angles, pst, p_b, contrast, qvf, flags):

@@ -3,6 +3,7 @@
 import builtins
 import errno
 import gc
+import hashlib
 import os
 import re
 import subprocess
@@ -86,7 +87,33 @@ class TestBench:
         assert "error:" in capsys.readouterr().err
 
 
+#: SHA-256 of the noiseless 15-degree campaign files (``--jobs 1``), as
+#: recorded with Python 3.11.7 and numpy 2.4.6, by (benchmark, extra flags)
+GOLDEN_DIGESTS = {
+    ("bv", ()): "f47ba4152913ca9589f8de3bcf11d12dde58b11d8222d20cddae687b8e4e0bd3",
+    ("dj", ()): "ab6d925ce8146ad66dee56c17e83f6b9444569fcdf49ee6d148456c9c031f9e4",
+    ("grover", ()): "5039c1aadd2c0ad7dc0027a3a729218e5ce5a23acaa2cb13cf316e5b0a775afa",
+    ("bv", ("--mode", "sampled", "--seed", "5")):
+        "a3496397273c4a8d3ccdfaa5ec6272167e5a2c325dc57dd6af704e69ccaf330f",
+    ("dj", ("--mode", "sampled", "--seed", "5")):
+        "a3426c186011717073de5b42f6e35262057e902700db0ab81978a6b7f53b5ecd",
+    ("grover", ("--mode", "sampled", "--seed", "5")):
+        "7d1025ba40858115d2b48ce5cfc5824104930cf422e64b3be5bb6ceb05cc939f",
+}
+
+
 class TestCampaign:
+    @pytest.mark.parametrize("bench, extra", GOLDEN_DIGESTS)
+    def test_noiseless_files_are_byte_identical_to_recorded_ones(self, tmp_path, bench, extra):
+        # the other campaign tests compare against references built from the
+        # same simulator, so only a recorded digest pins the bytes themselves
+        # (noisy files are left out: their last bits may move)
+        path = tmp_path / "out.csv"
+        assert main(["campaign", "run", bench, "--grid-step", "15", "--jobs", "1",
+                     "--out", str(path), *extra]) == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[bench, extra]
+
     def test_summary_and_file(self, grover_csv, capsys):
         table = read_table_file(grover_csv)
         assert len(table) == 1 + 18 * 12
@@ -548,7 +575,8 @@ class TestExitCodes:
     ])
     def test_oversized_circuit(self, tmp_path, capsys, n_qubits, extra):
         # refused before any state is allocated: 2^40 amplitudes, or a
-        # 4^12-entry density matrix under noise
+        # 4^12-entry density matrix under noise; the baseline's own error
+        # is not wrapped as a failing site
         src = tmp_path / "wide.qasm"
         src.write_text(f"qreg q[{n_qubits}]; creg c[1]; h q[0]; cx q[0],q[1]; "
                        "measure q[0] -> c[0];")
@@ -556,7 +584,9 @@ class TestExitCodes:
         code = main(["campaign", "run", str(src), "--grid-step", "90",
                      "--jobs", "1", "--out", str(out)] + extra)
         assert code == EXIT_SIMULATION
-        assert "error:" in capsys.readouterr().err
+        limit = {40: "20 for a state vector", 12: "10 for a density matrix"}[n_qubits]
+        assert capsys.readouterr().err == (
+            f"error: {n_qubits} qubits exceed the simulator's limit of {limit}\n")
         assert sorted(tmp_path.iterdir()) == [src]
 
     def test_simulation_error(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 from importlib import resources
 from itertools import zip_longest
 
@@ -27,7 +28,6 @@ from qvf.injector import (
     CampaignConfig,
     CampaignError,
     FaultSite,
-    baseline_record,
     campaign_blocks,
     enumerate_sites,
     grid_degrees,
@@ -36,7 +36,7 @@ from qvf.injector import (
 from qvf.gates import canonical_u_params, gate_matrix
 from qvf.metrics import score
 from qvf.noise import NoiseModel, load_noise_config
-from qvf import simulator
+from qvf import injector, simulator
 from qvf.records import QvfRecord
 from qvf.simulator import draw_counts, measured_probabilities
 
@@ -231,7 +231,9 @@ class TestCampaign:
         # an identity fault still adds a noisy gate, so it scores worse
         noise = NoiseModel(default_depolarizing=0.01)
         c = build_grover()
-        base = baseline_record(c, CampaignConfig(noise=noise))
+        mask = np.zeros(4, dtype=bool)
+        mask[[bitstring_to_index(s) for s in c.correct_states]] = True
+        base = score(measured_probabilities(c, noise), mask)
         records = campaign_list(c, grid_step=90, noise=noise)
         identity_rows = [
             r for r in records[1:] if r.theta_deg == 0.0 and r.phi_deg == 0.0
@@ -553,6 +555,28 @@ class TestNoisyKernelWork:
         _, blocks = campaign_blocks(build_deutsch_jozsa(), config)
         assert len(list(blocks)) == 18
         assert len(calls) <= 474
+
+    def test_each_step_is_compiled_once(self, monkeypatch):
+        # grover's 16 gates (14 on one qubit) compile once, baseline included,
+        # and its 18 sites on 2 qubits fuse one fault stack per qubit that
+        # each of the 4 column chunks slices; compiling the baseline apart and
+        # a fault stack per site and chunk would make it 2, 104 and 100 calls
+        calls = Counter()
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        for module in (simulator, injector):
+            for name in ("compile_steps", "gate_steps"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(simulator, "_fused", counting("_fused", simulator._fused))
+        config = CampaignConfig(grid_step=2, noise=representative_noise(), jobs=1)
+        _, blocks = campaign_blocks(build_grover(), config)
+        assert len(list(blocks)) == 18
+        assert calls == {"compile_steps": 1, "gate_steps": 18, "_fused": 16}
 
 
 class TestFailureReport:

@@ -356,18 +356,22 @@ def test_block_writer_baseline_row_formats_as_the_oracle():
     assert buf.getvalue() == oracles.record_csv([baseline])
 
 
-@pytest.mark.parametrize("extra", [1, -1])
+@pytest.mark.parametrize("extra", [1, -1, pytest.param((1, -1, 0, 0, 0), id="uneven"),
+                                   pytest.param((0, 0, 0, 0, 1), id="flags")])
 def test_block_writer_refuses_a_block_unlike_the_angles(extra):
-    # a block cut short or run long would write a site with the wrong rows
+    # a block cut short or run long would write a site with the wrong rows;
+    # uneven score columns whose lengths sum to four grids would shift
+    # values from one column into the next
     angles = grid_degrees(90)
     baseline = QvfRecord("synthetic", -1, -1, -1, 0.0, 0.0, "exact", 0, 7,
                          1.0, 0.0, 1.0, 0.0, 0.0, False)
     buf = io.StringIO()
     writer = BlockWriter(buf, baseline, angles)
     head = buf.getvalue()
-    cols = [np.full(len(angles) + extra, 0.5) for _ in range(4)]
+    extras = extra if isinstance(extra, tuple) else (extra,) * 5
+    *cols, flags = [np.full(len(angles) + e, 0.5) for e in extras]
     with pytest.raises(ValueError):
-        writer.write(0, FaultSite(0, 0), *cols, cols[3] < 0.5)
+        writer.write(0, FaultSite(0, 0), *cols, flags < 0.5)
     assert buf.getvalue() == head
 
 
