@@ -14,9 +14,10 @@ against a mask of the correct outcomes.  A campaign does so per site block:
 
 >>> import io, qvf
 >>> config = qvf.CampaignConfig(grid_step=90)
->>> baseline, blocks = qvf.campaign_blocks(qvf.build_grover("11"), config)
+>>> circuit = qvf.build_grover("11")
+>>> baseline, blocks = qvf.campaign_blocks(circuit, config)
 >>> buf = io.StringIO()
->>> writer = qvf.BlockWriter(buf, baseline, qvf.grid_degrees(config.grid_step))
+>>> writer = qvf.BlockWriter(buf, circuit, config, baseline)
 >>> for block in blocks:
 ...     writer.write(*block)
 >>> len(qvf.read_table(io.StringIO(buf.getvalue())))  # 18 sites x 12 points + baseline
@@ -58,7 +59,6 @@ from .noise import (
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .records import (
     BlockWriter,
-    QvfRecord,
     RecordFileError,
     RecordTable,
     read_table,

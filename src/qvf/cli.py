@@ -26,7 +26,7 @@ import numpy as np
 
 from . import benchmarks, metrics, render
 from .circuit import index_to_bitstring
-from .injector import CampaignConfig, CampaignError, campaign_blocks, grid_degrees
+from .injector import CampaignConfig, CampaignError, campaign_blocks
 from .noise import NoiseConfigError, load_noise_config, load_noise_file
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .records import BlockWriter, RecordFileError, read_table_file
@@ -165,7 +165,7 @@ def _cmd_campaign_run(args):
 
     def write_rows(fh):
         nonlocal improved
-        writer = BlockWriter(fh, baseline, grid_degrees(config.grid_step))
+        writer = BlockWriter(fh, circuit, config, baseline)
         for block in blocks:
             writer.write(*block)
             qvfs.append(block.qvf)
@@ -176,7 +176,7 @@ def _cmd_campaign_run(args):
     n = len(qvfs)
     mean, stddev = float(qvfs.mean()), float(qvfs.std())
     print(f"fault records: {n} (+1 baseline), mode {config.mode}")
-    print(f"baseline qvf: {baseline.qvf:.6f}")
+    print(f"baseline qvf: {baseline.qvf[0]:.6f}")
     print(f"mean qvf: {mean:.6f}  stddev: {stddev:.6f}")
     print(f"improved faults: {improved} ({100.0 * improved / n:.2f}%)")
     return 0

@@ -13,10 +13,10 @@ fault-free baseline.
 
 A campaign sweeps every site against every grid point, after one
 fault-free baseline record (site_index -1).  :func:`campaign_blocks`
-scores the baseline and streams one column block per site (a
-:class:`SiteBlock`, one array per score column) in canonical order
+scores the baseline as a one-column :class:`SiteBlock` (one array per
+score column) and streams one block per site in canonical order
 (site-major, grid-minor) no matter how many workers run;
-:class:`qvf.records.BlockWriter` writes them as record rows.  Every
+:class:`qvf.records.BlockWriter` writes them all as record rows.  Every
 sampled record draws from its own seed sequence derived from (campaign
 seed, site, grid point), so reruns and re-schedules are byte-identical.
 
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from .circuit import Circuit, bitstring_to_index
 from .gates import canonical_u_params
 from .metrics import score
-from .records import QvfRecord
 from .simulator import (
     SimulationError,
     check_state,
@@ -93,7 +92,7 @@ class CampaignConfig:
     mode "exact" records the analytic distribution; "sampled" draws
     ``shots`` counts per record.  ``sites`` limits the sweep to a subset of
     site indices (indices keep their meaning from the full enumeration).
-    ``jobs`` > 1 fans sites out across processes.
+    ``jobs`` > 1 fans sites out across processes, at most one per site.
     """
 
     grid_step: int = 15
@@ -108,8 +107,8 @@ class CampaignConfig:
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
         _grid_axes(self.grid_step)  # validates the step
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        if not 1 <= self.shots < 2**63:  # numpy draws take an int64 count
+            raise ValueError("shots must be in 1 .. 2**63 - 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.sites is not None:
@@ -244,10 +243,12 @@ def _pooled(jobs, workers):
 
 
 def campaign_blocks(circuit: Circuit, config: CampaignConfig = CampaignConfig()):
-    """``(baseline, blocks)``: the fault-free QvfRecord, scored on the call,
-    and an iterator that sweeps one :class:`SiteBlock` per site in site
-    order, over ``grid_degrees(config.grid_step)``.  Order and values depend
-    only on the circuit and config, never on worker scheduling."""
+    """``(baseline, blocks)``: the fault-free site -1 :class:`SiteBlock`
+    (one column), scored on the call, and an iterator that sweeps one
+    :class:`SiteBlock` per site in site order, over
+    ``grid_degrees(config.grid_step)``.  Order and values depend only on the
+    circuit and config, never on worker scheduling; at most one worker
+    runs per site."""
     mask = _correct_mask(circuit)
     all_sites = enumerate_sites(circuit)
     if not all_sites:
@@ -261,16 +262,12 @@ def campaign_blocks(circuit: Circuit, config: CampaignConfig = CampaignConfig())
         picked = [(s, all_sites[s]) for s in config.sites]
     n, noise = circuit.n_qubits, config.noise
     shared = (circuit, config, mask, compile_steps(circuit.gates, n, noise))
-    b = _site_worker(shared + (-1, FaultSite(-1, -1), None, -math.inf))  # never improved
-    pst, p_b, contrast, qvf = (float(v[0]) for v in (b.pst, b.p_b, b.contrast, b.qvf))
-    base = QvfRecord(circuit.name or "circuit", -1, -1, -1, 0.0, 0.0,
-                     config.mode, config.shots if config.mode == "sampled" else 0,
-                     config.seed, pst, p_b, contrast, qvf, qvf, False)
+    base = _site_worker(shared + (-1, FaultSite(-1, -1), None, -math.inf))  # never improved
     mats = grid_matrices(config.grid_step)
     faults = {q: gate_steps("u", mats, (q,), n, noise)[1][0]  # noiseless, mats itself
               for q in {site.qubit for _, site in picked}}
-    jobs = [shared + (idx, site, faults[site.qubit], qvf) for idx, site in picked]
+    jobs = [shared + (idx, site, faults[site.qubit], base.qvf[0]) for idx, site in picked]
     if config.jobs == 1 or len(jobs) == 1:
         return base, map(_site_worker, jobs)
-    return base, _pooled(jobs, config.jobs)
+    return base, _pooled(jobs, min(config.jobs, len(jobs)))
 

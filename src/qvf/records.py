@@ -8,16 +8,15 @@ Layout::
     bv-011,0,0,3,0,0,exact,0,7,1.0,0.0,1.0,0.0,0.0,0
     ...
 
-Exactly one baseline row per campaign, flagged by site_index -1.  Angles
-are degrees (integers whenever they sit on a degree lattice, which covers
-every sweep grid); other floats use shortest round-trip formatting, so
-reading a file back gives the values written.  ``shots`` is 0 for
-exact-mode rows.  ``improved_flag`` is 1 when the fault scored more than
-1e-12 below the campaign baseline.
+Exactly one baseline row per campaign, flagged by site_index -1, at angle
+(0, 0).  Angles are degrees, written as the sweep grid's integers; metrics
+use shortest round-trip formatting, so reading a file back gives the values
+written.  ``shots`` is 0 for exact-mode rows.  ``improved_flag`` is 1 when
+the fault scored more than 1e-12 below the campaign baseline.
 
-:class:`BlockWriter` writes a campaign file: the schema line, the header
-and the baseline row, then the rows of each site block of
-:func:`qvf.injector.campaign_blocks`.
+:class:`BlockWriter` writes a campaign file from the circuit, the config
+and the blocks of :func:`qvf.injector.campaign_blocks`: the schema line,
+the header and the baseline row, then the rows of each site block.
 
 A file holds one campaign, and the reader rejects any other: every row
 shares circuit_id, mode, shots and seed; every angle and metric value is
@@ -45,10 +44,12 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from itertools import chain, islice
 
 import numpy as np
+
+from .injector import grid_degrees
 
 SCHEMA_LINE = "# qvf-csv v1"
 
@@ -61,32 +62,6 @@ COLUMNS = (
 
 class RecordFileError(ValueError):
     """Record file violates the schema."""
-
-
-@dataclass(frozen=True)
-class QvfRecord:
-    """One campaign result row (the baseline row uses site_index -1); its
-    fields are the columns of a :class:`RecordTable`."""
-
-    circuit_id: str
-    site_index: int
-    gate_index: int
-    qubit: int
-    theta_deg: float
-    phi_deg: float
-    mode: str
-    shots: int
-    seed: int
-    pst: float
-    p_b: float
-    contrast: float
-    qvf: float
-    baseline_qvf: float
-    improved: bool
-
-
-def _fmt_angle(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
 def _csv_text(fields) -> str:
@@ -105,42 +80,38 @@ def _texts(*columns):
 
 
 class BlockWriter:
-    """Writes a campaign file: the schema, header and ``baseline`` row at
-    once, then one site block per :meth:`write`.  Text is formatted only as
-    often as it changes: per campaign, per distinct angle and (theta, phi)
-    pair of ``angles``, per site, and per distinct metric bit pattern within
-    a site.  It refuses a circuit_id that no reader would take, one over the
-    csv field limit."""
+    """Writes the campaign file of ``circuit`` under ``config``: the schema,
+    header and ``baseline`` row (the site -1 :class:`~qvf.injector.SiteBlock`)
+    at once, then one site block per :meth:`write`.  Text is formatted only
+    as often as it changes: per campaign, per grid point, per site, and per
+    distinct metric bit pattern within a site.  It refuses a circuit_id that
+    no reader would take, one over the csv field limit."""
 
-    def __init__(self, stream, baseline: QvfRecord, angles):
-        if len(baseline.circuit_id) > (limit := csv.field_size_limit()):
+    def __init__(self, stream, circuit, config, baseline):
+        circuit_id = circuit.name or "circuit"
+        if len(circuit_id) > (limit := csv.field_size_limit()):
             raise ValueError(f"circuit_id is longer than the csv field limit ({limit})")
         self._stream = stream
         # an empty neighbour field keeps csv from quoting a lone empty value
-        self._id = _csv_text([baseline.circuit_id, ""])
-        self._key = _csv_text(["", baseline.mode, baseline.shots, baseline.seed, ""])
-        fmt = cache(_fmt_angle)  # equal angles format alike, even 0 and -0.0
-        b = baseline
-        base_angle, *self._angles = [f"{fmt(t)},{fmt(p)}{self._key}"
-                                     for t, p in [(b.theta_deg, b.phi_deg), *angles]]
-        base = repr(float(b.baseline_qvf))
+        self._id = _csv_text([circuit_id, ""])
+        shots = config.shots if config.mode == "sampled" else 0
+        key = _csv_text(["", config.mode, shots, config.seed, ""])
+        self._angles = [f"{t},{p}{key}" for t, p in grid_degrees(config.grid_step)]
+        base = repr(float(baseline.qvf[0]))
         self._tails = (f",{base},0\n", f",{base},1\n")
         stream.write(f"{SCHEMA_LINE}\n{','.join(COLUMNS)}\n")
-        self._rows(b.site_index, b, [base_angle],
-                   [b.pst], [b.p_b], [b.contrast], [b.qvf], [b.improved])
+        self.write(*baseline)
 
     def write(self, site_index, site, pst, p_b, contrast, qvf, improved):
-        """One site's rows over ``angles``; any array of another length raises ValueError."""
-        self._rows(site_index, site, self._angles, pst, p_b, contrast, qvf, improved.tolist())
-
-    def _rows(self, site_index, site, angles, pst, p_b, contrast, qvf, flags):
-        """Write one row per entry of ``angles``; ``site`` may be the baseline record."""
+        """One site's rows over the grid, or the baseline's one row at (0, 0);
+        any array of another length raises ValueError."""
+        angles = self._angles if site_index >= 0 else self._angles[:1]
         head = f"{self._id}{site_index},{site.gate_index},{site.qubit},"
         tails = self._tails
         self._stream.write("".join([
             f"{head}{angle}{a},{b},{c},{q}{tails[flag]}"
             for angle, a, b, c, q, flag in zip(
-                angles, *_texts(pst, p_b, contrast, qvf), flags, strict=True)
+                angles, *_texts(pst, p_b, contrast, qvf), improved.tolist(), strict=True)
         ]))
 
 
@@ -167,7 +138,8 @@ _CONVERTERS = (
 
 @dataclass(frozen=True, eq=False)
 class RecordTable:
-    """Records as one array per :class:`QvfRecord` field, in row order.
+    """Records as one array per column, in row order; ``improved`` holds
+    improved_flag.
 
     site_index, gate_index and qubit are int64, the angles and metrics
     float64, ``improved`` bool; circuit_id, mode, shots and seed are object

@@ -13,7 +13,6 @@ T (0, 45), S (0, 90), Z (0, 180).
 """
 
 from .metrics import HeatmapGrid, HistogramStats
-from .records import _fmt_angle
 
 GREEN = (0, 153, 0)
 WHITE = (255, 255, 255)
@@ -93,6 +92,10 @@ def _delta_scale(grid: HeatmapGrid):
 
 def _rgb(color) -> str:
     return f"rgb({color[0]},{color[1]},{color[2]})"
+
+
+def _fmt_angle(value: float) -> str:
+    return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
 def _lines(lines) -> str:

@@ -4,14 +4,18 @@ runners for the test suite."""
 import dataclasses
 import io
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from qvf.circuit import Circuit, index_to_bitstring
-from qvf.injector import campaign_blocks, grid_degrees
+from qvf.injector import campaign_blocks
 from qvf.metrics import score
-from qvf.records import BlockWriter, QvfRecord, read_table
+from qvf.records import BlockWriter, RecordTable, read_table
 from qvf.simulator import measured_probabilities
+
+#: one record row, a field per RecordTable column
+QvfRecord = namedtuple("QvfRecord", [f.name for f in dataclasses.fields(RecordTable)])
 
 GATE_POOL = ("h", "x", "y", "z", "s", "sdg", "t", "tdg", "u", "cx", "cz")
 
@@ -70,7 +74,7 @@ def campaign_csv(circuit, config) -> str:
     a BlockWriter fed the site blocks of campaign_blocks."""
     buf = io.StringIO()
     baseline, blocks = campaign_blocks(circuit, config)
-    writer = BlockWriter(buf, baseline, grid_degrees(config.grid_step))
+    writer = BlockWriter(buf, circuit, config, baseline)
     for block in blocks:
         writer.write(*block)
     return buf.getvalue()
@@ -78,8 +82,7 @@ def campaign_csv(circuit, config) -> str:
 
 def table_rows(table):
     """The rows of a RecordTable as QvfRecords, in file order."""
-    columns = (getattr(table, f.name).tolist() for f in dataclasses.fields(QvfRecord))
-    return list(map(QvfRecord, *columns))
+    return list(map(QvfRecord, *(getattr(table, name).tolist() for name in QvfRecord._fields)))
 
 
 def campaign_rows(circuit, config):

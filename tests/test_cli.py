@@ -560,6 +560,21 @@ class TestExitCodes:
             assert "error:" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_oversized_shots(self, tmp_path, capsys, mode):
+        # a count beyond int64 used to end the sampled draw in an
+        # OverflowError traceback
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"previous campaign\n")
+        code = main(["campaign", "run", "grover", "--mode", mode, "--shots", str(2**63),
+                     "--grid-step", "90", "--jobs", "1", "--out", str(out)])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == "error: shots must be in 1 .. 2**63 - 1\n"
+        assert captured.out == ""
+        assert out.read_bytes() == b"previous campaign\n"
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_duplicate_sites(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         code = main(["campaign", "run", "bv", "--sites", "0", "0",

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oracles
 from support import (
+    QvfRecord,
     campaign_csv,
     campaign_rows,
     entries,
@@ -28,6 +29,7 @@ from qvf.injector import (
     CampaignConfig,
     CampaignError,
     FaultSite,
+    SiteBlock,
     campaign_blocks,
     enumerate_sites,
     grid_degrees,
@@ -37,7 +39,6 @@ from qvf.gates import canonical_u_params, gate_matrix
 from qvf.metrics import score
 from qvf.noise import NoiseModel, load_noise_config
 from qvf import injector, simulator
-from qvf.records import QvfRecord
 from qvf.simulator import draw_counts, measured_probabilities
 
 
@@ -168,6 +169,43 @@ class TestCampaign:
             assert r.qvf == base.qvf
             assert r.pst == base.pst
 
+    def test_baseline_is_the_site_minus_one_block(self):
+        c = build_bernstein_vazirani()
+        base, _ = campaign_blocks(c, CampaignConfig(grid_step=90))
+        assert isinstance(base, SiteBlock)
+        assert base.site_index == -1
+        assert base.site == FaultSite(-1, -1)
+        assert [len(column) for column in base[2:]] == [1] * 5
+        assert base.improved.tolist() == [False]
+        mask = np.zeros(2 ** len(c.measured), dtype=bool)
+        mask[[bitstring_to_index(s) for s in c.correct_states]] = True
+        want = score(measured_probabilities(c), mask).qvf
+        assert base.qvf.tobytes() == np.array([want]).tobytes()
+
+    def test_pool_has_at_most_one_worker_per_site(self, monkeypatch):
+        # a fork-started pool launches all its workers at once; this fake
+        # starts no process and maps in order
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(injector, "ProcessPoolExecutor", SerialPool)
+        c = build_grover()
+        pooled = campaign_csv(c, CampaignConfig(grid_step=90, sites=(0, 1), jobs=64))
+        assert sizes == [2]
+        assert pooled == campaign_csv(c, CampaignConfig(grid_step=90, sites=(0, 1), jobs=1))
+
     def test_worker_schedule_is_invisible(self):
         c = build_grover()
         serial = campaign_list(c, grid_step=90)
@@ -216,6 +254,10 @@ class TestCampaign:
             CampaignConfig(mode="approximate")
         with pytest.raises(ValueError):
             CampaignConfig(shots=0)
+        for mode in ("exact", "sampled"):  # numpy draws take an int64 count
+            with pytest.raises(ValueError, match="shots"):
+                CampaignConfig(mode=mode, shots=2**63)
+        assert CampaignConfig(mode="sampled", shots=2**63 - 1).shots == 2**63 - 1
         with pytest.raises(ValueError):
             CampaignConfig(jobs=0)
 

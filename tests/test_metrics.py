@@ -1,6 +1,5 @@
 """Metric chain regressions and campaign aggregation behavior."""
 
-import dataclasses
 import io
 import math
 import re
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from support import score_entries
+from support import QvfRecord, score_entries
 from qvf.metrics import (
     HeatmapGrid,
     MetricsError,
@@ -21,7 +20,7 @@ from qvf.metrics import (
     score,
     timeline,
 )
-from qvf.records import QvfRecord, read_table
+from qvf.records import read_table
 
 
 def pair_dist(pa, pb):
@@ -323,8 +322,8 @@ class TestAgainstPerRecordOracle:
     def test_table_path_is_bit_identical(self, case, bins):
         records, theta, phi = case
         table = as_table(records)
-        for f in dataclasses.fields(QvfRecord):
-            assert getattr(table, f.name).tolist() == [getattr(r, f.name) for r in records]
+        for name in QvfRecord._fields:
+            assert getattr(table, name).tolist() == [getattr(r, name) for r in records]
         for grouping in ("circuit", "qubit", "site"):
             expected, got = both(
                 lambda: oracles.aggregate_heatmap(records, grouping),

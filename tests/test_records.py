@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from support import campaign_csv, campaign_rows, table_rows
+from support import QvfRecord, campaign_csv, campaign_rows, table_rows
 from qvf import records
 from qvf.benchmarks import build_deutsch_jozsa, build_grover
-from qvf.injector import CampaignConfig, FaultSite, grid_degrees
+from qvf.circuit import Circuit
+from qvf.injector import CampaignConfig, FaultSite, SiteBlock, grid_degrees
 from qvf.records import (
     COLUMNS,
     SCHEMA_LINE,
     BlockWriter,
-    QvfRecord,
     RecordFileError,
     read_table,
     read_table_file,
@@ -203,7 +203,7 @@ def test_constant_key_above_the_csv_limit_is_a_record_error(circuit_id):
     # one key in every row: quote-free, the chunk would suit np.loadtxt,
     # which has no field limit, so its over-long line must go to the csv
     # route to raise the error that the quoted id raises there
-    rows = [dataclasses.replace(r, circuit_id=circuit_id) for r in sample_records()]
+    rows = [r._replace(circuit_id=circuit_id) for r in sample_records()]
     text = oracles.record_csv(rows)
     assert ('"' in text) == ("," in circuit_id)
     assert reject(text) == "line 3: field larger than field limit (131072)"
@@ -244,7 +244,7 @@ def test_chunking_keeps_rows_whole(monkeypatch, chunk_rows, circuit_id):
     # a quoted newline crosses the boundary of 3-line chunks; the last row
     # may have no trailing newline
     monkeypatch.setattr(records, "CHUNK_ROWS", chunk_rows)
-    rows = [dataclasses.replace(r, circuit_id=circuit_id) for r in sample_records()[:5]]
+    rows = [r._replace(circuit_id=circuit_id) for r in sample_records()[:5]]
     text = oracles.record_csv(rows)
     assert read_rows(io.StringIO(text)) == rows
     assert read_rows(io.StringIO(text.rstrip("\n"))) == rows
@@ -254,7 +254,7 @@ def test_chunking_keeps_rows_whole(monkeypatch, chunk_rows, circuit_id):
 def campaign_lines(sampled):
     rows = sample_records()[:16]
     if sampled:  # a seed beyond int64
-        rows = [dataclasses.replace(r, mode="sampled", shots=64, seed=2**64 + 5)
+        rows = [r._replace(mode="sampled", shots=64, seed=2**64 + 5)
                 for r in rows]
     return oracles.record_csv(rows).splitlines()
 
@@ -312,28 +312,35 @@ def test_loadtxt_route_agrees_with_csv_route(text, chunk_rows):
 
 _TINY = [0.5, 5e-324, 0.5, 1e-310, 5e-324, 0.5] * 2  # 5e-324 and 1e-310 are subnormal
 
-#: angles and four metric columns for BlockWriter
+#: grid step and four metric columns for BlockWriter
 SYNTHETIC_BLOCKS = {
-    "signed_zeros": (grid_degrees(90), [[0.0, -0.0] * 6, [-0.0, 0.0, 0.0] * 4,
-                                        [0.0] * 11 + [-0.0], [-0.0] * 12]),
-    "repeats_and_subnormals": (grid_degrees(90), [_TINY, _TINY[::-1], [0.25] * 12,
-                                                  [1.0, 0.1, 0.1] * 4]),
-    "all_distinct": (grid_degrees(90), np.random.default_rng(12).random((4, 12)).tolist()),
-    "single_point": ([(45, 90)], [[0.3], [-0.0], [1e-310], [0.7]]),
-    # equal angles of another type or sign, and angles off the degree lattice
-    "mixed_angles": ([(0, -0.0), (0.0, 22.5), (-0.0, 0), (180.0, 1e-7)],
-                     [[0.5, -0.0, 0.5, 0.0], [0.1] * 4, [0.2, 0.3] * 2, [1.0] * 4]),
+    "signed_zeros": (90, [[0.0, -0.0] * 6, [-0.0, 0.0, 0.0] * 4,
+                          [0.0] * 11 + [-0.0], [-0.0] * 12]),
+    "repeats_and_subnormals": (90, [_TINY, _TINY[::-1], [0.25] * 12, [1.0, 0.1, 0.1] * 4]),
+    "all_distinct": (90, np.random.default_rng(12).random((4, 12)).tolist()),
+    "single_point": (360, [[0.3], [-0.0], [1e-310], [0.7]]),
+    "mixed_angles": (180, [[0.5, -0.0, 0.5, 0.0], [0.1] * 4, [0.2, 0.3] * 2, [1.0] * 4]),
 }
 
+SYNTHETIC = Circuit(1, [], (0,), name="synthetic")
 
-@pytest.mark.parametrize("angles, columns", SYNTHETIC_BLOCKS.values(), ids=list(SYNTHETIC_BLOCKS))
-def test_block_writer_formats_each_distinct_value_as_the_oracle(angles, columns):
+
+def baseline_block(*metrics):
+    """The site -1 SiteBlock with one value per score column."""
+    return SiteBlock(-1, FaultSite(-1, -1), *np.array([[m] for m in metrics]),
+                     np.array([False]))
+
+
+@pytest.mark.parametrize("grid_step, columns", SYNTHETIC_BLOCKS.values(),
+                         ids=list(SYNTHETIC_BLOCKS))
+def test_block_writer_formats_each_distinct_value_as_the_oracle(grid_step, columns):
     # one repr per distinct bit pattern must still give every row its own text
-    baseline = QvfRecord("synthetic", -1, -1, -1, 0.0, 0.0, "exact", 0, 7,
-                         1.0, 0.0, 1.0, 0.0, 0.25, False)
+    config = CampaignConfig(grid_step=grid_step, seed=7)
+    baseline = baseline_block(1.0, 0.0, 1.0, 0.25)
     buf = io.StringIO()
-    writer = BlockWriter(buf, baseline, angles)
-    rows = [baseline]
+    writer = BlockWriter(buf, SYNTHETIC, config, baseline)
+    rows = [QvfRecord("synthetic", -1, -1, -1, 0, 0, "exact", 0, 7,
+                      1.0, 0.0, 1.0, 0.25, 0.25, False)]
     for site_index in range(2):  # the second site gets the columns rotated
         site = FaultSite(gate_index=3 + site_index, qubit=site_index)
         cols = [np.array(c, dtype=float) for c in columns[site_index:] + columns[:site_index]]
@@ -342,18 +349,19 @@ def test_block_writer_formats_each_distinct_value_as_the_oracle(angles, columns)
         rows += [
             QvfRecord("synthetic", site_index, site.gate_index, site.qubit, t, p, "exact", 0, 7,
                       *values, 0.25, flag)
-            for (t, p), *values, flag in zip(angles, *(c.tolist() for c in cols),
-                                            improved.tolist())
+            for (t, p), *values, flag in zip(grid_degrees(grid_step),
+                                            *(c.tolist() for c in cols), improved.tolist())
         ]
     assert buf.getvalue() == oracles.record_csv(rows)
 
 
 def test_block_writer_baseline_row_formats_as_the_oracle():
-    baseline = QvfRecord("synthetic", -1, -1, -1, -0.0, 22.5, "sampled", 64, 2 ** 70,
-                         5e-324, -0.0, 0.1, 1.0, 0.3, True)
+    config = CampaignConfig(grid_step=90, mode="sampled", shots=64, seed=2 ** 70)
     buf = io.StringIO()
-    BlockWriter(buf, baseline, grid_degrees(90))
-    assert buf.getvalue() == oracles.record_csv([baseline])
+    BlockWriter(buf, SYNTHETIC, config, baseline_block(5e-324, -0.0, 0.1, 1.0))
+    assert buf.getvalue() == oracles.record_csv([QvfRecord(
+        "synthetic", -1, -1, -1, 0, 0, "sampled", 64, 2 ** 70, 5e-324, -0.0, 0.1, 1.0, 1.0,
+        False)])
 
 
 @pytest.mark.parametrize("extra", [1, -1, pytest.param((1, -1, 0, 0, 0), id="uneven"),
@@ -362,14 +370,12 @@ def test_block_writer_refuses_a_block_unlike_the_angles(extra):
     # a block cut short or run long would write a site with the wrong rows;
     # uneven score columns whose lengths sum to four grids would shift
     # values from one column into the next
-    angles = grid_degrees(90)
-    baseline = QvfRecord("synthetic", -1, -1, -1, 0.0, 0.0, "exact", 0, 7,
-                         1.0, 0.0, 1.0, 0.0, 0.0, False)
+    config = CampaignConfig(grid_step=90, seed=7)
     buf = io.StringIO()
-    writer = BlockWriter(buf, baseline, angles)
+    writer = BlockWriter(buf, SYNTHETIC, config, baseline_block(1.0, 0.0, 1.0, 0.0))
     head = buf.getvalue()
     extras = extra if isinstance(extra, tuple) else (extra,) * 5
-    *cols, flags = [np.full(len(angles) + e, 0.5) for e in extras]
+    *cols, flags = [np.full(len(grid_degrees(90)) + e, 0.5) for e in extras]
     with pytest.raises(ValueError):
         writer.write(0, FaultSite(0, 0), *cols, flags < 0.5)
     assert buf.getvalue() == head

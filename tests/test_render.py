@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 
+import oracles
 from qvf.metrics import HeatmapGrid, HistogramStats
 from qvf.render import (
     BLUE,
@@ -148,6 +149,15 @@ class TestCsvExports:
         assert lines[0] == "theta_deg,phi_deg,value"
         assert lines[1] == "0,0,0.25"
         assert lines[-1] == "180,180,1.0"
+
+    def test_grid_csv_writes_angles_as_the_record_files_do(self):
+        # whole degrees, -0.0 included, as integers; others in shortest repr
+        axis = (-0.0, 22.5, 1e-7, 180.0)
+        text = grid_csv(HeatmapGrid(axis, axis, np.zeros((4, 4))))
+        rows = [line.rsplit(",", 1)[0] for line in text.splitlines()[1:]]
+        assert rows == [f"{oracles._angle_text(t)},{oracles._angle_text(p)}"
+                        for t in axis for p in axis]
+        assert rows[:3] == ["0,0", "0,22.5", "0,1e-07"]
 
     def test_timeline_csv(self):
         text = timeline_csv({1: [(0, 0.5)], 0: [(2, 0.125), (4, 0.25)]})
