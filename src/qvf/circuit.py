@@ -9,6 +9,7 @@ parser in the package goes through :func:`index_to_bitstring` /
 :func:`bitstring_to_index`.
 """
 
+import math
 from dataclasses import dataclass
 
 from .gates import SIGNATURES, canonical_u_params
@@ -63,6 +64,8 @@ class Gate:
             raise CircuitError(
                 f"{self.name} takes {n_params} parameter(s), got {len(params)}"
             )
+        if not all(map(math.isfinite, params)):
+            raise CircuitError(f"{self.name} parameters must be finite")
         if self.name == "u":
             params = canonical_u_params(*params)
         object.__setattr__(self, "qubits", qubits)

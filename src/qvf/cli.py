@@ -204,24 +204,16 @@ class _StyleFlag(argparse.Action):
 
 
 def _grid_output(args, grid, out_path):
-    """Render a heatmap, perqubit or delta grid in ``args.format``, reading
-    only the style flags that format reads."""
-    style = {name: getattr(args, name) for name in STYLE_READ_BY_FORMAT[args.format]
-             if hasattr(args, name)}  # delta takes --cell only
-    if args.format == "csv":
-        data = render.grid_csv(grid)
-    elif args.which == "delta" and args.format == "svg":
-        data = render.render_delta_svg(grid, cell=style["cell"])
-    elif args.which == "delta":
-        data = render.render_grid_ppm(grid, scale=style["cell"], diverging=True)
-    elif args.format == "svg":
-        data = render.render_heatmap_svg(grid, thresholds=(style["green_below"],
-                                                           style["red_above"]),
-                                         overlay=style["overlay"], cell=style["cell"])
+    """Render a heatmap, perqubit or delta grid in ``args.format``; the
+    style flags that format does not read were refused before."""
+    scale = (render.delta_scale(grid) if args.which == "delta"
+             else render.qvf_scale((args.green_below, args.red_above)))
+    if args.format == "svg":
+        data = render.grid_svg(grid, scale, args.cell, args.overlay)
+    elif args.format == "ppm":
+        data = render.grid_ppm(grid, scale, args.cell)
     else:
-        data = render.render_grid_ppm(grid, thresholds=(style["green_below"],
-                                                        style["red_above"]),
-                                      scale=style["cell"])
+        data = render.grid_csv(grid)
     _write_out(out_path, data)
 
 
@@ -363,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("svg", "ppm", "csv") if p in grids else ("svg", "csv"))
         p.add_argument("--out", required=True, help="output path ('-' for stdout)")
         if p in grids:
-            p.set_defaults(given=())
+            p.set_defaults(given=(), overlay=False)  # delta draws no overlay
         if p in maps:
             p.add_argument("--green-below", type=float, default=green, action=_StyleFlag,
                            help="lower QVF threshold for the green band (svg, ppm)")

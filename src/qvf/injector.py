@@ -109,6 +109,8 @@ class CampaignConfig:
         _grid_axes(self.grid_step)  # validates the step
         if not 1 <= self.shots < 2**63:  # numpy draws take an int64 count
             raise ValueError("shots must be in 1 .. 2**63 - 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.sites is not None:

@@ -3,13 +3,15 @@
 No plotting dependency: files are assembled by hand so identical inputs
 produce byte-identical outputs, which the tests rely on.
 
-Heatmaps color each (theta, phi) cell by mean QVF: green below the lower
-threshold, white across the dubious band, red above the upper threshold
-(defaults 0.45 / 0.55), with linear fading inside the green and red
-segments.  Difference maps use a blue-white-red diverging scale centered
-on zero.  The optional overlay marks the (theta, phi) coordinates whose
-injected u gate reproduces a common gate: Y (180, 0), X (180, 180),
-T (0, 45), S (0, 90), Z (0, 180).
+A (theta, phi) grid is drawn through a color scale, the value
+``(color_fn, legend, kind)``: :func:`qvf_scale` bands mean QVF green
+below the lower threshold, white across the dubious band and red above
+the upper one (defaults 0.45 / 0.55), fading linearly inside green and
+red; :func:`delta_scale` runs blue-white-red, symmetric about zero.
+:func:`grid_svg`, titled ``"{kind} ({group})"``, and :func:`grid_ppm`
+take either.  The SVG overlay marks the (theta, phi) of the faults that
+reproduce a common gate: Y (180, 0), X (180, 180), T (0, 45), S (0, 90),
+Z (0, 180).
 """
 
 from .metrics import HeatmapGrid, HistogramStats
@@ -29,7 +31,7 @@ REFERENCE_GATES = (
 )
 
 DEFAULT_THRESHOLDS = (0.45, 0.55)
-DEFAULT_CELL = 24  # px per cell of an SVG grid
+DEFAULT_CELL = 24  # px per cell of an SVG or PPM grid
 
 #: largest PPM a report renders, in pixels: 24 px cells on a 1 degree grid
 #: (8,640 x 4,344) fit, an image that would need gigabytes does not
@@ -71,23 +73,23 @@ def delta_color(value: float, vmax: float):
     return _lerp(WHITE, RED, value / vmax)
 
 
-def _qvf_scale(thresholds):
-    """(color_fn, legend) of the mean-QVF maps."""
+def qvf_scale(thresholds=DEFAULT_THRESHOLDS):
+    """(color_fn, legend, kind) of the mean-QVF maps."""
     lo, hi = thresholds
     legend = [
         (f"<{lo:g}", qvf_color(0.0, thresholds)),
         (f"{lo:g}-{hi:g}", WHITE),
         (f">{hi:g}", qvf_color(1.0, thresholds)),
     ]
-    return (lambda v: qvf_color(v, thresholds)), legend
+    return (lambda v: qvf_color(v, thresholds)), legend, "mean QVF"
 
 
-def _delta_scale(grid: HeatmapGrid):
-    """(color_fn, legend) of a difference map, symmetric about zero and
+def delta_scale(grid: HeatmapGrid):
+    """(color_fn, legend, kind) of a difference map, symmetric about zero and
     clipped at its largest |cell|, but never narrower than +-0.05."""
     vmax = max(float(abs(grid.cells).max()), 0.05)
     legend = [(f"-{vmax:.3g}", BLUE), ("0", WHITE), (f"+{vmax:.3g}", RED)]
-    return (lambda v: delta_color(v, vmax)), legend
+    return (lambda v: delta_color(v, vmax)), legend, "delta QVF"
 
 
 def _rgb(color) -> str:
@@ -139,7 +141,9 @@ def _axis_stride(count: int) -> int:
     return max(1, (count + 7) // 8)
 
 
-def _grid_svg(grid: HeatmapGrid, color_fn, legend, title, cell: int, overlay: bool):
+def grid_svg(grid: HeatmapGrid, scale, cell: int = DEFAULT_CELL, overlay=False) -> str:
+    """A grid drawn through a color scale, ``cell`` px per cell."""
+    color_fn, legend, kind = scale
     rows, cols, plot_w, plot_h = _plot_size(grid, cell)
     width = _MARGIN_LEFT + plot_w + _MARGIN_RIGHT
     height = _MARGIN_TOP + plot_h + _MARGIN_BOTTOM
@@ -206,38 +210,26 @@ def _grid_svg(grid: HeatmapGrid, color_fn, legend, title, cell: int, overlay: bo
         )
         out.append(f'<text x="{lx + 18}" y="{ly + 11}">{_esc(label)}</text>')
         lx += 18 + 8 * len(label) + 24
-    return _svg(width, height, title, out)
-
-
-def render_heatmap_svg(grid: HeatmapGrid, title=None,
-                       thresholds=DEFAULT_THRESHOLDS, overlay=False,
-                       cell: int = DEFAULT_CELL) -> str:
-    return _grid_svg(grid, *_qvf_scale(thresholds),
-                     title or f"mean QVF ({grid.group})", cell, overlay)
-
-
-def render_delta_svg(grid: HeatmapGrid, title=None, cell: int = DEFAULT_CELL) -> str:
-    return _grid_svg(grid, *_delta_scale(grid),
-                     title or f"delta QVF ({grid.group})", cell, False)
+    return _svg(width, height, f"{kind} ({grid.group})", out)
 
 
 # ---------------------------------------------------------------------------
-# PPM (binary, one scale x scale block per cell)
+# PPM (binary, one cell x cell block per cell)
 # ---------------------------------------------------------------------------
 
 
-def render_grid_ppm(grid: HeatmapGrid, thresholds=DEFAULT_THRESHOLDS,
-                    scale: int = 16, diverging: bool = False) -> bytes:
-    rows, _, width, height = _plot_size(grid, scale)
+def grid_ppm(grid: HeatmapGrid, scale, cell: int = DEFAULT_CELL) -> bytes:
+    """A grid drawn through a color scale's ``color_fn``, ``cell`` px per cell."""
+    rows, _, width, height = _plot_size(grid, cell)
     if width * height > MAX_PPM_PIXELS:
         raise ValueError(f"a {width} x {height} px image exceeds the PPM budget "
                          f"of {MAX_PPM_PIXELS} px")
-    color_fn, _ = _delta_scale(grid) if diverging else _qvf_scale(thresholds)
+    color_fn = scale[0]
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     lines = [header]
     for i in range(rows):
-        line = b"".join([bytes(color_fn(float(v))) * scale for v in grid.cells[i]])
-        lines += [line] * scale  # one bytes object for the repeats of a row
+        line = b"".join([bytes(color_fn(float(v))) * cell for v in grid.cells[i]])
+        lines += [line] * cell  # one bytes object for the repeats of a row
     return b"".join(lines)
 
 

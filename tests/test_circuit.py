@@ -57,6 +57,9 @@ class TestGate:
             Gate("u", (0,), (1.0,))
         with pytest.raises(CircuitError):
             Gate("h", (0,), (1.0,))
+        for bad in (math.inf, -math.inf, math.nan):  # a CircuitError, so qasm can place it
+            with pytest.raises(CircuitError, match="u parameters must be finite"):
+                Gate("u", (0,), (0.0, bad, 0.0))
 
     def test_duplicate_two_qubit_targets(self):
         with pytest.raises(CircuitError):

@@ -437,16 +437,12 @@ class TestReports:
 def grid_bytes(grid, fmt, delta=False, thresholds=(0.45, 0.55), overlay=False, cell=24):
     """A grid rendered as the report commands do; the keyword defaults are
     the commands' defaults."""
-    if fmt == "ppm":
-        if delta:
-            return render.render_grid_ppm(grid, scale=cell, diverging=True)
-        return render.render_grid_ppm(grid, thresholds=thresholds, scale=cell)
     if fmt == "csv":
         return render.grid_csv(grid).encode()
-    if delta:
-        return render.render_delta_svg(grid, cell=cell).encode()
-    return render.render_heatmap_svg(grid, thresholds=thresholds, overlay=overlay,
-                                     cell=cell).encode()
+    scale = render.delta_scale(grid) if delta else render.qvf_scale(thresholds)
+    if fmt == "ppm":
+        return render.grid_ppm(grid, scale, cell)
+    return render.grid_svg(grid, scale, cell, overlay).encode()
 
 
 class TestReportsMatchOracle:
@@ -571,6 +567,21 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.err == "error: shots must be in 1 .. 2**63 - 1\n"
+        assert captured.out == ""
+        assert out.read_bytes() == b"previous campaign\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_negative_seed(self, tmp_path, capsys, mode):
+        # exact mode used to write seed -1 into every row, sampled mode to
+        # stop at numpy's "expected non-negative integer"
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"previous campaign\n")
+        code = main(["campaign", "run", "grover", "--mode", mode, "--seed", "-1",
+                     "--grid-step", "90", "--jobs", "1", "--out", str(out)])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0\n"
         assert captured.out == ""
         assert out.read_bytes() == b"previous campaign\n"
         assert list(tmp_path.iterdir()) == [out]

@@ -260,6 +260,10 @@ class TestCampaign:
         assert CampaignConfig(mode="sampled", shots=2**63 - 1).shots == 2**63 - 1
         with pytest.raises(ValueError):
             CampaignConfig(jobs=0)
+        for mode in ("exact", "sampled"):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                CampaignConfig(mode=mode, seed=-1)
+            assert CampaignConfig(mode=mode, seed=0).seed == 0
 
     def test_duplicate_sites_rejected(self):
         # a repeated index would double-weight that site in every aggregate

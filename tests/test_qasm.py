@@ -124,6 +124,8 @@ class TestParseErrors:
         ("creg c[1];", "line 1, col 1: program declares no qreg"),
         ("qreg q[1]; creg c[1]; u(pi/x, 0, 0) q[0]; measure q[0] -> c[0];",
          "line 1, col 28: expected a number after '/'"),
+        ("qreg q[1]; creg c[1]; u(1e400, 0, 0) q[0]; measure q[0] -> c[0];",
+         "line 1, col 23: u parameters must be finite"),
     ])
     def test_statement_errors(self, text, message):
         with pytest.raises(QasmError) as ei:

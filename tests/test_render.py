@@ -13,12 +13,13 @@ from qvf.render import (
     REFERENCE_GATES,
     WHITE,
     delta_color,
+    delta_scale,
     grid_csv,
+    grid_ppm,
+    grid_svg,
     hist_csv,
     qvf_color,
-    render_delta_svg,
-    render_grid_ppm,
-    render_heatmap_svg,
+    qvf_scale,
     render_timeline_svg,
     timeline_csv,
 )
@@ -53,16 +54,16 @@ class TestColors:
 class TestHeatmapSvg:
     def test_deterministic(self):
         g = small_grid()
-        assert render_heatmap_svg(g) == render_heatmap_svg(g)
+        assert grid_svg(g, qvf_scale()) == grid_svg(g, qvf_scale())
 
     def test_cells_and_titles(self):
-        svg = render_heatmap_svg(small_grid(), title="demo")
+        svg = grid_svg(small_grid(), qvf_scale())
         assert svg.count("<title>") == 4
-        assert ">demo</text>" in svg
+        assert ">mean QVF (circuit)</text>" in svg
         assert "theta=180 phi=0" in svg
 
     def test_band_is_white(self):
-        svg = render_heatmap_svg(small_grid([[0.5, 0.5], [0.5, 0.5]]))
+        svg = grid_svg(small_grid([[0.5, 0.5], [0.5, 0.5]]), qvf_scale())
         assert svg.count('fill="rgb(255,255,255)"') >= 4
 
     def test_overlay_reference_gates(self):
@@ -71,22 +72,28 @@ class TestHeatmapSvg:
             tuple(range(0, 360, 15)),
             np.zeros((13, 24)),
         )
-        svg = render_heatmap_svg(full, overlay=True)
+        svg = grid_svg(full, qvf_scale(), overlay=True)
         for name, _, _ in REFERENCE_GATES:
             assert f">{name}</text>" in svg
-        plain = render_heatmap_svg(full)
+        plain = grid_svg(full, qvf_scale())
         assert "stroke-dasharray" not in plain
 
     def test_default_title_names_group(self):
-        svg = render_heatmap_svg(small_grid(group="qubit:2"))
-        assert "qubit:2" in svg
+        # the overlay's gate labels must not replace the title
+        g = small_grid(group="qubit:2")
+        title = '<text x="64" y="24" font-size="14">{}</text>'
+        for overlay in (False, True):
+            svg = grid_svg(g, qvf_scale(), overlay=overlay)
+            assert title.format("mean QVF (qubit:2)") in svg, overlay
+        d = small_grid([[0.02, -0.01], [0.0, 0.04]], group="delta(qubit:0,qubit:1)")
+        assert title.format("delta QVF (delta(qubit:0,qubit:1))") in grid_svg(d, delta_scale(d))
 
     def test_delta_svg_legend(self):
         g = small_grid([[0.02, -0.01], [0.0, 0.04]])
-        svg = render_delta_svg(g)
+        svg = grid_svg(g, delta_scale(g))
         # clamp floor keeps faint grids readable
         assert "-0.05" in svg and "+0.05" in svg
-        assert render_delta_svg(g) == render_delta_svg(g)
+        assert grid_svg(g, delta_scale(g)) == svg
 
     def test_all_svg_variants_are_well_formed_xml(self):
         # the default legend label "<0.45" must come out escaped
@@ -96,33 +103,33 @@ class TestHeatmapSvg:
 
         stats = HistogramStats(0.4, 0.2, (2, 3), (0.0, 0.5, 1.0))
         series = {0: [(0, 0.1), (2, 0.6)]}
+        delta = small_grid([[0.02, -0.01], [0.0, 0.04]])
         for svg in (
-            render_heatmap_svg(small_grid(), overlay=True),
-            render_heatmap_svg(small_grid(), title="a & b <c>"),
-            render_delta_svg(small_grid([[0.02, -0.01], [0.0, 0.04]])),
+            grid_svg(small_grid(), qvf_scale(), overlay=True),
+            grid_svg(small_grid(group="a & b <c>"), qvf_scale()),
+            grid_svg(delta, delta_scale(delta)),
             render_timeline_svg(series, "t < 1"),
             render_hist_svg(stats, "h & co"),
         ):
             parseString(svg)
-        assert "&lt;0.45" in render_heatmap_svg(small_grid())
+        assert "&lt;0.45" in grid_svg(small_grid(), qvf_scale())
 
 
 class TestPpm:
     def test_header_and_size(self):
-        data = render_grid_ppm(small_grid(), scale=4)
+        data = grid_ppm(small_grid(), qvf_scale(), 4)
         assert data.startswith(b"P6\n8 8\n255\n")
         assert len(data) == len(b"P6\n8 8\n255\n") + 8 * 8 * 3
 
     def test_pixel_colors(self):
-        data = render_grid_ppm(small_grid([[0.0, 0.0], [1.0, 1.0]]), scale=1)
+        data = grid_ppm(small_grid([[0.0, 0.0], [1.0, 1.0]]), qvf_scale(), 1)
         body = data[len(b"P6\n2 2\n255\n"):]
         assert body[0:3] == bytes(GREEN)
         assert body[9:12] == bytes(RED)
 
-    def test_diverging_mode(self):
-        data = render_grid_ppm(
-            small_grid([[-0.1, 0.0], [0.0, 0.1]]), scale=1, diverging=True
-        )
+    def test_delta_scale_pixels(self):
+        g = small_grid([[-0.1, 0.0], [0.0, 0.1]])
+        data = grid_ppm(g, delta_scale(g), 1)
         body = data[len(b"P6\n2 2\n255\n"):]
         assert body[0:3] == bytes(BLUE)
         assert body[3:6] == bytes(WHITE)
@@ -134,7 +141,7 @@ class TestPpm:
         grid = HeatmapGrid(tuple(range(181)), tuple(range(360)), cells)
         tracemalloc.start()
         try:
-            data = render_grid_ppm(grid, scale=4)
+            data = grid_ppm(grid, qvf_scale(), 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
