@@ -136,6 +136,8 @@ def _cmd_bench_build(args):
 
 def _cmd_campaign_run(args):
     """Stream rows to --out site block by site block; keep only the QVF column."""
+    if args.out == "-":
+        raise _UsageError("campaign run writes a record file; --out - is not supported")
     circuit = _load_circuit(args.circuit)
     correct = circuit.correct_states
     if args.correct:

@@ -17,8 +17,10 @@ scores the baseline as a one-column :class:`SiteBlock` (one array per
 score column) and streams one block per site in canonical order
 (site-major, grid-minor) no matter how many workers run;
 :class:`qvf.records.BlockWriter` writes them all as record rows.  Every
-sampled record draws from its own seed sequence derived from (campaign
-seed, site, grid point), so reruns and re-schedules are byte-identical.
+sampled record draws exactly what ``default_rng(SeedSequence([seed,
+site_index + 1, grid_index]))`` would, so reruns and re-schedules are
+byte-identical; the generator states of a column block are derived from
+those seeds once per block, in numpy, and one reused generator draws.
 
 A site is swept as one block: the state after the site's gate is
 computed once and copied into a (2^n, G) block with one column per grid
@@ -46,14 +48,15 @@ from .circuit import Circuit, bitstring_to_index
 from .gates import canonical_u_params
 from .metrics import score
 from .simulator import (
+    NORM_TOL,
     SimulationError,
     check_state,
     compile_steps,
-    draw_counts,
     evolve,
     gate_steps,
     initial_state,
     readout,
+    require,
 )
 
 import numpy as np
@@ -181,22 +184,86 @@ def _correct_mask(circuit: Circuit) -> np.ndarray:
     return mask
 
 
-def _record_seed(campaign_seed: int, site_index: int, grid_index: int):
-    # site slot 0 is the baseline; fault sites start at 1
-    return np.random.SeedSequence([campaign_seed, site_index + 1, grid_index])
+# numpy's SeedSequence (a pool of four uint32 words) and PCG64 seeding constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _int_words(value):
+    """``value`` as SeedSequence reads an int: little-endian uint32 words,
+    0 as one [0] word."""
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _hasher(const, mult):
+    """SeedSequence's hashmix on uint32 arrays, with its running hash
+    constant (which never depends on the data)."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _seed_words(seed, site_index, start, count):
+    """A (count, 4) uint64 array whose row j is
+    ``SeedSequence([seed, site_index + 1, start + j]).generate_state(4,
+    np.uint64)``: SeedSequence's entropy mixing and output hash, run on all
+    count records at once in uint32 arrays."""
+    fixed = _int_words(seed) + _int_words(site_index + 1)
+    # a grid index is below 181 * 360, so always one word
+    entropy = [np.full(count, w, np.uint32) for w in fixed]
+    entropy.append(np.arange(start, start + count, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(count, np.uint32))
+            for i in range(4)]
+
+    def mix(x, y):
+        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
+    return words.astype("<u4").view("<u8")  # numpy's word order on any host
 
 
 def _mode_probs(probs, config, site_index, start):
     """Apply the campaign mode to a block of exact probabilities whose
     columns are grid points ``start``, ``start + 1``, ... of a site: shot
-    frequencies from each record's own seed when sampled, else the entries
-    above PROB_FLOOR."""
+    frequencies when sampled, else the entries above PROB_FLOOR.  Column j
+    draws exactly what ``draw_counts(probs[:, j], shots,
+    SeedSequence([seed, site_index + 1, start + j]))`` would, from one
+    reused generator set to each record's derived state."""
     if config.mode == "sampled":
-        counts = [
-            draw_counts(col, config.shots, _record_seed(config.seed, site_index, start + j))
-            for j, col in enumerate(probs.T)
-        ]
-        return np.column_stack(counts) / config.shots
+        # each column summed as one contiguous row, in the order a 1-D sum uses
+        pvals = np.ascontiguousarray(np.clip(probs.T, 0.0, None))
+        totals = pvals.sum(axis=1)
+        require((np.abs(totals - 1.0) <= NORM_TOL, "probabilities sum to {!r}", totals))
+        pvals /= totals[:, None]
+        words = _seed_words(config.seed, site_index, start, len(pvals)).tolist()
+        bits = np.random.PCG64(0)  # each draw below sets its own state
+        draw = np.random.Generator(bits).multinomial
+        counts = np.empty(probs.shape, dtype=np.int64)
+        for j, (w0, w1, w2, w3) in enumerate(words):
+            # PCG64's seeding: inc from words 2-3, then two LCG steps from words 0-1
+            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+            state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            counts[:, j] = draw(config.shots, pvals[j])
+        return counts / config.shots
     return np.where(probs > PROB_FLOOR, probs, 0.0)
 
 

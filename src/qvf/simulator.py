@@ -290,6 +290,5 @@ def draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
         raise ValueError("shots must be >= 1")
     pvals = np.clip(np.asarray(probs, dtype=float), 0.0, None)
     total = pvals.sum()
-    if abs(total - 1.0) > NORM_TOL:
-        raise SimulationError(f"probabilities sum to {total!r}")
+    require((abs(total - 1.0) <= NORM_TOL, "probabilities sum to {!r}", total))
     return np.random.default_rng(seed).multinomial(shots, pvals / total)

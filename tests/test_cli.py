@@ -87,8 +87,9 @@ class TestBench:
         assert "error:" in capsys.readouterr().err
 
 
-#: SHA-256 of the noiseless 15-degree campaign files (``--jobs 1``), as
-#: recorded with Python 3.11.7 and numpy 2.4.6, by (benchmark, extra flags)
+#: SHA-256 of the noiseless 15-degree campaign files (``--jobs 1``, and
+#: ``--jobs 2`` for the sampled ones), as recorded with Python 3.11.7 and
+#: numpy 2.4.6, by (benchmark, extra flags)
 GOLDEN_DIGESTS = {
     ("bv", ()): "f47ba4152913ca9589f8de3bcf11d12dde58b11d8222d20cddae687b8e4e0bd3",
     ("dj", ()): "ab6d925ce8146ad66dee56c17e83f6b9444569fcdf49ee6d148456c9c031f9e4",
@@ -107,12 +108,14 @@ class TestCampaign:
     def test_noiseless_files_are_byte_identical_to_recorded_ones(self, tmp_path, bench, extra):
         # the other campaign tests compare against references built from the
         # same simulator, so only a recorded digest pins the bytes themselves
-        # (noisy files are left out: their last bits may move)
+        # (noisy files are left out: their last bits may move); sampled files
+        # are pinned pooled too, where each site draws in a worker process
         path = tmp_path / "out.csv"
-        assert main(["campaign", "run", bench, "--grid-step", "15", "--jobs", "1",
-                     "--out", str(path), *extra]) == 0
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == GOLDEN_DIGESTS[bench, extra]
+        for jobs in ("1", "2") if "sampled" in extra else ("1",):
+            assert main(["campaign", "run", bench, "--grid-step", "15", "--jobs", jobs,
+                         "--out", str(path), *extra]) == 0
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == GOLDEN_DIGESTS[bench, extra], jobs
 
     def test_summary_and_file(self, grover_csv, capsys):
         table = read_table_file(grover_csv)
@@ -585,6 +588,43 @@ class TestExitCodes:
         assert captured.out == ""
         assert out.read_bytes() == b"previous campaign\n"
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_campaign_out_dash_is_refused(self, tmp_path, capsys, monkeypatch):
+        # "-" used to become a record file named "-" in the working directory
+        def no_simulation(*args):
+            raise AssertionError("campaign simulated before refusing --out -")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "campaign_blocks", no_simulation)
+        code = main(["campaign", "run", "grover", "--grid-step", "90", "--out", "-"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: campaign run writes a record file; --out - is not supported\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sampled_sum_check_names_the_grid_point(self, tmp_path, capsys, monkeypatch):
+        # the draw's NORM_TOL check used to name the site but not the column
+        real = qvf.injector.readout
+
+        def scaled(block, *args):
+            probs = real(block, *args)
+            if probs.shape[1] > 1:
+                probs[:, 5] *= 1.1  # grid index 5 of 90 degrees: theta 90, phi 90
+            return probs
+
+        monkeypatch.setattr("qvf.injector.readout", scaled)
+        out = tmp_path / "o.csv"
+        code = main(["campaign", "run", "grover", "--grid-step", "90", "--mode",
+                     "sampled", "--jobs", "1", "--out", str(out)])
+        assert code == EXIT_SIMULATION
+        err = capsys.readouterr().err
+        head, total = err.rsplit(" ", 1)
+        assert head == ("error: simulation failed at site 0 (gate 0, qubit 0) "
+                        "at theta 90, phi 90: probabilities sum to")
+        assert float(total) == pytest.approx(1.1)
+        assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_sites(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

@@ -571,6 +571,67 @@ class TestBlockKernel:
                          (circuit, config))
 
 
+class TestBlockDraw:
+    """The sampled mode's one draw loop per column block against numpy's
+    per-record ``default_rng(SeedSequence([seed, site_index + 1, grid_index]))``."""
+
+    #: one to three entropy words per seed, and 2^32 - 1 at the edge of one
+    SEEDS = (0, 5, 2**32 - 1, 2**32 + 3, 2**64, 2**70 + 11)
+    SITES = (-1, 0, 3, 40)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_words_match_seed_sequence(self, seed):
+        for site_index in self.SITES:
+            for start in (0, 397):
+                got = injector._seed_words(seed, site_index, start, 6)
+                want = [np.random.SeedSequence([seed, site_index + 1, start + j])
+                        .generate_state(4, np.uint64) for j in range(6)]
+                assert got.dtype == np.uint64
+                assert (got == np.array(want)).all(), (site_index, start)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_match_per_record_generators(self, seed):
+        rng = np.random.default_rng(seed % 997)
+        probs = rng.random((8, 5))
+        probs /= probs.sum(axis=0)
+        config = CampaignConfig(mode="sampled", shots=300, seed=seed)
+        for site_index in self.SITES:
+            for start in (0, 397):
+                got = injector._mode_probs(probs, config, site_index, start)
+                for j in range(5):
+                    col = np.ascontiguousarray(probs[:, j])
+                    seq = np.random.SeedSequence([seed, site_index + 1, start + j])
+                    counts = np.random.default_rng(seq).multinomial(300, col / col.sum())
+                    assert (got[:, j] == counts / 300).all(), (site_index, start, j)
+
+    def test_block_sums_each_column_as_a_vector_does(self):
+        # exact circuits often put exactly half the mass on one outcome; a
+        # one-ulp change in a column total then moves that probability across
+        # 0.5, where numpy's binomial draw switches branch.  Summing this block
+        # down its strided axis changes about half the totals and the counts
+        # of 96 of its 312 columns; random columns without the exact half
+        # draw the same counts either way
+        rng = np.random.default_rng(1812)
+        probs = rng.random((16, 312))
+        probs[1:] *= 0.5 / probs[1:].sum(axis=0)
+        probs[0] = 0.5
+        config = CampaignConfig(mode="sampled", shots=1024, seed=5)
+        got = injector._mode_probs(probs, config, 2, 0)
+        for j in range(312):
+            want = draw_counts(probs[:, j], 1024, np.random.SeedSequence([5, 3, j]))
+            assert (got[:, j] == want / 1024).all(), j
+
+    def test_chunked_campaign_matches_per_record_reference(self, monkeypatch):
+        # grover's 4 amplitudes in chunks of 7 columns: each site's 40-point
+        # grid draws in 6 blocks, all but the first at start > 0
+        monkeypatch.setattr(injector, "BLOCK_AMPLITUDES", 4 * 7)
+        circuit = build_grover()
+        config = CampaignConfig(grid_step=45, mode="sampled", shots=500,
+                                seed=2**70 + 11, jobs=1)
+        assert_same_text(campaign_csv(circuit, config),
+                         TestBlockKernel.reference_csv(circuit, config), config)
+
+
 class TestImprovedFlag:
     def test_rounding_ties_are_not_improvements(self):
         # under noise many bv faults tie the baseline to the last bits; only

@@ -191,8 +191,11 @@ def test_large_sample_tracks_exact_distribution():
 def test_draw_counts_input_validation():
     with pytest.raises(ValueError):
         draw_counts(np.array([1.0]), 0, seed=0)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match=r"^probabilities sum to 0\.9$"):
         draw_counts(np.array([0.5, 0.4]), 10, seed=0)
+    # a NaN total used to pass the check and fail inside numpy's draw
+    with pytest.raises(SimulationError, match="probabilities sum to nan"):
+        draw_counts(np.array([np.nan, 1.0]), 10, seed=0)
 
 
 def test_oversized_states_are_refused():
