@@ -59,14 +59,19 @@ def _write_file(path: str, write, binary: bool = False):
     path = _resolve_out(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     text = {} if binary else {"encoding": "utf-8", "newline": ""}
-    fh = open(tmp, "xb" if binary else "x", **text)
     try:
-        with fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+        fh = open(tmp, "xb" if binary else "x", **text)
+        try:
+            with fh:
+                write(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
+    except OSError as exc:  # name the file asked for, not its temporary twin
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from None
     print(f"wrote {path}")
 
 

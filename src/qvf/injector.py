@@ -22,9 +22,9 @@ site_index + 1, grid_index]))`` would, so reruns and re-schedules are
 byte-identical; the generator states of a column block are derived from
 those seeds once per block, in numpy, and one reused generator draws.
 
-A site is swept as one block: the state after the site's gate is
-computed once and copied into a (2^n, G) block with one column per grid
-point, the G fault rotations act on it in one broadcast step, and the
+A site is swept as one block: the fault-free state after the site's
+gate is copied into a (2^n, G) block with one column per grid point, the
+G fault rotations act on it in one broadcast step, and the
 remaining gates run on the whole block (in column chunks of at most
 ``BLOCK_AMPLITUDES`` entries).  The baseline is site -1 of the same
 sweep: the whole program on the initial state, in one column with no
@@ -36,10 +36,20 @@ each chunk slices.  Every column undergoes exactly the floating-point
 operations that simulating its faulted circuit alone would, so each
 record scores, bit for bit, what
 :func:`qvf.simulator.measured_probabilities` gives for that circuit.
+
+Every site at or after a gate starts from the same fault-free prefix
+state, so each process keeps the last prefix it evolved, tagged with a
+key drawn once per campaign, and evolves a copy of it on to the next
+site's gate.  A serial campaign, and each pool worker over the sites it
+is handed in order, thus runs every prefix gate once; a site before the
+kept state, or one of another campaign, starts again from |0...0>.
+Evolving on applies the very steps a fresh run would, in the same order.
+The kept state is dropped once a campaign's last block is handed out.
 """
 
 import cmath
 import math
+import os
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -271,15 +281,35 @@ def _mode_probs(probs, config, site_index, start):
 SiteBlock = namedtuple("SiteBlock", "site_index site pst p_b contrast qvf improved")
 
 
+#: this process's last prefix state: (campaign key, gates applied, state);
+#: never changed in place, so it stays the state after that many gates
+_prefix_memo = (None, 0, None)
+
+
+def _prefix(key, n, program, stop, noise):
+    """The state after ``program[:stop]``, evolved on from this process's
+    memo when it holds campaign ``key`` at or before ``stop``, else from
+    |0...0>; the result becomes the memo."""
+    global _prefix_memo
+    memo_key, done, state = _prefix_memo
+    if memo_key == key and done <= stop:
+        state = state.copy()
+    else:
+        done, state = 0, initial_state(n, noise)
+    evolve(state, n, program[done:stop], noise)
+    _prefix_memo = (key, stop, state)
+    return state
+
+
 def _site_worker(args):
     """The :class:`SiteBlock` of one site; runs in a worker process.  The
     baseline is site -1 with no ``fault``: one column, no fault step, and a
     :class:`SimulationError` of its own escapes unwrapped."""
-    circuit, config, mask, program, site_index, site, fault, baseline_qvf = args
+    circuit, config, mask, key, program, site_index, site, fault, baseline_qvf = args
     n, noise = circuit.n_qubits, config.noise
     columns = []
     try:
-        prefix = evolve(initial_state(n, noise), n, program[:site.gate_index + 1], noise)
+        prefix = _prefix(key, n, program, site.gate_index + 1, noise)
         width = 1 if fault is None else len(fault[0])
         chunk = max(1, BLOCK_AMPLITUDES // prefix.size)
         for start in range(0, width, chunk):
@@ -306,9 +336,19 @@ def _site_worker(args):
                      qvf < baseline_qvf - IMPROVED_MARGIN)
 
 
-def _pooled(jobs, workers):
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_site_worker, jobs)
+def _sweep(jobs, workers):
+    """The blocks of ``jobs``, in this process or from a pool of
+    ``workers``; once they are done this process's prefix memo is dropped,
+    so no campaign's state outlives it."""
+    global _prefix_memo
+    try:
+        if workers == 1:
+            yield from map(_site_worker, jobs)
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                yield from pool.map(_site_worker, jobs)
+    finally:
+        _prefix_memo = (None, 0, None)
 
 
 def campaign_blocks(circuit: Circuit, config: CampaignConfig = CampaignConfig()):
@@ -330,13 +370,11 @@ def campaign_blocks(circuit: Circuit, config: CampaignConfig = CampaignConfig())
                 raise CampaignError(f"site index {s} out of range")
         picked = [(s, all_sites[s]) for s in config.sites]
     n, noise = circuit.n_qubits, config.noise
-    shared = (circuit, config, mask, compile_steps(circuit.gates, n, noise))
+    shared = (circuit, config, mask, os.urandom(16), compile_steps(circuit.gates, n, noise))
     base = _site_worker(shared + (-1, FaultSite(-1, -1), None, -math.inf))  # never improved
     mats = grid_matrices(config.grid_step)
     faults = {q: gate_steps("u", mats, (q,), n, noise)[1][0]  # noiseless, mats itself
               for q in {site.qubit for _, site in picked}}
     jobs = [shared + (idx, site, faults[site.qubit], base.qvf[0]) for idx, site in picked]
-    if config.jobs == 1 or len(jobs) == 1:
-        return base, map(_site_worker, jobs)
-    return base, _pooled(jobs, min(config.jobs, len(jobs)))
+    return base, _sweep(jobs, min(config.jobs, len(jobs)))
 

@@ -22,7 +22,13 @@ superoperator and sub-index bit 1 is the row bit.  A 2-qubit gate U on
 qubits Q is U on flat qubits Q + n, then conj(U) on flat qubits Q, then
 S on (q, q + n) for each target q.  Every step runs on
 :func:`apply_matrix` over 2n qubits, and a (4^n, G) block of flat
-matrices takes the same steps, one per column.  The eigenvalue check is
+matrices takes the same steps, one per column.  A step matrix of 0s and
+1s that only permutes, as cx, a noiseless x and a noisy cx's row-bit and
+column-bit steps do, is compiled to an index array and moves amplitudes
+instead of multiplying and adding.  The two differ only in the sign of a
+zero entry, since a signed zero never changes a nonzero sum or product,
+and no readout sees that sign: amplitudes are squared, and a rho's
+diagonal is summed onto +0.0.  The eigenvalue check is
 screened: one batched Cholesky factorisation clears a whole block whose
 every column is safely above the floor, and only a block it cannot clear
 goes to ``eigvalsh``, which then decides exactly as an unscreened check.
@@ -119,10 +125,17 @@ def apply_matrix(state: np.ndarray, n_qubits: int, mat: np.ndarray, qubits) -> n
     """Apply a 2^k x 2^k matrix on ``qubits`` in place and return the state.
 
     ``state`` is a 2^n vector or a (2^n, G) block; ``mat`` may be a
-    (G, d, d) stack holding one matrix per block column.  Sub-index bit a
-    of the matrix is the value of ``qubits[a]``.
+    (G, d, d) stack holding one matrix per block column, or a permutation
+    as a length-d index array (:func:`_as_move`): row r then takes sub-index
+    ``mat[r]``.  Sub-index bit a of the matrix is the value of ``qubits[a]``.
     """
     index = _group_indices(n_qubits, tuple(qubits))
+    if mat.ndim == 1:
+        moved = [(index[row], index[src]) for row, src in enumerate(mat.tolist()) if src != row]
+        amps = [state[src] for _, src in moved]
+        for (i, _), amp in zip(moved, amps):
+            state[i] = amp
+        return state
     amps = [state[i] for i in index]
     for row, i in enumerate(index):
         acc = mat[..., row, 0] * amps[0]
@@ -147,24 +160,38 @@ def _fused(mat: np.ndarray, sup) -> np.ndarray:
     return out
 
 
+def _as_move(mat: np.ndarray) -> np.ndarray:
+    """A d x d matrix of 0s and 1s with one 1 per row and column as the
+    index array ``perm`` with ``mat[r, perm[r]] == 1``, else ``mat``.
+
+    Applying ``perm`` moves amplitudes where the dense step multiplies and
+    adds, with the same result up to the sign of a zero entry."""
+    if mat.ndim != 2:
+        return mat
+    perm = np.nonzero(mat)[1]
+    return perm if np.array_equal(np.eye(len(mat))[perm], mat) else mat
+
+
 def gate_steps(name: str, mat: np.ndarray, qubits, n_qubits: int, noise=None):
     """(name, steps) taking a state through one gate: the one (matrix,
     qubits) step for a state vector.  Under ``noise``, for a flat rho, a
     1-qubit gate is one fused 4x4 step (:func:`_fused`); a wider gate is
     ``mat`` on the row bits, its conjugate on the column bits and one
     channel superoperator per target.  ``mat`` may be a (G, d, d) stack,
-    one matrix per block column."""
+    one matrix per block column.  A step matrix that only permutes, as cx
+    and a noiseless x do, becomes a move (:func:`_as_move`)."""
     if noise is None:
-        return name, [(mat, tuple(qubits))]
-    if len(qubits) == 1:
+        steps = [(mat, tuple(qubits))]
+    elif len(qubits) == 1:
         (q,) = qubits
-        return name, [(_fused(mat, noise.superoperator(name, q)), (q, q + n_qubits))]
-    steps = [(mat, tuple(q + n_qubits for q in qubits)), (mat.conj(), tuple(qubits))]
-    for q in qubits:
-        sup = noise.superoperator(name, q)
-        if sup is not None:
-            steps.append((sup, (q, q + n_qubits)))
-    return name, steps
+        steps = [(_fused(mat, noise.superoperator(name, q)), (q, q + n_qubits))]
+    else:
+        steps = [(mat, tuple(q + n_qubits for q in qubits)), (mat.conj(), tuple(qubits))]
+        for q in qubits:
+            sup = noise.superoperator(name, q)
+            if sup is not None:
+                steps.append((sup, (q, q + n_qubits)))
+    return name, [(_as_move(m), qs) for m, qs in steps]
 
 
 def compile_steps(gates, n_qubits: int, noise=None):

@@ -87,8 +87,8 @@ class TestBench:
         assert "error:" in capsys.readouterr().err
 
 
-#: SHA-256 of the noiseless 15-degree campaign files (``--jobs 1``, and
-#: ``--jobs 2`` for the sampled ones), as recorded with Python 3.11.7 and
+#: SHA-256 of the 15-degree campaign files (``--jobs 1``, and ``--jobs 2``
+#: for the sampled and noisy ones), as recorded with Python 3.11.7 and
 #: numpy 2.4.6, by (benchmark, extra flags)
 GOLDEN_DIGESTS = {
     ("bv", ()): "f47ba4152913ca9589f8de3bcf11d12dde58b11d8222d20cddae687b8e4e0bd3",
@@ -100,6 +100,10 @@ GOLDEN_DIGESTS = {
         "a3426c186011717073de5b42f6e35262057e902700db0ab81978a6b7f53b5ecd",
     ("grover", ("--mode", "sampled", "--seed", "5")):
         "7d1025ba40858115d2b48ce5cfc5824104930cf422e64b3be5bb6ceb05cc939f",
+    ("dj", ("--noise", "representative")):
+        "41f999560d373cd9466a669f2617af32bbcf4dc9bda0c90d100cfc66495f7222",
+    ("grover", ("--noise", "representative")):
+        "a047dd68b4f27278760e3f8788391140d379054625b854d4e902a95a971182c9",
 }
 
 
@@ -107,11 +111,12 @@ class TestCampaign:
     @pytest.mark.parametrize("bench, extra", GOLDEN_DIGESTS)
     def test_noiseless_files_are_byte_identical_to_recorded_ones(self, tmp_path, bench, extra):
         # the other campaign tests compare against references built from the
-        # same simulator, so only a recorded digest pins the bytes themselves
-        # (noisy files are left out: their last bits may move); sampled files
-        # are pinned pooled too, where each site draws in a worker process
+        # same simulator, so only a recorded digest pins the bytes themselves.
+        # Noisy files pin the density-matrix kernel down to the last bit of
+        # every score.  Sampled and noisy files are pinned pooled too, where
+        # each site draws, and evolves its prefix, in a worker process
         path = tmp_path / "out.csv"
-        for jobs in ("1", "2") if "sampled" in extra else ("1",):
+        for jobs in ("1", "2") if extra else ("1",):
             assert main(["campaign", "run", bench, "--grid-step", "15", "--jobs", jobs,
                          "--out", str(path), *extra]) == 0
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -813,8 +818,19 @@ class TestExitCodes:
     def test_io_errors(self, tmp_path, capsys):
         assert main(["report", "heatmap", "--in", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path / "o.svg")]) == EXIT_IO
+        capsys.readouterr()
+        out = tmp_path / "no-dir" / "o.csv"
         assert main(["campaign", "run", "grover", "--grid-step", "90",
-                     "--out", str(tmp_path / "no-dir" / "o.csv")]) == EXIT_IO
+                     "--out", str(out)]) == EXIT_IO
+        # the message names the requested file, not the temporary one beside it
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert list(tmp_path.iterdir()) == []
+        # so does a failed move into place, here onto a directory
+        (tmp_path / "d").mkdir()
+        assert main(["campaign", "run", "grover", "--grid-step", "90",
+                     "--out", str(tmp_path / "d")]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path / 'd'}'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
 
 class TestCampaignMemory:

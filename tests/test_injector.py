@@ -686,6 +686,78 @@ class TestNoisyKernelWork:
         assert calls == {"compile_steps": 1, "gate_steps": 18, "_fused": 16}
 
 
+def block_bits(block):
+    """A SiteBlock as its site and the bytes of each array, so equal means
+    bit for bit."""
+    return (block.site_index, block.site) + tuple(a.tobytes() for a in block[2:])
+
+
+class TestPrefixMemo:
+    """Each process evolves a campaign's fault-free prefix on from the last
+    site it swept, not from |0...0> per site."""
+
+    def test_serial_campaign_applies_each_prefix_step_once(self, monkeypatch):
+        # single-column calls are prefix steps: the baseline and the sites
+        # evolve (2^n, G) blocks.  From |0...0> per site dj's 18 sites made 234
+        calls = []
+        real = simulator.apply_matrix
+
+        def counted(state, *args):
+            calls.append(state.ndim)
+            return real(state, *args)
+
+        monkeypatch.setattr(simulator, "apply_matrix", counted)
+        circuit, noise = build_deutsch_jozsa(), representative_noise()
+        config = CampaignConfig(grid_step=30, noise=noise, jobs=1)
+        _, blocks = campaign_blocks(circuit, config)
+        assert len(list(blocks)) == 18
+        program = simulator.compile_steps(circuit.gates, circuit.n_qubits, noise)
+        assert 0 < calls.count(1) <= sum(len(steps) for _, steps in program)
+
+    def test_interleaved_campaigns_give_what_each_gives_alone(self):
+        configs = [(build_deutsch_jozsa(), CampaignConfig(grid_step=45, noise=representative_noise())),
+                   (build_deutsch_jozsa(), CampaignConfig(grid_step=45)),
+                   (build_grover(), CampaignConfig(grid_step=45))]
+        alone = [[block_bits(b) for b in campaign_blocks(c, config)[1]] for c, config in configs]
+        iterators = [campaign_blocks(c, config)[1] for c, config in configs]
+        interleaved = [[] for _ in configs]
+        for step in zip_longest(*iterators):
+            for got, block in zip(interleaved, step):
+                if block is not None:
+                    got.append(block_bits(block))
+        assert interleaved == alone
+
+    def test_a_returned_prefix_never_changes(self, monkeypatch):
+        # a later site evolves a copy, so an earlier prefix (the memo's
+        # state until then) keeps its bits
+        monkeypatch.setattr(injector, "_prefix_memo", (None, 0, None))
+        c = build_grover()
+        program = simulator.compile_steps(c.gates, c.n_qubits)
+        first = injector._prefix(b"key", c.n_qubits, program, 3, None)
+        kept = first.copy()
+        later = injector._prefix(b"key", c.n_qubits, program, 9, None)
+        assert first.tobytes() == kept.tobytes() != later.tobytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_finished_campaign_keeps_no_prefix(self, jobs):
+        # a kept state is as large as the campaign's states (16 MiB at 20
+        # qubits), so it goes when the last block has been handed out
+        _, blocks = campaign_blocks(build_grover(), CampaignConfig(grid_step=45, jobs=jobs))
+        next(blocks)
+        assert injector._prefix_memo[2] is not None
+        list(blocks)
+        assert injector._prefix_memo == (None, 0, None)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_descending_sites_match_the_full_run(self, jobs):
+        # site 3 comes after site 12, so its prefix restarts from |0...0>
+        c, noise = build_deutsch_jozsa(), representative_noise()
+        full = {b.site_index: block_bits(b)
+                for b in campaign_blocks(c, CampaignConfig(grid_step=45, noise=noise))[1]}
+        config = CampaignConfig(grid_step=45, noise=noise, sites=(12, 3), jobs=jobs)
+        assert [block_bits(b) for b in campaign_blocks(c, config)[1]] == [full[12], full[3]]
+
+
 class TestFailureReport:
     def test_campaign_error_names_the_first_failing_grid_point(self, monkeypatch):
         # damping after x only: the final state is singular exactly when the

@@ -14,12 +14,16 @@ import pytest
 
 import oracles
 import qvf
+from qvf.benchmarks import DEFAULTS
 from qvf.circuit import Circuit
-from qvf.noise import NoiseModel
+from qvf.gates import CX, SIGNATURES, X
+from qvf.noise import NoiseModel, load_noise_config
 from qvf import simulator
 from qvf.simulator import (
     MAX_QUBITS,
     SimulationError,
+    apply_matrix,
+    compile_steps,
     draw_counts,
     final_state,
     measured_probabilities,
@@ -265,3 +269,60 @@ def test_index_caches_stay_bounded():
         for key in keys:
             cache(*key)
         assert cache.cache_info().currsize == bound
+
+
+def representative_noise():
+    text = (resources.files("qvf") / "data" / "representative_noise.ini").read_text()
+    return load_noise_config(text)
+
+
+def test_only_permuting_steps_become_moves():
+    # cx's row-bit and column-bit steps, and a noiseless x, only permute;
+    # a fused step with channels, a superoperator or any other gate does not
+    noisy, ideal = representative_noise(), NoiseModel()
+    for name, (width, n_params) in SIGNATURES.items():
+        gate = (name, tuple(range(width)), (0.3, 1.1, 0.4)[:n_params])
+        for noise, moves in ((None, {"x": [True], "cx": [True]}),
+                             (ideal, {"x": [True], "cx": [True, True]}),
+                             (noisy, {"cx": [True, True, False, False]})):
+            (_, steps), = compile_steps(Circuit(2, [gate], (0,)).gates, 2, noise)
+            want = moves.get(name, [False] * len(steps))
+            assert [mat.ndim == 1 for mat, _ in steps] == want, (name, noise)
+
+
+@pytest.mark.parametrize("mat, qubits", [
+    (X, (2,)), (CX, (0, 3)), (CX, (3, 1)), (np.kron(X, X.conj()), (1, 2)),
+    (np.eye(4)[[2, 0, 3, 1]], (2, 0)), (np.eye(8)[[5, 1, 7, 0, 2, 6, 3, 4]], (3, 0, 1)),
+])
+def test_move_equals_the_dense_step_bit_for_bit(mat, qubits):
+    # with no zero entry there is no signed zero, so every bit must agree
+    rng = np.random.default_rng(19)
+    perm = simulator._as_move(np.asarray(mat, dtype=complex))
+    assert perm.ndim == 1
+    for shape in ((16,), (16, 7)):
+        state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        dense = apply_matrix(state.copy(), 4, np.asarray(mat, dtype=complex), qubits)
+        moved = apply_matrix(state.copy(), 4, perm, qubits)
+        assert moved.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("bench", sorted(DEFAULTS))
+def test_readout_ignores_the_sign_of_zeros(bench):
+    # a move can leave -0.0 where the dense step leaves 0.0; the readout of
+    # an amplitude vector squares it away, and a rho's sums start from +0.0
+    circuit = DEFAULTS[bench]()
+
+    def flip_zero_signs(state):
+        out = state.copy()
+        for part in (out.real, out.imag):
+            part[part == 0.0] *= -1.0
+        assert (np.signbit(out.real) != np.signbit(state.real)).any()
+        return out
+
+    n, measured = circuit.n_qubits, circuit.measured
+    for state, noise in ((final_state(circuit), None),
+                         (final_state(circuit, NoiseModel()), representative_noise())):
+        block = np.stack([state, flip_zero_signs(state)], axis=1)
+        probs = readout(block, n, measured, noise)
+        assert probs[:, 0].tobytes() == probs[:, 1].tobytes()
+        assert readout(block[:, 1], n, measured, noise).tobytes() == probs[:, 0].tobytes()
