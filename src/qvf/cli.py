@@ -18,6 +18,7 @@ record file, noise config), 4 simulation failure, 5 I/O failure.
 import argparse
 import dataclasses
 import functools
+import inspect
 import os
 import sys
 from importlib import resources
@@ -124,13 +125,9 @@ def _cmd_bench_list(args):
 
 
 def _cmd_bench_build(args):
-    if args.kind == "bv":
-        circuit = benchmarks.build_bernstein_vazirani(args.secret)
-    elif args.kind == "dj":
-        circuit = benchmarks.build_deutsch_jozsa(args.oracle, args.mask, args.bit)
-    else:
-        circuit = benchmarks.build_grover(args.marked, args.iterations)
-    _write_out(args.out, emit_qasm(circuit))
+    build = benchmarks.DEFAULTS[args.kind]
+    options = {k: v for k, v in vars(args).items() if k in inspect.signature(build).parameters}
+    _write_out(args.out, emit_qasm(build(**options)))
     return 0
 
 
@@ -157,12 +154,10 @@ def _cmd_campaign_run(args):
     circuit = dataclasses.replace(circuit, name=args.circuit_id or circuit.name,
                                   correct_states=correct)
 
+    sweep = {k: v for k, v in vars(args).items() if k in ("grid_step", "shots", "mode", "seed")}
     config = CampaignConfig(
-        grid_step=args.grid_step,
-        shots=args.shots,
-        mode=args.mode,
+        **sweep,
         noise=_load_noise(args.noise),
-        seed=args.seed,
         sites=tuple(args.sites) if args.sites else None,
         jobs=args.jobs if args.jobs else (os.cpu_count() or 1),
     )
@@ -200,16 +195,6 @@ STYLE_READ_BY_FORMAT = {"svg": ("green_below", "red_above", "cell", "overlay"),
                         "ppm": ("green_below", "red_above", "cell"), "csv": ()}
 
 
-class _StyleFlag(argparse.Action):
-    """Store a grid style flag and add it to ``namespace.given``, in
-    command-line order, so that a flag the format ignores can be refused
-    even at its default value."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, True if self.nargs == 0 else values)
-        namespace.given += (self.dest,)
-
-
 def _grid_output(args, grid, out_path):
     """Render a heatmap, perqubit or delta grid in ``args.format``; the
     style flags that format does not read were refused before."""
@@ -238,8 +223,13 @@ def _suffixed(path: str, tag: str) -> str:
 def _cmd_report(args):
     if args.which == "perqubit" and args.qubit is None and args.out == "-":
         raise _UsageError("perqubit writes one file per qubit; --out - needs --qubit N")
-    for name in getattr(args, "given", ()):
-        if name not in STYLE_READ_BY_FORMAT[args.format]:
+    # a style flag is None unless given: one the format ignores is refused even
+    # at its default value, and one not given takes its default here
+    defaults = (*render.DEFAULT_THRESHOLDS, render.DEFAULT_CELL, False)
+    for name, default in zip(STYLE_READ_BY_FORMAT["svg"], defaults):
+        if getattr(args, name, None) is None:
+            setattr(args, name, default)
+        elif name not in STYLE_READ_BY_FORMAT[args.format]:
             flag = "--" + name.replace("_", "-")
             raise _UsageError(f"{flag} does nothing with --format {args.format}")
     if args.which in ("heatmap", "perqubit") and not (
@@ -308,26 +298,32 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     bench_sub.add_parser("list", help="list available benchmarks")
     build = bench_sub.add_parser("build", help="write a benchmark circuit file")
-    build.add_argument("kind", choices=sorted(benchmarks.DEFAULTS))
-    build.add_argument("--secret", default="011", help="bv: 3-bit secret")
-    build.add_argument("--oracle", default="balanced",
-                       choices=("balanced", "constant"), help="dj oracle kind")
-    build.add_argument("--mask", default="111", help="dj balanced mask")
-    build.add_argument("--bit", type=int, default=0, help="dj constant output bit")
-    build.add_argument("--marked", default="11", help="grover marked state")
-    build.add_argument("--iterations", type=int, default=1)
-    build.add_argument("--out", default="-", help="output path ('-' for stdout)")
+    kinds = build.add_subparsers(dest="kind", required=True)
+    # each kind takes only its builder's options; one not given is absent,
+    # so the builder's default applies
+    bv, dj, grover = (kinds.add_parser(kind, argument_default=argparse.SUPPRESS)
+                      for kind in benchmarks.DEFAULTS)
+    bv.add_argument("--secret", help="3-bit secret")
+    dj.add_argument("--oracle", choices=("balanced", "constant"), help="oracle kind")
+    dj.add_argument("--mask", help="balanced mask")
+    dj.add_argument("--bit", type=int, help="constant output bit")
+    grover.add_argument("--marked", help="marked state")
+    grover.add_argument("--iterations", type=int)
+    for p in (bv, dj, grover):
+        p.add_argument("--out", default="-", help="output path ('-' for stdout)")
 
     campaign = sub.add_parser("campaign", help="run fault-injection sweeps")
     campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
-    run = campaign_sub.add_parser("run", help="sweep every site against the grid")
+    # a sweep flag not given is absent, so CampaignConfig's default applies
+    run = campaign_sub.add_parser("run", help="sweep every site against the grid",
+                                  argument_default=argparse.SUPPRESS)
     run.add_argument("circuit", help="benchmark name (bv/dj/grover) or circuit file")
-    run.add_argument("--grid-step", type=int, default=15, help="degrees per step")
-    run.add_argument("--shots", type=int, default=1024)
-    run.add_argument("--mode", choices=("exact", "sampled"), default="exact")
+    run.add_argument("--grid-step", type=int, help="degrees per step")
+    run.add_argument("--shots", type=int)
+    run.add_argument("--mode", choices=("exact", "sampled"))
     run.add_argument("--noise", default=None,
                      help="noise config path, or 'representative'")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=int)
     run.add_argument("--jobs", type=int, default=0,
                      help="worker processes (default: all cores)")
     run.add_argument("--sites", type=int, nargs="+", default=None,
@@ -356,23 +352,20 @@ def build_parser() -> argparse.ArgumentParser:
     hist.add_argument("--bins", type=int, default=50)
     # thresholds and the overlay are for mean-QVF maps: delta has its own scale
     maps, grids = (heatmap, perqubit), (heatmap, perqubit, delta)
-    green, red = render.DEFAULT_THRESHOLDS
     for p in (heatmap, perqubit, delta, timeline, hist):
         p.add_argument("--format", default="svg",
                        choices=("svg", "ppm", "csv") if p in grids else ("svg", "csv"))
         p.add_argument("--out", required=True, help="output path ('-' for stdout)")
-        if p in grids:
-            p.set_defaults(given=(), overlay=False)  # delta draws no overlay
         if p in maps:
-            p.add_argument("--green-below", type=float, default=green, action=_StyleFlag,
+            p.add_argument("--green-below", type=float,
                            help="lower QVF threshold for the green band (svg, ppm)")
-            p.add_argument("--red-above", type=float, default=red, action=_StyleFlag,
+            p.add_argument("--red-above", type=float,
                            help="upper QVF threshold for the red band (svg, ppm)")
         if p in grids:
-            p.add_argument("--cell", type=int, default=render.DEFAULT_CELL, action=_StyleFlag,
+            p.add_argument("--cell", type=int,
                            help="cell size in px (svg) / px per cell (ppm)")
         if p in maps:
-            p.add_argument("--overlay", nargs=0, default=False, action=_StyleFlag,
+            p.add_argument("--overlay", action="store_true", default=None,
                            help="mark fault angles matching common gates (X,Y,Z,S,T) (svg)")
         p.add_argument("--in", dest="infile", required=True, help="record CSV")
 

@@ -37,7 +37,7 @@ CX = np.array(
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
-def u_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
+def u_matrix(theta, phi, lam: float) -> np.ndarray:
     """Generic single-qubit rotation.
 
     ::
@@ -47,17 +47,18 @@ def u_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
 
     Covers every single-qubit gate; u(pi, 0, pi) is X and u(pi/2, 0, pi)
     is the Hadamard.
+
+    ``theta`` and ``phi`` may also be axes (sequences): the result is then the
+    (T, P, 2, 2) stack whose [i, j] entry has the bits of ``u_matrix(theta[i],
+    phi[j], lam)``, as each cos, sin and exp runs once per axis value.
     """
-    half = 0.5 * theta
-    c = math.cos(half)
-    s = math.sin(half)
-    return np.array(
-        [
-            [c, -cmath.exp(1j * lam) * s],
-            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
-        ],
-        dtype=complex,
-    )
+    thetas, phis = np.atleast_1d(theta).tolist(), np.atleast_1d(phi).tolist()
+    c = np.array([math.cos(0.5 * t) for t in thetas])[:, None]
+    s = np.array([math.sin(0.5 * t) for t in thetas])[:, None]
+    e_phi = np.array([cmath.exp(1j * p) for p in phis])
+    e_sum = np.array([cmath.exp(1j * (p + lam)) for p in phis])
+    mats = np.stack(np.broadcast_arrays(c, -cmath.exp(1j * lam) * s, e_phi * s, e_sum * c), -1)
+    return mats.reshape(np.shape(theta) + np.shape(phi) + (2, 2))
 
 
 def canonical_u_params(theta: float, phi: float, lam: float):

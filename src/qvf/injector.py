@@ -47,7 +47,6 @@ Evolving on applies the very steps a fresh run would, in the same order.
 The kept state is dropped once a campaign's last block is handed out.
 """
 
-import cmath
 import math
 import os
 from collections import namedtuple
@@ -55,7 +54,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .circuit import Circuit, bitstring_to_index
-from .gates import canonical_u_params
+from .gates import canonical_u_params, u_matrix
 from .metrics import score
 from .simulator import (
     NORM_TOL,
@@ -161,21 +160,12 @@ def grid_degrees(step: int = 15):
 
 def grid_matrices(step: int = 15) -> np.ndarray:
     """The (G, 2, 2) canonical u(theta, phi, 0) matrices in :func:`grid_degrees`
-    order, bit for bit as a u Gate holds them: :func:`qvf.gates.u_matrix`'s
-    scalar calls run once per theta and once per phi, then broadcast."""
+    order, bit for bit as a u Gate holds them: one axes call of
+    :func:`qvf.gates.u_matrix` on the canonical theta and phi axes."""
     theta_degs, phi_degs = _grid_axes(step)
-    lam = 0.0
-    halves = [0.5 * canonical_u_params(math.radians(t), 0.0, lam)[0] for t in theta_degs]
-    phis = [canonical_u_params(0.0, math.radians(p), lam)[1] for p in phi_degs]
-    c = np.array([math.cos(h) for h in halves])
-    s = np.array([math.sin(h) for h in halves])
-    phase = np.array([cmath.exp(1j * p) for p in phis])  # exp(i*(phi + lam)) too
-    mats = np.empty((len(halves), len(phis), 2, 2), dtype=complex)
-    mats[..., 0, 0] = c[:, None]
-    mats[..., 0, 1] = np.array([-cmath.exp(1j * lam) * v for v in s.tolist()])[:, None]
-    mats[..., 1, 0] = phase * s[:, None]
-    mats[..., 1, 1] = phase * c[:, None]
-    return mats.reshape(-1, 2, 2)
+    thetas = [canonical_u_params(math.radians(t), 0.0, 0.0)[0] for t in theta_degs]
+    phis = [canonical_u_params(0.0, math.radians(p), 0.0)[1] for p in phi_degs]
+    return u_matrix(thetas, phis, 0.0).reshape(-1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +357,7 @@ def campaign_blocks(circuit: Circuit, config: CampaignConfig = CampaignConfig())
     else:
         for s in config.sites:
             if not 0 <= s < len(all_sites):
-                raise CampaignError(f"site index {s} out of range")
+                raise ValueError(f"site index {s} out of range")
         picked = [(s, all_sites[s]) for s in config.sites]
     n, noise = circuit.n_qubits, config.noise
     shared = (circuit, config, mask, os.urandom(16), compile_steps(circuit.gates, n, noise))

@@ -18,7 +18,7 @@ from support import table_rows
 from qvf import cli, metrics, records, render
 from qvf.cli import EXIT_IO, EXIT_PARSE, EXIT_SIMULATION, EXIT_USAGE, main
 from qvf.metrics import HeatmapGrid, HistogramStats, delta_qvf
-from qvf.qasm import parse_qasm
+from qvf.qasm import emit_qasm, parse_qasm
 from qvf.records import COLUMNS, SCHEMA_LINE, read_table_file
 
 BELL_QASM = """\
@@ -85,6 +85,22 @@ class TestBench:
     def test_build_rejects_bad_secret(self, capsys):
         assert main(["bench", "build", "bv", "--secret", "21"]) == EXIT_PARSE
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["bv", "dj", "grover"])
+    def test_build_defaults(self, kind, capsys):
+        # the options not given take the builder's defaults
+        assert main(["bench", "build", kind]) == 0
+        assert capsys.readouterr().out == emit_qasm(qvf.benchmarks.DEFAULTS[kind]())
+
+    def test_build_rejects_another_kinds_option(self, tmp_path, capsys):
+        out = tmp_path / "bv.qasm"
+        with pytest.raises(SystemExit) as ei:
+            main(["bench", "build", "bv", "--marked", "01", "--out", str(out)])
+        assert ei.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --marked 01" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 #: SHA-256 of the 15-degree campaign files (``--jobs 1``, and ``--jobs 2``
@@ -386,6 +402,20 @@ class TestReports:
         assert out.read_text() == "kept"
         assert list(tmp_path.iterdir()) == [out]
 
+    def test_refusal_names_the_first_flag_in_table_order(self, grover_csv, capsys):
+        # --green-below comes before --red-above in STYLE_READ_BY_FORMAT["svg"]
+        assert main(["report", "heatmap", "--in", str(grover_csv), "--format", "csv",
+                     "--red-above", "0.6", "--green-below", "0.4", "--out", "-"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --green-below does nothing with --format csv\n"
+
+    @pytest.mark.parametrize("fmt", ["svg", "ppm"])
+    def test_style_flags_not_given_take_their_defaults(self, grover_csv, tmp_path, fmt):
+        call = ["report", "heatmap", "--in", str(grover_csv), "--format", fmt]
+        assert main([*call, "--out", str(tmp_path / "default")]) == 0
+        assert main([*call, "--green-below", "0.45", "--red-above", "0.55", "--cell", "24",
+                     "--out", str(tmp_path / "given")]) == 0
+        assert (tmp_path / "default").read_bytes() == (tmp_path / "given").read_bytes()
+
     @pytest.mark.parametrize("kind", sorted(GRID_STYLE_FLAGS))
     def test_grid_style_flags_are_all_listed(self, kind, capsys):
         with pytest.raises(SystemExit):
@@ -660,19 +690,20 @@ class TestExitCodes:
             f"error: {n_qubits} qubits exceed the simulator's limit of {limit}\n")
         assert sorted(tmp_path.iterdir()) == [src]
 
-    def test_simulation_error(self, tmp_path, capsys):
+    def test_out_of_range_site(self, tmp_path, capsys):
+        # a validation error, not a simulation failure: nothing was simulated
         out = tmp_path / "o.csv"
         code = main(["campaign", "run", "grover", "--grid-step", "90",
                      "--sites", "99", "--out", str(out)])
-        assert code == EXIT_SIMULATION
-        assert "site index 99" in capsys.readouterr().err
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == "error: site index 99 out of range\n"
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
 
         out.write_bytes(b"previous campaign\n")
         code = main(["campaign", "run", "grover", "--grid-step", "90",
                      "--sites", "99", "--out", str(out)])
-        assert code == EXIT_SIMULATION
+        assert code == EXIT_PARSE
         assert out.read_bytes() == b"previous campaign\n"
         assert list(tmp_path.iterdir()) == [out]
 

@@ -1,5 +1,6 @@
 """Gate-matrix construction and parameter canonicalization."""
 
+import cmath
 import math
 
 import numpy as np
@@ -45,6 +46,36 @@ def test_u_matches_independent_formula():
             oracles.u_matrix(theta, phi, lam),
             atol=1e-14,
         )
+
+
+def scalar_u_formula(theta, phi, lam):
+    """u(theta, phi, lam) as one Python expression per entry."""
+    half = 0.5 * theta
+    c, s = math.cos(half), math.sin(half)
+    return np.array([[c, -cmath.exp(1j * lam) * s],
+                     [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c]], dtype=complex)
+
+
+def test_u_scalar_call_equals_the_written_out_formula():
+    rng = np.random.default_rng(37)
+    params = [*rng.uniform(-8, 8, size=(200, 3)), (0.0, 0.0, 0.0), (math.pi, 0.0, 0.0)]
+    for theta, phi, lam in params:
+        m = u_matrix(theta, phi, lam)
+        assert m.shape == (2, 2) and m.dtype == complex
+        assert (m == scalar_u_formula(theta, phi, lam)).all(), (theta, phi, lam)
+
+
+def test_u_axes_entries_have_the_bits_of_scalar_calls():
+    rng = np.random.default_rng(41)
+    thetas, phis = rng.uniform(-8, 8, size=7), rng.uniform(-8, 8, size=9)
+    cases = [(thetas, phis, lam) for lam in (0.0, *rng.uniform(-8, 8, size=3))]
+    cases.append(([0.0, math.pi], [0.0], 0.0))
+    for thetas, phis, lam in cases:
+        stack = u_matrix(thetas, phis, lam)
+        assert stack.shape == (len(thetas), len(phis), 2, 2)
+        for i, theta in enumerate(thetas):
+            for j, phi in enumerate(phis):
+                assert stack[i, j].tobytes() == u_matrix(theta, phi, lam).tobytes()
 
 
 def test_u_equivalences_up_to_global_phase():

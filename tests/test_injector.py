@@ -241,7 +241,7 @@ class TestCampaign:
         assert sub[1:] == [r for r in full[1:] if r.site_index == 4]
 
     def test_out_of_range_site(self):
-        with pytest.raises(CampaignError):
+        with pytest.raises(ValueError, match="^site index 99 out of range$"):
             campaign_list(build_grover(), sites=(99,))
 
     def test_missing_correct_states(self):
