@@ -26,18 +26,16 @@ is at most one baseline.  An error names the file line of the first bad
 row.
 
 :func:`read_table` parses a file into a :class:`RecordTable`, one array per
-column, ``CHUNK_ROWS`` lines at a time, by one of two routes.  A chunk with
-no ``"`` and no carriage return goes to one ``np.loadtxt`` call, which
-parses it in C; each campaign key column (circuit_id, mode, shots, seed)
-must hold one text across the chunk, converted once and shared by every
-row, so the key columns are object arrays holding one object per chunk.
-Any other chunk, or one that loadtxt refuses or that fails a check, takes
-the csv route: ``csv.reader``, a transpose, and each column converted with
-``int()`` or ``float()`` and checked as a whole.  The first chunk with a
-quote or carriage return moves the rest of the file to the csv route, since
-a quoted field may hold a newline.  Only a chunk with a bad value is parsed
-again row by row, to find the line to name, so both routes raise the same
-errors.
+column, ``CHUNK_ROWS`` lines at a time.  Each chunk goes to one
+``np.loadtxt`` call, which parses it in C, quoted fields included; each
+campaign key column (circuit_id, mode, shots, seed) must hold one text
+across the chunk, converted once and shared by every row, so the key
+columns are object arrays holding one object per chunk.  The first chunk
+that loadtxt refuses, or that fails a check, hands itself and the rest of
+the file to ``csv.reader``: a transpose, and each column converted with
+``int()`` or ``float()`` and checked as a whole.  Only a chunk with a bad
+value is parsed again row by row, to find the line to name, so every
+refused file raises the error of the csv route.
 """
 
 import csv
@@ -217,22 +215,26 @@ def _chunk_columns(rows, first_line):
 _ROW = np.dtype([(name, convert(["0"]).dtype) for name, convert in zip(COLUMNS, _CONVERTERS)])
 
 def _loadtxt_columns(lines, size):
-    """Checked columns of quote-free lines, ``size`` characters in all,
-    parsed in C by np.loadtxt; the key columns share one object.  None when
-    the chunk needs the csv route: a line without 15 fields or over the csv
-    field limit, a value loadtxt refuses, a key that changes within the
-    chunk, or a failed check."""
-    # loadtxt refuses a line without 15 fields, but skips a blank one and
-    # takes a field that csv.reader would refuse
+    """Checked columns of ``lines``, ``size`` characters in all, parsed in C
+    by np.loadtxt; the key columns share one object.  None when the rest of
+    the file needs the csv route: a blank line, a quoted newline, a row left
+    open at the chunk's end, a line over the csv field limit (loadtxt has
+    none), a value loadtxt refuses or warns about, a key that changes within
+    the chunk, or a failed check."""
     limit = csv.field_size_limit()
-    if "\n" in lines or size > limit and max(map(len, lines)) > limit:
+    if size > limit and max(map(len, lines)) > limit:
         return None
     try:
+        # loadtxt closes a quote left open at the end of its input
+        next(csv.reader(lines[-1:], strict=True))
         with warnings.catch_warnings():
-            # numpy 1.x parses "2.5" into an int64 field with only this warning
-            warnings.simplefilter("error", DeprecationWarning)
+            # numpy 1.x parses "2.5" into an int64 field with only a
+            # DeprecationWarning; a chunk of blank lines warns too
+            warnings.simplefilter("error")
             rows = np.loadtxt(lines, delimiter=",", dtype=_ROW, comments=None,
-                              quotechar=None, ndmin=1)
+                              quotechar='"', ndmin=1)
+        if len(rows) != len(lines):  # it skips a blank line and joins a quoted newline
+            return None
         cols = []
         for name, convert in zip(COLUMNS, _CONVERTERS):
             col = rows[name]
@@ -245,7 +247,7 @@ def _loadtxt_columns(lines, size):
             else:
                 cols.append(col.copy())  # a view would keep every row alive
         return _checked(cols)
-    except (ValueError, OverflowError, DeprecationWarning):
+    except (ValueError, OverflowError, Warning, csv.Error):
         return None
 
 
@@ -264,24 +266,21 @@ def _chunks(stream):
     chunk; a header-only file gives one list of empty columns."""
     yield _columns([])
     line = 3
-    while lines := list(islice(stream, CHUNK_ROWS)):
-        text = "".join(lines)
-        if '"' in text or "\r" in text:
-            # a quoted field may hold a newline that crosses a chunk boundary
-            reader = csv.reader(chain(lines, stream))
-            while rows := _csv_rows(reader, line):
-                yield _chunk_columns(rows, line)
-                line += len(rows)
-            return
-        yield (_loadtxt_columns(lines, len(text))
-               or _chunk_columns(_csv_rows(csv.reader(lines), line), line))
+    while (lines := list(islice(stream, CHUNK_ROWS))) and (
+            cols := _loadtxt_columns(lines, sum(map(len, lines)))):
+        yield cols
         line += len(lines)
+    # the refused chunk and the rest of the file: a quoted newline may cross chunks
+    reader = csv.reader(chain(lines, stream))
+    while rows := _csv_rows(reader, line):
+        yield _chunk_columns(rows, line)
+        line += len(rows)
 
 
 def read_table(stream):
     """Parse a record file into a :class:`RecordTable`, ``CHUNK_ROWS`` rows
     at a time; raises RecordFileError on any schema problem."""
-    first = stream.readline().rstrip("\n")
+    first = stream.readline().rstrip("\r\n")
     if first != SCHEMA_LINE:
         raise RecordFileError(
             f"unsupported schema line {first!r} (expected {SCHEMA_LINE!r})"

@@ -4,6 +4,7 @@ import builtins
 import errno
 import gc
 import hashlib
+import inspect
 import os
 import re
 import subprocess
@@ -61,6 +62,16 @@ class TestBench:
         out = capsys.readouterr().out
         for name in ("bv", "dj", "grover"):
             assert name in out
+
+    def test_list_names_the_builders_defaults(self, capsys):
+        # the list restates each builder's defaults, which must not drift apart
+        assert main(["bench", "list"]) == 0
+        lines = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines())
+        defaults = {kind: {p.name: p.default for p in inspect.signature(build).parameters.values()}
+                    for kind, build in qvf.benchmarks.DEFAULTS.items()}
+        assert lines["bv"].endswith("(default {secret})".format(**defaults["bv"]))
+        assert lines["dj"].endswith("(default {oracle}, mask {mask})".format(**defaults["dj"]))
+        assert lines["grover"].endswith("(default marked {marked})".format(**defaults["grover"]))
 
     def test_build_to_stdout(self, capsys):
         assert main(["bench", "build", "grover"]) == 0
@@ -761,6 +772,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.svg")])
         assert code == EXIT_PARSE
         assert f"error: line 7: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.filterwarnings("error")
+    def test_lone_crlf_line_after_a_chunk(self, grover_csv, tmp_path, capsys, monkeypatch):
+        # np.loadtxt warns on a chunk of blank lines; the warning must not escape
+        monkeypatch.setattr(records, "CHUNK_ROWS", 4)
+        lines = grover_csv.read_text().splitlines()[:6]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(("\n".join(lines) + "\n\r\n").encode())
+        code = main(["report", "heatmap", "--in", str(bad),
+                     "--out", str(tmp_path / "o.svg")])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 7: expected 15 fields, got 0\n"
+        assert captured.out == ""
         assert list(tmp_path.iterdir()) == [bad]
 
     def test_field_above_the_csv_limit(self, grover_csv, tmp_path, capsys):

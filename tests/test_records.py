@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from support import QvfRecord, campaign_csv, campaign_rows, table_rows
@@ -209,13 +209,25 @@ def test_constant_key_above_the_csv_limit_is_a_record_error(circuit_id):
     assert reject(text) == "line 3: field larger than field limit (131072)"
 
 
-def test_quote_free_chunks_take_the_loadtxt_route():
-    lines = oracles.record_csv(sample_records()).splitlines(keepends=True)[2:]
+@pytest.mark.parametrize("circuit_id", ["grover-11", 'a,"b"', 'say "hi"'])
+def test_chunks_take_the_loadtxt_route(circuit_id):
+    rows = [r._replace(circuit_id=circuit_id) for r in sample_records()]
+    lines = oracles.record_csv(rows).splitlines(keepends=True)[2:]
     cols = records._loadtxt_columns(lines, len("".join(lines)))
     assert cols is not None
+    assert cols[0][0] == circuit_id
     for key in ("circuit_id", "mode", "shots", "seed"):
         col = cols[COLUMNS.index(key)]
         assert col[0] is col[-1]  # one shared object per chunk
+
+
+def test_crlf_file_reads_as_the_lf_file(tmp_path):
+    text = campaign_csv(build_grover(), CampaignConfig(grid_step=15))
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    table = read_table_file(path)
+    assert table_rows(table) == read_rows(io.StringIO(text))
+    assert parse_outcome(text.replace("\n", "\r\n")) == parse_outcome(text)
 
 
 @pytest.mark.parametrize("value", ["0.9", "1e0"])
@@ -260,7 +272,7 @@ def campaign_lines(sampled):
 
 
 MUTATIONS = ("nan", "inf", "x", "", "1_0", "\u0661", " 1", "2", "-1", "1.5",
-             "-1.0", '"0"', str(2**63 + 1))
+             "-1.0", '"0"', str(2**63 + 1), 'a"b', '"ab"c', '"x\ny"', '"0\n"')
 OTHER_KEY = {"circuit_id": "other", "mode": "sampled", "shots": "65", "seed": "1"}
 
 
@@ -300,8 +312,16 @@ def parse_outcome(text):
     return [(c.dtype, c.tolist(), [type(v) for v in c.tolist()]) for c in columns]
 
 
+#: a quoted improved_flag of "0" and a newline splits the third row over two
+#: lines, the first of which ends a chunk of 1 or 3 rows; loadtxt closes a
+#: quote left open at the end of its input, so it would read that line as a row
+OPEN_AT_A_CHUNK_END = with_value(campaign_lines(False)[:7], 4, "improved_flag", '"0\n"')
+
+
 @settings(max_examples=300, deadline=None)
-@given(mutated_files(), st.sampled_from((1, 3, 4, 1024)))
+@given(mutated_files(), st.sampled_from((1, 2, 3, 4, 1024)))
+@example(OPEN_AT_A_CHUNK_END, 1)
+@example(OPEN_AT_A_CHUNK_END, 3)
 def test_loadtxt_route_agrees_with_csv_route(text, chunk_rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(records, "CHUNK_ROWS", chunk_rows)
@@ -381,11 +401,13 @@ def test_block_writer_refuses_a_block_unlike_the_angles(extra):
     assert buf.getvalue() == head
 
 
-def test_reader_memory_per_row(tmp_path):
-    # key columns share one object per chunk and no csv row lists are kept
+@pytest.mark.parametrize("circuit_id", ["dj-balanced-111", 'dj,"q"'])
+def test_reader_memory_per_row(tmp_path, circuit_id):
+    # key columns share one object per chunk and no csv row lists are kept,
+    # a quoted id included
     path = tmp_path / "dj10.csv"
-    path.write_text(campaign_csv(build_deutsch_jozsa(), CampaignConfig(grid_step=10)),
-                    encoding="utf-8")
+    circuit = dataclasses.replace(build_deutsch_jozsa(), name=circuit_id)
+    path.write_text(campaign_csv(circuit, CampaignConfig(grid_step=10)), encoding="utf-8")
     read_table_file(path)  # first-call caches are not per-row memory
     tracemalloc.start()
     try:
