@@ -46,18 +46,12 @@ class _UsageError(Exception):
     pass
 
 
-def _resolve_out(path: str) -> str:
-    base = os.environ.get("QVF_OUT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def _write_file(path: str, write, binary: bool = False):
-    """Call ``write(fh)`` on a temporary file beside the resolved ``path``
-    and move it into place only once ``write`` returns, so a failed write
-    leaves no partial file and keeps an existing one."""
-    path = _resolve_out(path)
+    """Call ``write(fh)`` on a temporary file beside ``path``, taken
+    relative to $QVF_OUT_DIR when set, and move it into place only once
+    ``write`` returns, so a failed write leaves no partial file and keeps
+    an existing one."""
+    path = os.path.join(os.environ.get("QVF_OUT_DIR", ""), path)  # an absolute path wins
     tmp = f"{path}.{os.getpid()}.tmp"
     text = {} if binary else {"encoding": "utf-8", "newline": ""}
     try:

@@ -38,17 +38,15 @@ record scores, bit for bit, what
 :func:`qvf.simulator.measured_probabilities` gives for that circuit.
 
 Every site at or after a gate starts from the same fault-free prefix
-state, so each process keeps the last prefix it evolved, tagged with a
-key drawn once per campaign, and evolves a copy of it on to the next
-site's gate.  A serial campaign, and each pool worker over the sites it
-is handed in order, thus runs every prefix gate once; a site before the
-kept state, or one of another campaign, starts again from |0...0>.
-Evolving on applies the very steps a fresh run would, in the same order.
-The kept state is dropped once a campaign's last block is handed out.
+state.  A serial sweep keeps the last prefix it evolved and evolves a
+copy of it on to the next site's gate, so it runs every prefix gate once;
+a site before the kept state (a descending ``sites``) starts again from
+|0...0>.  A pooled site keeps nothing and evolves its prefix from
+|0...0>.  Evolving on applies the very steps a fresh run would, in the
+same order, and the kept state goes with the serial sweep's iterator.
 """
 
 import math
-import os
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -271,40 +269,26 @@ def _mode_probs(probs, config, site_index, start):
 SiteBlock = namedtuple("SiteBlock", "site_index site pst p_b contrast qvf improved")
 
 
-#: this process's last prefix state: (campaign key, gates applied, state);
-#: never changed in place, so it stays the state after that many gates
-_prefix_memo = (None, 0, None)
-
-
-def _prefix(key, n, program, stop, noise):
-    """The state after ``program[:stop]``, evolved on from this process's
-    memo when it holds campaign ``key`` at or before ``stop``, else from
-    |0...0>; the result becomes the memo."""
-    global _prefix_memo
-    memo_key, done, state = _prefix_memo
-    if memo_key == key and done <= stop:
-        state = state.copy()
-    else:
-        done, state = 0, initial_state(n, noise)
-    evolve(state, n, program[done:stop], noise)
-    _prefix_memo = (key, stop, state)
-    return state
-
-
-def _site_worker(args):
+def _site_worker(args, kept=None):
     """The :class:`SiteBlock` of one site; runs in a worker process.  The
     baseline is site -1 with no ``fault``: one column, no fault step, and a
-    :class:`SimulationError` of its own escapes unwrapped."""
-    circuit, config, mask, key, program, site_index, site, fault, baseline_qvf = args
-    n, noise = circuit.n_qubits, config.noise
+    :class:`SimulationError` of its own escapes unwrapped.  ``kept``, a
+    serial sweep's one-item list, holds its last prefix as (gates applied,
+    state): a site at or after it evolves a copy on, and keeps the result."""
+    circuit, config, mask, program, site_index, site, fault, baseline_qvf = args
+    n, noise, stop = circuit.n_qubits, config.noise, site.gate_index + 1
     columns = []
     try:
-        prefix = _prefix(key, n, program, site.gate_index + 1, noise)
+        done, state = kept[0] if kept and kept[0][0] <= stop else (0, None)
+        state = initial_state(n, noise) if state is None else state.copy()
+        prefix = evolve(state, n, program[done:stop], noise)
+        if kept is not None:
+            kept[0] = (stop, prefix)  # never changed in place from here on
         width = 1 if fault is None else len(fault[0])
         chunk = max(1, BLOCK_AMPLITUDES // prefix.size)
         for start in range(0, width, chunk):
             block = np.repeat(prefix[:, None], min(chunk, width - start), axis=1)
-            steps = program[site.gate_index + 1:]
+            steps = program[stop:]
             if fault is not None:
                 stack, qubits = fault
                 steps = [("u", [(stack[start:start + chunk], qubits)])] + steps
@@ -327,18 +311,14 @@ def _site_worker(args):
 
 
 def _sweep(jobs, workers):
-    """The blocks of ``jobs``, in this process or from a pool of
-    ``workers``; once they are done this process's prefix memo is dropped,
-    so no campaign's state outlives it."""
-    global _prefix_memo
-    try:
-        if workers == 1:
-            yield from map(_site_worker, jobs)
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(_site_worker, jobs)
-    finally:
-        _prefix_memo = (None, 0, None)
+    """The blocks of ``jobs``: in this process, each prefix evolved on from
+    the last, or from a pool of ``workers``, each from |0...0>."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_site_worker, jobs)
+    else:
+        kept = [(0, None)]
+        yield from (_site_worker(job, kept) for job in jobs)
 
 
 def campaign_blocks(circuit: Circuit, config: CampaignConfig = CampaignConfig()):
@@ -360,7 +340,7 @@ def campaign_blocks(circuit: Circuit, config: CampaignConfig = CampaignConfig())
                 raise ValueError(f"site index {s} out of range")
         picked = [(s, all_sites[s]) for s in config.sites]
     n, noise = circuit.n_qubits, config.noise
-    shared = (circuit, config, mask, os.urandom(16), compile_steps(circuit.gates, n, noise))
+    shared = (circuit, config, mask, compile_steps(circuit.gates, n, noise))
     base = _site_worker(shared + (-1, FaultSite(-1, -1), None, -math.inf))  # never improved
     mats = grid_matrices(config.grid_step)
     faults = {q: gate_steps("u", mats, (q,), n, noise)[1][0]  # noiseless, mats itself

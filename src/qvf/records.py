@@ -22,8 +22,8 @@ A file holds one campaign, and the reader rejects any other: every row
 shares circuit_id, mode, shots and seed; every angle and metric value is
 finite; ``improved_flag`` is 0 or 1; only the baseline has a negative
 index, and it has -1 for site_index, gate_index and qubit alike; and there
-is at most one baseline.  An error names the file line of the first bad
-row.
+is at most one baseline.  An error names the file line on which the first
+bad row starts.
 
 :func:`read_table` parses a file into a :class:`RecordTable`, one array per
 column, ``CHUNK_ROWS`` lines at a time.  Each chunk goes to one
@@ -197,16 +197,16 @@ def _columns(rows):
     return _checked([convert(text) for convert, text in zip(_CONVERTERS, texts)])
 
 
-def _chunk_columns(rows, first_line):
+def _chunk_columns(rows, starts):
     """_columns of one chunk; on a bad value, re-parse row by row to name
-    the first bad line."""
+    the file line where the first bad row starts (``starts``, per row)."""
     try:
         return _columns(rows)
     except (ValueError, OverflowError) as exc:
         if len(rows) == 1:
-            raise RecordFileError(f"line {first_line}: {exc}") from None
-        for offset, row in enumerate(rows):
-            _chunk_columns([row], first_line + offset)
+            raise RecordFileError(f"line {starts[0]}: {exc}") from None
+        for row, start in zip(rows, starts):
+            _chunk_columns([row], [start])
         raise
 
 
@@ -251,30 +251,34 @@ def _loadtxt_columns(lines, size):
         return None
 
 
-def _csv_rows(reader, first_line):
-    """Up to CHUNK_ROWS rows; a csv.Error becomes a RecordFileError naming its line."""
-    rows = []
+def _csv_rows(reader, line):
+    """Up to CHUNK_ROWS rows and the file line each starts on, when the
+    reader's first line is file line ``line``; a csv.Error becomes a
+    RecordFileError naming the line the reader had reached."""
+    rows, ends = [], [reader.line_num]  # a quoted newline spans lines
     try:
-        rows.extend(islice(reader, CHUNK_ROWS))
+        for row in islice(reader, CHUNK_ROWS):
+            rows.append(row)
+            ends.append(reader.line_num)
     except csv.Error as exc:
-        raise RecordFileError(f"line {first_line + len(rows)}: {exc}") from None
-    return rows
+        raise RecordFileError(f"line {line + reader.line_num - 1}: {exc}") from None
+    return rows, line + np.array(ends[:-1])
 
 
 def _chunks(stream):
     """Typed, checked columns of the rows after the header, one list per
-    chunk; a header-only file gives one list of empty columns."""
-    yield _columns([])
+    chunk, and last the file line each row starts on; a header-only file
+    gives one list of empty columns."""
+    yield _columns([]) + [range(0)]
     line = 3
     while (lines := list(islice(stream, CHUNK_ROWS))) and (
             cols := _loadtxt_columns(lines, sum(map(len, lines)))):
-        yield cols
+        yield cols + [range(line, line + len(lines))]
         line += len(lines)
     # the refused chunk and the rest of the file: a quoted newline may cross chunks
     reader = csv.reader(chain(lines, stream))
-    while rows := _csv_rows(reader, line):
-        yield _chunk_columns(rows, line)
-        line += len(rows)
+    while (chunk := _csv_rows(reader, line))[0]:
+        yield _chunk_columns(*chunk) + [chunk[1]]
 
 
 def read_table(stream):
@@ -293,7 +297,7 @@ def read_table(stream):
         raise RecordFileError(f"line 2: {exc}") from None
     if tuple(header) != COLUMNS:
         raise RecordFileError(f"unexpected header {header!r}")
-    columns = list(zip(*_chunks(stream)))
+    *columns, starts = zip(*_chunks(stream))
     for i, parts in enumerate(columns):
         columns[i] = np.concatenate(parts)  # frees each column's chunks in turn
     table = RecordTable(*columns)
@@ -301,8 +305,9 @@ def read_table(stream):
         key = (table.circuit_id, table.mode, table.shots, table.seed)
         differ = np.flatnonzero(np.any([col != col[0] for col in key], axis=0))
         if differ.size:
+            line = next(islice(chain.from_iterable(starts), differ[0], None))
             raise RecordFileError(
-                f"line {differ[0] + 3}: circuit_id, mode, shots or seed differ from line 3"
+                f"line {line}: circuit_id, mode, shots or seed differ from line 3"
             )
     baselines = int((table.site_index < 0).sum())
     if baselines > 1:

@@ -890,6 +890,53 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
 
+class TestOutDir:
+    """$QVF_OUT_DIR: a relative --out is resolved against it, and nothing else."""
+
+    @pytest.fixture
+    def out_dir(self, tmp_path, monkeypatch):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.setenv("QVF_OUT_DIR", str(out_dir))
+        monkeypatch.chdir(tmp_path)
+        return out_dir
+
+    def test_relative_out_lands_under_it(self, out_dir, capsys):
+        assert main(["campaign", "run", "grover", "--grid-step", "90", "--out", "rel.csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"wrote {out_dir / 'rel.csv'}"
+        assert [p.name for p in out_dir.iterdir()] == ["rel.csv"]
+        assert sorted(p.name for p in out_dir.parent.iterdir()) == ["out"]
+
+    def test_absolute_out_and_stdout_ignore_it(self, out_dir, grover_csv, tmp_path, capsys,
+                                               monkeypatch):
+        target = tmp_path / "abs.svg"
+        assert main(["report", "heatmap", "--in", str(grover_csv), "--out", str(target)]) == 0
+        assert capsys.readouterr().out == f"wrote {target}\n"
+        hist = ["report", "hist", "--in", str(grover_csv), "--out", "-"]
+        assert main(hist) == 0
+        printed = capsys.readouterr().out
+        monkeypatch.delenv("QVF_OUT_DIR")
+        assert main(hist) == 0
+        assert printed == capsys.readouterr().out
+        assert list(out_dir.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["abs.svg", "out"]
+
+    def test_io_error_names_the_resolved_path(self, out_dir, capsys):
+        assert main(["campaign", "run", "grover", "--grid-step", "90",
+                     "--out", os.path.join("no-dir", "o.csv")]) == EXIT_IO
+        missing = out_dir / "no-dir" / "o.csv"
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert list(out_dir.iterdir()) == []
+
+    def test_perqubit_files_land_under_it(self, out_dir, grover_csv, capsys):
+        assert main(["report", "perqubit", "--in", str(grover_csv), "--format", "csv",
+                     "--out", "maps.csv"]) == 0
+        qubits = sorted(set(read_table_file(grover_csv).qubit.tolist()) - {-1})
+        names = [f"maps_q{q}.csv" for q in qubits]
+        assert sorted(p.name for p in out_dir.iterdir()) == names
+        assert capsys.readouterr().out == "".join(f"wrote {out_dir / n}\n" for n in names)
+
+
 class TestCampaignMemory:
     def test_peak_does_not_grow_with_sites(self, tmp_path):
         # rows stream to the file one site block at a time, and the summary

@@ -1,8 +1,14 @@
 """Site enumeration, grid construction, and campaign runs."""
 
 import dataclasses
+import functools
+import gc
 import math
+import multiprocessing
+import re
+import weakref
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from itertools import zip_longest
 
@@ -113,6 +119,22 @@ class TestInject:
         assert math.isclose(summary.qvf, (1.0 - 2 ** -0.5) / 2.0, abs_tol=1e-12)
 
 
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: starts no process and maps in order."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
 def campaign_list(circuit, **kw):
     return campaign_rows(circuit, CampaignConfig(**kw))
 
@@ -187,18 +209,9 @@ class TestCampaign:
         # starts no process and maps in order
         sizes = []
 
-        class SerialPool:
+        class SerialPool(InProcessPool):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
 
         monkeypatch.setattr(injector, "ProcessPoolExecutor", SerialPool)
         c = build_grover()
@@ -693,8 +706,8 @@ def block_bits(block):
 
 
 class TestPrefixMemo:
-    """Each process evolves a campaign's fault-free prefix on from the last
-    site it swept, not from |0...0> per site."""
+    """A serial sweep evolves each site's fault-free prefix on from the last
+    site's, not from |0...0> per site; a pooled site keeps nothing."""
 
     def test_serial_campaign_applies_each_prefix_step_once(self, monkeypatch):
         # single-column calls are prefix steps: the baseline and the sites
@@ -727,26 +740,51 @@ class TestPrefixMemo:
                     got.append(block_bits(block))
         assert interleaved == alone
 
+    @staticmethod
+    def prefix_states(monkeypatch):
+        """Record every single-column state ``injector`` evolves (the prefixes)."""
+        states = []
+        real = injector.evolve
+
+        def recorded(state, *args):
+            out = real(state, *args)
+            if state.ndim == 1:
+                states.append(state)
+            return out
+
+        monkeypatch.setattr(injector, "evolve", recorded)
+        return states
+
     def test_a_returned_prefix_never_changes(self, monkeypatch):
-        # a later site evolves a copy, so an earlier prefix (the memo's
-        # state until then) keeps its bits
-        monkeypatch.setattr(injector, "_prefix_memo", (None, 0, None))
-        c = build_grover()
-        program = simulator.compile_steps(c.gates, c.n_qubits)
-        first = injector._prefix(b"key", c.n_qubits, program, 3, None)
-        kept = first.copy()
-        later = injector._prefix(b"key", c.n_qubits, program, 9, None)
-        assert first.tobytes() == kept.tobytes() != later.tobytes()
+        # a later site evolves a copy, so an earlier prefix (the kept state
+        # until then) keeps its bits
+        states = self.prefix_states(monkeypatch)
+        _, blocks = campaign_blocks(build_grover(), CampaignConfig(grid_step=45, jobs=1))
+        handed = []
+        for _ in blocks:
+            handed += [(state, state.tobytes()) for state in states[len(handed):]]
+        assert len(handed) == 19  # the baseline and 18 sites
+        assert all(state.tobytes() == bits for state, bits in handed)
+        assert len({bits for _, bits in handed}) > 2
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_a_finished_campaign_keeps_no_prefix(self, jobs):
+    def test_a_finished_campaign_keeps_no_prefix(self, monkeypatch, jobs):
         # a kept state is as large as the campaign's states (16 MiB at 20
-        # qubits), so it goes when the last block has been handed out
+        # qubits), so it goes when the last block has been handed out.  The
+        # pool maps in this process, so its prefixes are seen here too
+        monkeypatch.setattr(injector, "ProcessPoolExecutor", InProcessPool)
+        states = self.prefix_states(monkeypatch)
+        refs = []
         _, blocks = campaign_blocks(build_grover(), CampaignConfig(grid_step=45, jobs=jobs))
-        next(blocks)
-        assert injector._prefix_memo[2] is not None
-        list(blocks)
-        assert injector._prefix_memo == (None, 0, None)
+        for _ in blocks:
+            refs += map(weakref.ref, states)
+            states.clear()
+            gc.collect()
+            # only the serial sweep keeps a state: the one it just evolved
+            assert [r for r in refs if r() is not None] == ([refs[-1]] if jobs == 1 else [])
+        assert len(refs) == 19
+        gc.collect()
+        assert all(r() is None for r in refs)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_descending_sites_match_the_full_run(self, jobs):
@@ -759,6 +797,25 @@ class TestPrefixMemo:
 
 
 class TestFailureReport:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_prefix_failure_names_the_site_alone(self, monkeypatch, jobs):
+        # with no trace tolerance a noisy evolve fails at its first gate.  The
+        # baseline is scored on the call, so the first failure is site 7's
+        # single-column prefix, which has no grid point to name.  A forked
+        # pool's workers see the patched tolerance
+        monkeypatch.setattr(injector, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        c = build_deutsch_jozsa()
+        config = CampaignConfig(grid_step=90, noise=representative_noise(), sites=(7, 2), jobs=jobs)
+        _, blocks = campaign_blocks(c, config)
+        monkeypatch.setattr(simulator, "TRACE_TOL", -1.0)
+        site = enumerate_sites(c)[7]
+        with pytest.raises(CampaignError) as info:
+            next(blocks)
+        assert re.fullmatch(
+            rf"simulation failed at site 7 \(gate {site.gate_index}, qubit {site.qubit}\): "
+            rf"trace drifted to \S+ after {c.gates[0].name}", str(info.value))
+
     def test_campaign_error_names_the_first_failing_grid_point(self, monkeypatch):
         # damping after x only: the final state is singular exactly when the
         # fault after h has turned |+> into |1>, at theta 90, phi 0 (grid

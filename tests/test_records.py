@@ -262,6 +262,23 @@ def test_chunking_keeps_rows_whole(monkeypatch, chunk_rows, circuit_id):
     assert read_rows(io.StringIO(text.rstrip("\n"))) == rows
 
 
+@pytest.mark.parametrize("chunk_rows", [1, 2, 1024])
+def test_errors_name_the_line_a_multi_line_row_starts_on(monkeypatch, chunk_rows):
+    # each quoted id holds a newline, so row k of the file starts on line 3 + 2k
+    monkeypatch.setattr(records, "CHUNK_ROWS", chunk_rows)
+    rows = [r._replace(circuit_id="x\ny") for r in sample_records()[:6]]
+
+    def with_row(k, **fields):
+        return oracles.record_csv(rows[:k] + [rows[k]._replace(**fields)] + rows[k + 1:])
+
+    bad_int = "line 9: invalid literal for int() with base 10: 'bad'"
+    assert reject(with_row(3, site_index="bad")) == bad_int
+    key = "line 11: circuit_id, mode, shots or seed differ from line 3"
+    assert reject(with_row(4, seed=1)) == key
+    # a csv error names the line the reader reached: the row's second one
+    assert reject(with_row(3, mode="m" * 140_000)) == "line 10: field larger than field limit (131072)"
+
+
 @functools.cache
 def campaign_lines(sampled):
     rows = sample_records()[:16]
