@@ -25,17 +25,17 @@ index, and it has -1 for site_index, gate_index and qubit alike; and there
 is at most one baseline.  An error names the file line on which the first
 bad row starts.
 
-:func:`read_table` parses a file into a :class:`RecordTable`, one array per
-column, ``CHUNK_ROWS`` lines at a time.  Each chunk goes to one
-``np.loadtxt`` call, which parses it in C, quoted fields included; each
-campaign key column (circuit_id, mode, shots, seed) must hold one text
-across the chunk, converted once and shared by every row, so the key
-columns are object arrays holding one object per chunk.  The first chunk
+:func:`read_table` parses a file into a :class:`RecordTable`: the campaign
+key once and one array per other column, ``CHUNK_ROWS`` lines at a time.
+Each chunk goes to one ``np.loadtxt`` call, which parses it in C, quoted
+fields included; each key column (circuit_id, mode, shots, seed) must hold
+one text across the chunk, converted once to one value.  The first chunk
 that loadtxt refuses, or that fails a check, hands itself and the rest of
 the file to ``csv.reader``: a transpose, and each column converted with
 ``int()`` or ``float()`` and checked as a whole.  Only a chunk with a bad
 value is parsed again row by row, to find the line to name, so every
-refused file raises the error of the csv route.
+refused file raises the error of the csv route.  The key is compared with
+the first row's once every chunk has parsed, so a bad value is named first.
 """
 
 import csv
@@ -64,8 +64,9 @@ class RecordFileError(ValueError):
 
 def _csv_text(fields) -> str:
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()[:-1]
+    # "\r\n" quotes a field holding a lone CR, which a reader splits lines at
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2]
 
 
 def _texts(*columns):
@@ -136,24 +137,23 @@ _CONVERTERS = (
 
 @dataclass(frozen=True, eq=False)
 class RecordTable:
-    """Records as one array per column, in row order; ``improved`` holds
-    improved_flag.
+    """One campaign's records: its key (circuit_id, mode, shots and seed)
+    once, each None when there are no rows, and the other columns as one
+    array each, in row order; ``improved`` holds improved_flag.
 
     site_index, gate_index and qubit are int64, the angles and metrics
-    float64, ``improved`` bool; circuit_id, mode, shots and seed are object
-    arrays of the Python values (:func:`read_table` shares one object per
-    chunk).
+    float64, ``improved`` bool.
     """
 
-    circuit_id: np.ndarray
+    circuit_id: str | None
     site_index: np.ndarray
     gate_index: np.ndarray
     qubit: np.ndarray
     theta_deg: np.ndarray
     phi_deg: np.ndarray
-    mode: np.ndarray
-    shots: np.ndarray
-    seed: np.ndarray
+    mode: str | None
+    shots: int | None
+    seed: int | None
     pst: np.ndarray
     p_b: np.ndarray
     contrast: np.ndarray
@@ -216,7 +216,7 @@ _ROW = np.dtype([(name, convert(["0"]).dtype) for name, convert in zip(COLUMNS, 
 
 def _loadtxt_columns(lines, size):
     """Checked columns of ``lines``, ``size`` characters in all, parsed in C
-    by np.loadtxt; the key columns share one object.  None when the rest of
+    by np.loadtxt; each key column holds its one value.  None when the rest of
     the file needs the csv route: a blank line, a quoted newline, a row left
     open at the chunk's end, a line over the csv field limit (loadtxt has
     none), a value loadtxt refuses or warns about, a key that changes within
@@ -239,11 +239,9 @@ def _loadtxt_columns(lines, size):
         for name, convert in zip(COLUMNS, _CONVERTERS):
             col = rows[name]
             if col.dtype == object:  # a campaign key column
-                if (col != col[0]).any():
+                if (col != col[:1]).any():  # a str scalar would lose trailing NULs
                     return None
-                key = np.empty(len(col), dtype=object)
-                key.fill(convert((col[0],))[0])  # np.full would copy a str per row
-                cols.append(key)
+                cols.append(convert(col[:1]))
             else:
                 cols.append(col.copy())  # a view would keep every row alive
         return _checked(cols)
@@ -267,13 +265,14 @@ def _csv_rows(reader, line):
 
 def _chunks(stream):
     """Typed, checked columns of the rows after the header, one list per
-    chunk, and last the file line each row starts on; a header-only file
+    chunk, and last the file line each key value starts on: a loadtxt chunk
+    holds one key value and a csv chunk one per row.  A header-only file
     gives one list of empty columns."""
-    yield _columns([]) + [range(0)]
+    yield _columns([]) + [np.array([], int)]  # not range(0): that reads as float
     line = 3
     while (lines := list(islice(stream, CHUNK_ROWS))) and (
             cols := _loadtxt_columns(lines, sum(map(len, lines)))):
-        yield cols + [range(line, line + len(lines))]
+        yield cols + [[line]]
         line += len(lines)
     # the refused chunk and the rest of the file: a quoted newline may cross chunks
     reader = csv.reader(chain(lines, stream))
@@ -300,15 +299,14 @@ def read_table(stream):
     *columns, starts = zip(*_chunks(stream))
     for i, parts in enumerate(columns):
         columns[i] = np.concatenate(parts)  # frees each column's chunks in turn
-    table = RecordTable(*columns)
-    if len(table):
-        key = (table.circuit_id, table.mode, table.shots, table.seed)
-        differ = np.flatnonzero(np.any([col != col[0] for col in key], axis=0))
-        if differ.size:
-            line = next(islice(chain.from_iterable(starts), differ[0], None))
-            raise RecordFileError(
-                f"line {line}: circuit_id, mode, shots or seed differ from line 3"
-            )
+    # the key columns, object arrays: one entry per loadtxt chunk or csv row
+    key = [col for col in columns if col.dtype == object]
+    differ = np.flatnonzero(np.any([col != col[:1] for col in key], axis=0))
+    if differ.size:
+        raise RecordFileError(f"line {np.concatenate(starts)[differ[0]]}: "
+                              "circuit_id, mode, shots or seed differ from line 3")
+    table = RecordTable(*(next(iter(col), None) if col.dtype == object else col
+                          for col in columns))
     baselines = int((table.site_index < 0).sum())
     if baselines > 1:
         raise RecordFileError(f"{baselines} baseline rows (expected at most 1)")

@@ -81,8 +81,11 @@ def campaign_csv(circuit, config) -> str:
 
 
 def table_rows(table):
-    """The rows of a RecordTable as QvfRecords, in file order."""
-    return list(map(QvfRecord, *(getattr(table, name).tolist() for name in QvfRecord._fields)))
+    """The rows of a RecordTable as QvfRecords, in file order, each with the
+    table's one campaign key."""
+    columns = [getattr(table, name) for name in QvfRecord._fields]
+    return list(map(QvfRecord, *(
+        col.tolist() if isinstance(col, np.ndarray) else [col] * len(table) for col in columns)))
 
 
 def campaign_rows(circuit, config):

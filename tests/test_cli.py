@@ -153,7 +153,7 @@ class TestCampaign:
         table = read_table_file(grover_csv)
         assert len(table) == 1 + 18 * 12
         assert table.site_index[0] == -1
-        assert table.circuit_id[0] == "grover-11"
+        assert table.circuit_id == "grover-11"
 
     def test_summary_lines(self, tmp_path, capsys):
         path = tmp_path / "out.csv"
@@ -210,7 +210,7 @@ class TestCampaign:
         assert "derived ['00', '11']" in captured.err
         table = read_table_file(out)
         assert table.qvf[0] == 0.0
-        assert table.circuit_id[0] == "circuit"
+        assert table.circuit_id == "circuit"
 
     def test_explicit_correct_and_id(self, tmp_path, capsys):
         src = tmp_path / "bell.qasm"
@@ -220,7 +220,18 @@ class TestCampaign:
                      "--correct", "00,11", "--circuit-id", "bell",
                      "--out", str(out)]) == 0
         assert "derived" not in capsys.readouterr().err
-        assert read_table_file(out).circuit_id[0] == "bell"
+        assert read_table_file(out).circuit_id == "bell"
+
+    @pytest.mark.parametrize("circuit_id", ["a\rb", "a\r\nb", "x\ny"])
+    def test_line_break_ids_round_trip(self, tmp_path, circuit_id):
+        # the reader splits lines at a lone CR too, so a CR must be quoted
+        out = tmp_path / "ids.csv"
+        assert main(["campaign", "run", "grover", "--grid-step", "90", "--jobs", "1",
+                     "--circuit-id", circuit_id, "--out", str(out)]) == 0
+        table = read_table_file(out)
+        assert table.circuit_id == circuit_id
+        assert len(table) == 1 + 18 * 12
+        assert main(["report", "hist", "--in", str(out), "--out", os.devnull]) == 0
 
     def test_site_subset(self, tmp_path):
         out = tmp_path / "sub.csv"

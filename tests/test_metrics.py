@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from support import QvfRecord, score_entries
+from support import QvfRecord, score_entries, table_rows
 from qvf.metrics import (
     HeatmapGrid,
     MetricsError,
@@ -322,8 +322,7 @@ class TestAgainstPerRecordOracle:
     def test_table_path_is_bit_identical(self, case, bins):
         records, theta, phi = case
         table = as_table(records)
-        for name in QvfRecord._fields:
-            assert getattr(table, name).tolist() == [getattr(r, name) for r in records]
+        assert table_rows(table) == list(records)
         for grouping in ("circuit", "qubit", "site"):
             expected, got = both(
                 lambda: oracles.aggregate_heatmap(records, grouping),
