@@ -153,7 +153,7 @@ def _cmd_campaign_run(args):
         **sweep,
         noise=_load_noise(args.noise),
         sites=tuple(args.sites) if args.sites else None,
-        jobs=args.jobs if args.jobs else (os.cpu_count() or 1),
+        jobs=getattr(args, "jobs", os.cpu_count() or 1),
     )
 
     baseline, blocks = campaign_blocks(circuit, config)
@@ -318,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--noise", default=None,
                      help="noise config path, or 'representative'")
     run.add_argument("--seed", type=int)
-    run.add_argument("--jobs", type=int, default=0,
-                     help="worker processes (default: all cores)")
+    run.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
     run.add_argument("--sites", type=int, nargs="+", default=None,
                      help="restrict to these site indices")
     run.add_argument("--correct", nargs="+", default=None,

@@ -20,10 +20,10 @@ the header and the baseline row, then the rows of each site block.
 
 A file holds one campaign, and the reader rejects any other: every row
 shares circuit_id, mode, shots and seed; every angle and metric value is
-finite; ``improved_flag`` is 0 or 1; only the baseline has a negative
-index, and it has -1 for site_index, gate_index and qubit alike; and there
-is at most one baseline.  An error names the file line on which the first
-bad row starts.
+finite; qvf and baseline_qvf lie in [0, 1]; ``improved_flag`` is 0 or 1;
+only the baseline has a negative index, and it has -1 for site_index,
+gate_index and qubit alike; and there is at most one baseline.  An error
+names the file line on which the first bad row starts.
 
 :func:`read_table` parses a file into a :class:`RecordTable`: the campaign
 key once and one array per other column, ``CHUNK_ROWS`` lines at a time.
@@ -172,6 +172,10 @@ def _checked(cols):
     (_, site, gate, qubit, theta, phi, _, _, _, *metrics, flag) = cols
     if not np.isfinite(metrics).all():
         raise ValueError("non-finite metric value")
+    for name, values in zip(("qvf", "baseline_qvf"), metrics[3:]):
+        outside = values[(values < 0) | (values > 1)]
+        if outside.size:
+            raise ValueError(f"{name} {float(outside[0])} is outside [0, 1]")
     if not np.isfinite([theta, phi]).all():
         raise ValueError("non-finite fault angle")
     bad_flags = flag[(flag != 0) & (flag != 1)]

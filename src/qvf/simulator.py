@@ -22,16 +22,16 @@ superoperator and sub-index bit 1 is the row bit.  A 2-qubit gate U on
 qubits Q is U on flat qubits Q + n, then conj(U) on flat qubits Q, then
 S on (q, q + n) for each target q.  Every step runs on
 :func:`apply_matrix` over 2n qubits, and a (4^n, G) block of flat
-matrices takes the same steps, one per column.  A step matrix of 0s and
-1s that only permutes, as cx, a noiseless x and a noisy cx's row-bit and
-column-bit steps do, is compiled to an index array and moves amplitudes
-instead of multiplying and adding.  The two differ only in the sign of a
-zero entry, since a signed zero never changes a nonzero sum or product,
-and no readout sees that sign: amplitudes are squared, and a rho's
-diagonal is summed onto +0.0.  The eigenvalue check is
-screened: one batched Cholesky factorisation clears a whole block whose
-every column is safely above the floor, and only a block it cannot clear
-goes to ``eigvalsh``, which then decides exactly as an unscreened check.
+matrices takes the same steps, one per column.  Each step is compiled
+once to its nonzero terms per row, where a 1 moves an amplitude with no
+product and a row of the identity has none, so cx and a noiseless x
+only move amplitudes.  Compiled and dense steps differ only in the sign
+of a zero entry, since a signed zero never changes a nonzero sum or
+product, and no readout sees that sign: amplitudes are squared, and a
+rho's diagonal is summed onto +0.0.  The eigenvalue check is screened:
+one batched Cholesky factorisation clears a whole block whose every
+column is safely above the floor, and only a block it cannot clear goes
+to ``eigvalsh``, which then decides exactly as an unscreened check.
 
 A run is :func:`initial_state`, :func:`compile_steps`, :func:`evolve`,
 :func:`check_state` and :func:`readout`; :func:`final_state` chains the
@@ -121,27 +121,26 @@ def _group_indices(n_qubits: int, targets: tuple):
     return tuple(base + o for o in offs)
 
 
-def apply_matrix(state: np.ndarray, n_qubits: int, mat: np.ndarray, qubits) -> np.ndarray:
+def apply_matrix(state: np.ndarray, n_qubits: int, mat, qubits) -> np.ndarray:
     """Apply a 2^k x 2^k matrix on ``qubits`` in place and return the state.
 
-    ``state`` is a 2^n vector or a (2^n, G) block; ``mat`` may be a
-    (G, d, d) stack holding one matrix per block column, or a permutation
-    as a length-d index array (:func:`_as_move`): row r then takes sub-index
-    ``mat[r]``.  Sub-index bit a of the matrix is the value of ``qubits[a]``.
-    """
+    ``state`` is a 2^n vector or a (2^n, G) block; ``mat`` is a step's
+    terms (:func:`_terms`), or an array whose every entry is a term: a
+    d x d matrix or a (G, d, d) stack, one matrix per block column.  Row
+    r's sub-block becomes the sum of its terms, coefficient times column
+    sub-block, in column order; one with no terms stays.  Sub-index bit a
+    of the matrix is the value of ``qubits[a]``."""
     index = _group_indices(n_qubits, tuple(qubits))
-    if mat.ndim == 1:
-        moved = [(index[row], index[src]) for row, src in enumerate(mat.tolist()) if src != row]
-        amps = [state[src] for _, src in moved]
-        for (i, _), amp in zip(moved, amps):
-            state[i] = amp
-        return state
-    amps = [state[i] for i in index]
-    for row, i in enumerate(index):
-        acc = mat[..., row, 0] * amps[0]
-        for col in range(1, len(index)):
-            acc = acc + mat[..., row, col] * amps[col]
-        state[i] = acc
+    if isinstance(mat, np.ndarray):
+        mat = [[(c, mat[..., r, c]) for c in range(len(index))] for r in range(len(index))]
+    amps = {col: state[index[col]] for col in {col for terms in mat for col, _ in terms}}
+    for i, terms in zip(index, mat):
+        acc = None
+        for col, coef in terms:
+            term = amps[col] if coef is None else coef * amps[col]
+            acc = term if acc is None else acc + term
+        if acc is not None:
+            state[i] = acc
     return state
 
 
@@ -160,16 +159,13 @@ def _fused(mat: np.ndarray, sup) -> np.ndarray:
     return out
 
 
-def _as_move(mat: np.ndarray) -> np.ndarray:
-    """A d x d matrix of 0s and 1s with one 1 per row and column as the
-    index array ``perm`` with ``mat[r, perm[r]] == 1``, else ``mat``.
-
-    Applying ``perm`` moves amplitudes where the dense step multiplies and
-    adds, with the same result up to the sign of a zero entry."""
-    if mat.ndim != 2:
-        return mat
-    perm = np.nonzero(mat)[1]
-    return perm if np.array_equal(np.eye(len(mat))[perm], mat) else mat
+def _terms(mat: np.ndarray):
+    """A d x d step as per row its nonzero (column, coefficient) terms in
+    column order, all d for a row of zeros; a coefficient of exactly 1 is
+    None, a move with no product, and a row of the identity has no terms."""
+    rows = [[(c, None if v == 1 else v) for c, v in enumerate(row) if v != 0]
+            or list(enumerate(row)) for row in mat.tolist()]
+    return tuple(() if terms == [(r, None)] else tuple(terms) for r, terms in enumerate(rows))
 
 
 def gate_steps(name: str, mat: np.ndarray, qubits, n_qubits: int, noise=None):
@@ -178,8 +174,8 @@ def gate_steps(name: str, mat: np.ndarray, qubits, n_qubits: int, noise=None):
     1-qubit gate is one fused 4x4 step (:func:`_fused`); a wider gate is
     ``mat`` on the row bits, its conjugate on the column bits and one
     channel superoperator per target.  ``mat`` may be a (G, d, d) stack,
-    one matrix per block column.  A step matrix that only permutes, as cx
-    and a noiseless x do, becomes a move (:func:`_as_move`)."""
+    one matrix per block column; any other step is compiled to its terms
+    (:func:`_terms`), so cx and a noiseless x only move amplitudes."""
     if noise is None:
         steps = [(mat, tuple(qubits))]
     elif len(qubits) == 1:
@@ -191,7 +187,7 @@ def gate_steps(name: str, mat: np.ndarray, qubits, n_qubits: int, noise=None):
             sup = noise.superoperator(name, q)
             if sup is not None:
                 steps.append((sup, (q, q + n_qubits)))
-    return name, [(_as_move(m), qs) for m, qs in steps]
+    return name, [(_terms(m) if m.ndim == 2 else m, qs) for m, qs in steps]
 
 
 def compile_steps(gates, n_qubits: int, noise=None):
@@ -239,7 +235,7 @@ def check_state(state: np.ndarray, n_qubits: int, noise=None):
     if not _clears_floor(mats):
         smallest = np.linalg.eigvalsh(mats)[:, 0]
         checks.append((smallest >= EIGENVALUE_FLOOR, "negative eigenvalue {!r}", smallest))
-    if state.ndim == 1:  # a lone matrix has no column to name
+    if state.ndim < 2:  # a lone matrix has no column to name
         checks = [(ok[0], message, values[0]) for ok, message, values in checks]
     require(*checks)
 

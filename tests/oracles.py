@@ -299,17 +299,23 @@ def _angle_text(value):
 def record_csv(rows) -> str:
     """A ``qvf-csv v1`` file of ``rows``: the schema line, the header, then
     one csv row per record, read by attribute.  Floats are written in their
-    shortest round-trip form and the improved flag as 0 or 1."""
+    shortest round-trip form and the improved flag as 0 or 1.  Each row is
+    formatted with a CR LF terminator, which quotes a field holding a lone
+    CR, as the writer's rows are, and ends in a newline instead."""
+    def row_text(fields):
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(fields)
+        return line.getvalue()[:-2] + "\n"
+
     buf = io.StringIO()
     buf.write("# qvf-csv v1\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RECORD_COLUMNS)
+    buf.write(row_text(RECORD_COLUMNS))
     for r in rows:
-        writer.writerow([
+        buf.write(row_text([
             r.circuit_id, str(r.site_index), str(r.gate_index), str(r.qubit),
             _angle_text(r.theta_deg), _angle_text(r.phi_deg), r.mode,
             str(r.shots), str(r.seed),
             *(repr(float(v)) for v in (r.pst, r.p_b, r.contrast, r.qvf, r.baseline_qvf)),
             "1" if r.improved else "0",
-        ])
+        ]))
     return buf.getvalue()

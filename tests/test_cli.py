@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import builtins
+import dataclasses
 import errno
 import gc
 import hashlib
@@ -630,6 +631,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert out.read_bytes() == b"previous campaign\n"
         assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one(self, tmp_path, capsys, jobs):
+        # --jobs 0 used to mean all cores, while -1 was refused
+        out = tmp_path / "o.csv"
+        code = main(["campaign", "run", "grover", "--grid-step", "90", "--jobs", jobs,
+                     "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+        assert not out.exists()
+
+    def test_absent_jobs_means_all_cores(self, tmp_path, monkeypatch):
+        configs = []
+
+        def recorded(circuit, config):
+            configs.append(config)
+            return real(circuit, dataclasses.replace(config, jobs=1))
+
+        real = cli.campaign_blocks
+        monkeypatch.setattr(cli, "campaign_blocks", recorded)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        out = tmp_path / "o.csv"
+        assert main(["campaign", "run", "grover", "--grid-step", "90", "--out", str(out)]) == 0
+        assert [c.jobs for c in configs] == [3]
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_negative_seed(self, tmp_path, capsys, mode):

@@ -482,7 +482,7 @@ def _fixed_kernel_cases():
 
 
 #: circuit ids that csv must quote
-QUOTED_IDS = ("a,b", 'say "hi"', "x\ny")
+QUOTED_IDS = ("a,b", 'say "hi"', "x\ny", "a\rb")
 WIDE_CASE, QUOTED_CASES = _fixed_kernel_cases()
 
 #: the packaged model, and one with per-qubit and per-gate overrides
@@ -559,6 +559,7 @@ class TestBlockKernel:
     @example(QUOTED_CASES[0])
     @example(QUOTED_CASES[1])
     @example(QUOTED_CASES[2])
+    @example(QUOTED_CASES[3])
     def test_csv_matches_per_record_reference(self, mode, case):
         circuit, step, sites = case
         config = CampaignConfig(grid_step=step, mode=mode, shots=200, seed=17, sites=sites)
@@ -574,6 +575,7 @@ class TestBlockKernel:
     @example(QUOTED_CASES[0], KERNEL_NOISE[0])
     @example(QUOTED_CASES[1], KERNEL_NOISE[1])
     @example(QUOTED_CASES[2], KERNEL_NOISE[0])
+    @example(QUOTED_CASES[3], KERNEL_NOISE[1])
     def test_noisy_csv_matches_per_record_reference(self, mode, case, noise):
         # flat density blocks against one final_state per record, whose
         # own agreement with the dense oracle test_noise checks to 1e-12

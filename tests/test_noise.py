@@ -21,6 +21,7 @@ from qvf.noise import (
     load_noise_file,
     phase_damping_kraus,
 )
+from qvf import simulator
 from qvf.simulator import (
     SimulationError,
     apply_matrix,
@@ -177,7 +178,7 @@ class TestChannels:
 
             _, steps = gate_steps("u", mat, qubits, n, NoiseModel())
             if k == 1:  # one fused U (x) conj(U) step on (row bit, column bit)
-                assert [(m.shape, fq) for m, fq in steps] == [((4, 4), (qubits[0], qubits[0] + n))]
+                assert [(len(m), fq) for m, fq in steps] == [(4, (qubits[0], qubits[0] + n))]
             else:
                 assert len(steps) == 2
             flat = rho.reshape(-1).copy()
@@ -223,16 +224,26 @@ class TestChannels:
 
     def test_fused_stack_is_bitwise_each_lone_matrix(self):
         """A (G, 2, 2) stack fuses, matrix by matrix, to the bits each matrix
-        fuses to alone, with and without channels."""
+        fuses to alone, with and without channels, and a lone matrix's
+        compiled terms hold those bits."""
         rng = np.random.default_rng(44)
         stack = rng.normal(size=(7, 2, 2)) + 1j * rng.normal(size=(7, 2, 2))
         stack[0] = [[1, 0], [0, -1]]  # exact zeros and signs
+
+        def bits(z):
+            return np.array([z], dtype=complex).view(np.int64).tolist()
+
         for model in (NoiseModel(), load_noise_config(REPRESENTATIVE)):
             (fused, where), = gate_steps("u", stack, (1,), 3, model)[1]
             assert fused.shape == (7, 4, 4) and where == (1, 4)
             for g, mat in enumerate(stack):
+                alone = simulator._fused(mat, model.superoperator("u", 1))
+                assert bits(alone) == bits(fused[g])
                 (lone, _), = gate_steps("u", mat, (1,), 3, model)[1]
-                assert np.array_equal(lone.view(np.int64), fused[g].view(np.int64))
+                for r, terms in enumerate(lone):
+                    for c, coef in terms or [(r, None)]:
+                        want = fused[g, r, c]
+                        assert want == 1 if coef is None else bits(coef) == bits(want)
 
 
 class TestDensityEvolution:

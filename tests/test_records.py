@@ -164,6 +164,24 @@ def test_improved_flag_must_be_0_or_1():
         assert message == f"line 5: improved_flag {value} is not 0 or 1"
 
 
+@pytest.mark.parametrize("circuit_id, line", [("grover-11", 7), ("x\ny", 11)],
+                         ids=["loadtxt", "csv"])
+def test_qvf_must_lie_in_the_unit_interval(circuit_id, line):
+    # a qvf of 1.5 was counted in report hist's mean but in none of its
+    # bins.  A quote-free chunk goes to np.loadtxt, whose check refuses it
+    # and leaves it to the csv route; a quoted newline goes there at once
+    rows = [r._replace(circuit_id=circuit_id) for r in sample_records()]
+    for column, value in (("qvf", 1.5), ("baseline_qvf", -0.25), ("qvf", -5e-324)):
+        bad = rows[:4] + [rows[4]._replace(**{column: value})] + rows[5:]
+        text = oracles.record_csv(bad)
+        assert reject(text) == f"line {line}: {column} {value} is outside [0, 1]"
+        if circuit_id == "grover-11":
+            for table, refused in ((bad, True), (rows, False)):
+                chunk = oracles.record_csv(table).splitlines(keepends=True)[2:]
+                cols = records._loadtxt_columns(chunk, len("".join(chunk)))
+                assert (cols is None) == refused
+
+
 def test_only_the_baseline_has_negative_indices():
     good = oracles.record_csv(sample_records()[:3]).splitlines()
     # a lone fault row that looks like a baseline

@@ -276,6 +276,12 @@ def representative_noise():
     return load_noise_config(text)
 
 
+def is_move(step):
+    """A compiled step only moves amplitudes: every row has no terms or one
+    unit term."""
+    return all(not terms or (len(terms) == 1 and terms[0][1] is None) for terms in step)
+
+
 def test_only_permuting_steps_become_moves():
     # cx's row-bit and column-bit steps, and a noiseless x, only permute;
     # a fused step with channels, a superoperator or any other gate does not
@@ -287,7 +293,7 @@ def test_only_permuting_steps_become_moves():
                              (noisy, {"cx": [True, True, False, False]})):
             (_, steps), = compile_steps(Circuit(2, [gate], (0,)).gates, 2, noise)
             want = moves.get(name, [False] * len(steps))
-            assert [mat.ndim == 1 for mat, _ in steps] == want, (name, noise)
+            assert [is_move(step) for step, _ in steps] == want, (name, noise)
 
 
 @pytest.mark.parametrize("mat, qubits", [
@@ -295,15 +301,62 @@ def test_only_permuting_steps_become_moves():
     (np.eye(4)[[2, 0, 3, 1]], (2, 0)), (np.eye(8)[[5, 1, 7, 0, 2, 6, 3, 4]], (3, 0, 1)),
 ])
 def test_move_equals_the_dense_step_bit_for_bit(mat, qubits):
-    # with no zero entry there is no signed zero, so every bit must agree
+    mat = np.asarray(mat, dtype=complex)
+    _, [(step, _)] = simulator.gate_steps("m", mat, qubits, 4)
+    assert is_move(step)
+    assert_compiled_equals_dense(step, mat, qubits)
+
+
+def assert_compiled_equals_dense(step, mat, qubits):
+    # with no zero amplitude there is no signed zero, so every bit must agree
     rng = np.random.default_rng(19)
-    perm = simulator._as_move(np.asarray(mat, dtype=complex))
-    assert perm.ndim == 1
     for shape in ((16,), (16, 7)):
         state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        dense = apply_matrix(state.copy(), 4, np.asarray(mat, dtype=complex), qubits)
-        moved = apply_matrix(state.copy(), 4, perm, qubits)
-        assert moved.tobytes() == dense.tobytes()
+        dense = apply_matrix(state.copy(), 4, mat, qubits)
+        compiled = apply_matrix(state.copy(), 4, step, qubits)
+        assert compiled.tobytes() == dense.tobytes()
+
+
+#: the qubits a step of each size acts on in a 4-qubit test state, out of order
+TEST_QUBITS = {2: (2,), 4: (3, 1)}
+
+
+def compiled_and_dense_steps(monkeypatch, bench, noise):
+    """Every step of a benchmark circuit, compiled and as the dense matrix
+    it was compiled from."""
+    circuit = DEFAULTS[bench]()
+    compiled = compile_steps(circuit.gates, circuit.n_qubits, noise)
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "_terms", lambda mat: mat)
+        dense = compile_steps(circuit.gates, circuit.n_qubits, noise)
+    return [(step, mat) for (_, steps), (_, mats) in zip(compiled, dense)
+            for (step, _), (mat, _) in zip(steps, mats)]
+
+
+@pytest.mark.parametrize("noise", ["none", "ideal", "representative"])
+@pytest.mark.parametrize("bench", sorted(DEFAULTS))
+def test_compiled_step_equals_the_dense_step_bit_for_bit(monkeypatch, bench, noise):
+    noise = {"none": None, "ideal": NoiseModel(),
+             "representative": representative_noise()}[noise]
+    pairs = compiled_and_dense_steps(monkeypatch, bench, noise)
+    assert any(not is_move(step) for step, _ in pairs)
+    for step, mat in pairs:
+        assert isinstance(step, tuple) and len(step) == len(mat)
+        assert_compiled_equals_dense(step, mat, TEST_QUBITS[len(mat)])
+
+
+@pytest.mark.parametrize("bench", sorted(DEFAULTS))
+def test_compiled_noisy_step_keeps_an_inf(monkeypatch, bench):
+    # a skipped zero term never reads a column, so a non-finite amplitude
+    # must still reach some row: the state checks then refuse the block.
+    # Column j of the block holds its one inf at entry j
+    rng = np.random.default_rng(25)
+    for step, mat in compiled_and_dense_steps(monkeypatch, bench, representative_noise()):
+        block = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        block[np.arange(16), np.arange(16)] = np.inf
+        with np.errstate(invalid="ignore"):
+            apply_matrix(block, 4, step, TEST_QUBITS[len(mat)])
+        assert not np.isfinite(block).all(axis=0).any()
 
 
 @pytest.mark.parametrize("bench", sorted(DEFAULTS))
