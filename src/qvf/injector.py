@@ -80,7 +80,7 @@ class FaultSite:
 #: entries in one state (or flat density) block: a site's grid is swept
 #: in column chunks of at most this size (one column at least), so peak
 #: memory does not grow with the grid
-BLOCK_AMPLITUDES = 1 << 16
+BLOCK_AMPLITUDES = 1 << 15
 
 #: exact-mode probabilities at or below this count as zero, a loss far below NORM_TOL
 PROB_FLOOR = 1e-14

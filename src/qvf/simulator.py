@@ -25,13 +25,16 @@ S on (q, q + n) for each target q.  Every step runs on
 matrices takes the same steps, one per column.  Each step is compiled
 once to its nonzero terms per row, where a 1 moves an amplitude with no
 product and a row of the identity has none, so cx and a noiseless x
-only move amplitudes.  Compiled and dense steps differ only in the sign
-of a zero entry, since a signed zero never changes a nonzero sum or
-product, and no readout sees that sign: amplitudes are squared, and a
-rho's diagonal is summed onto +0.0.  The eigenvalue check is screened:
-one batched Cholesky factorisation clears a whole block whose every
-column is safely above the floor, and only a block it cannot clear goes
-to ``eigvalsh``, which then decides exactly as an unscreened check.
+only move amplitudes; a row's later terms are summed into its first in
+place.  Compiled and dense steps differ only in the sign of a zero
+entry, since a signed zero never changes a nonzero sum or product, and
+no readout sees that sign: amplitudes are squared, and a rho's diagonal
+is summed onto +0.0.  The Hermitian check reads one triangle of rho,
+diagonal included: |a - conj(b)| and |b - conj(a)| differ only in the
+signs of their parts, so it finds the full check's largest value.  The
+eigenvalue check is screened: one batched Cholesky factorisation clears
+a block whose every column is safely above the floor, and only a block
+it cannot clear goes to ``eigvalsh``, which decides as unscreened.
 
 A run is :func:`initial_state`, :func:`compile_steps`, :func:`evolve`,
 :func:`check_state` and :func:`readout`; :func:`final_state` chains the
@@ -129,16 +132,25 @@ def apply_matrix(state: np.ndarray, n_qubits: int, mat, qubits) -> np.ndarray:
     d x d matrix or a (G, d, d) stack, one matrix per block column.  Row
     r's sub-block becomes the sum of its terms, coefficient times column
     sub-block, in column order; one with no terms stays.  Sub-index bit a
-    of the matrix is the value of ``qubits[a]``."""
+    of the matrix is the value of ``qubits[a]``.  A row's later products
+    go to one reused buffer and sum into its first in place; a row that
+    starts with a move sums first into a new block, not the shared column."""
     index = _group_indices(n_qubits, tuple(qubits))
     if isinstance(mat, np.ndarray):
         mat = [[(c, mat[..., r, c]) for c in range(len(index))] for r in range(len(index))]
     amps = {col: state[index[col]] for col in {col for terms in mat for col, _ in terms}}
+    tmp = None
     for i, terms in zip(index, mat):
         acc = None
         for col, coef in terms:
-            term = amps[col] if coef is None else coef * amps[col]
-            acc = term if acc is None else acc + term
+            term = amps[col]
+            if acc is None:
+                acc, shared = (term, True) if coef is None else (coef * term, False)
+                continue
+            if coef is not None:
+                term = tmp = np.multiply(coef, term, out=tmp)
+            acc = acc + term if shared else np.add(acc, term, out=acc)
+            shared = False
         if acc is not None:
             state[i] = acc
     return state
@@ -204,6 +216,13 @@ def _diagonal(n_qubits: int) -> np.ndarray:
     return np.arange(1 << n_qubits) * ((1 << n_qubits) + 1)
 
 
+@lru_cache(maxsize=MAX_QUBITS // 2 + 1)  # 2 x d(d+1)/2 indices, 8 MiB at MAX_QUBITS // 2
+def _triangle(n_qubits: int):
+    """Flat indices of rho[i, j] and of its mirror rho[j, i], i <= j."""
+    i, j = np.triu_indices(1 << n_qubits)
+    return (i << n_qubits) + j, (j << n_qubits) + i
+
+
 def evolve(state: np.ndarray, n_qubits: int, program, noise=None) -> np.ndarray:
     """Run a state (or a block of state columns) through compiled gates in
     place; under ``noise`` every column's trace is checked after each gate."""
@@ -229,7 +248,8 @@ def check_state(state: np.ndarray, n_qubits: int, noise=None):
     d = 1 << n_qubits
     mats = state.reshape(d, d, -1).transpose(2, 0, 1)
     trace = np.trace(mats, axis1=1, axis2=2)
-    skew = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)), axis=(1, 2))
+    flat, (upper, lower) = state.reshape(d * d, -1), _triangle(n_qubits)
+    skew = np.max(np.abs(flat[upper] - flat[lower].conj()), axis=0)
     checks = [(np.abs(trace - 1.0) <= TRACE_TOL, "density trace drifted to {!r}", trace),
               (skew <= HERMITIAN_TOL, "density matrix is not Hermitian (off by {!r})", skew)]
     if not _clears_floor(mats):

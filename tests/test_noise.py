@@ -385,6 +385,31 @@ class TestDensityEvolution:
         with pytest.raises(SimulationError):
             check_state(indefinite.reshape(-1), 1, NoiseModel())
 
+    def test_an_imaginary_diagonal_is_not_hermitian(self):
+        # the triangle the check reads must hold the diagonal; the two
+        # imaginary parts cancel in the trace, which stays exactly 1
+        rho = np.diag([0.25 + 0j] * 4)
+        rho[1, 1] += 1e-6j
+        rho[2, 2] -= 1e-6j
+        with pytest.raises(SimulationError, match=r"not Hermitian \(off by 2e-06\)"):
+            check_state(rho.reshape(-1), 2, NoiseModel())
+
+    def test_hermitian_verdict_matches_the_full_matrix(self):
+        rng = np.random.default_rng(26)
+        block = density_with_smallest([0.01] * 6, rng, d=16)
+        for j, size in ((2, 1e-7), (4, 1e-5), (5, 1e-11)):
+            flaw = size * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+            flaw[np.diag_indices(16)] -= np.trace(flaw) / 16
+            block[:, j] += flaw.reshape(-1)
+        mats = block.reshape(16, 16, -1).transpose(2, 0, 1)
+        skew = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)), axis=(1, 2))
+        assert skew[5] <= simulator.HERMITIAN_TOL
+        for state, j, column in ((block, 2, 2), (block[:, 2], 2, None), (block[:, 4], 4, None)):
+            with pytest.raises(SimulationError) as info:
+                check_state(state, 4, NoiseModel())
+            want = f"density matrix is not Hermitian (off by {skew[j].item()!r})"
+            assert (str(info.value), info.value.column) == (want, column)
+
 
 def density_with_smallest(values, rng, d=4, top=None):
     """(d*d, len(values)) block of flat unit-trace Hermitian matrices in a

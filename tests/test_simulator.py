@@ -345,6 +345,59 @@ def test_compiled_step_equals_the_dense_step_bit_for_bit(monkeypatch, bench, noi
         assert_compiled_equals_dense(step, mat, TEST_QUBITS[len(mat)])
 
 
+def random_step(rng, d):
+    """A d x d step whose entries are each 0, 1 or a random complex number,
+    so a compiled row may skip terms, start with a move or add products."""
+    pick = rng.integers(3, size=(d, d))
+    value = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return np.where(pick == 2, value, pick).astype(complex)
+
+
+def plain_rows(state, step, qubits):
+    """A step applied with fresh arrays only: each row is
+    ``acc = acc + coef * amps[col]`` over its terms in column order."""
+    index = simulator._group_indices(4, tuple(qubits))
+    if isinstance(step, np.ndarray):
+        step = [[(c, step[:, r, c]) for c in range(len(index))] for r in range(len(index))]
+    amps, out = [state[ix] for ix in index], state.copy()
+    for ix, terms in zip(index, step):
+        acc = None
+        for col, coef in terms:
+            term = amps[col] if coef is None else coef * amps[col]
+            acc = term if acc is None else acc + term
+        if acc is not None:
+            out[ix] = acc
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_in_place_rows_never_write_into_a_gathered_column(d):
+    # a row that starts with a move holds the gathered column itself, which
+    # later rows read too: summing into it in place would change their terms
+    rng = np.random.default_rng(26)
+    qubits = TEST_QUBITS[d]
+    mats = [random_step(rng, d) for _ in range(60)]
+    shared = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    shared[0, 0] = 1.0  # row 0 starts with a move, and every row reads column 0
+    mats.append(shared)
+    steps = [simulator.gate_steps("m", mat, qubits, 4)[1][0][0] for mat in mats]
+    assert any(len(terms) > 1 and terms[0][1] is None for step in steps for terms in step)
+    vector = rng.normal(size=16) + 1j * rng.normal(size=16)
+    block = rng.normal(size=(16, 7)) + 1j * rng.normal(size=(16, 7))
+    for step, mat in zip(steps, mats):
+        assert_compiled_equals_dense(step, mat, qubits)
+        for state in (vector, block):  # the in-place sums keep every bit
+            got = apply_matrix(state.copy(), 4, step, qubits)
+            assert got.tobytes() == plain_rows(state, step, qubits).tobytes()
+    # a (G, d, d) stack gives each block column what its lone step gives it
+    stack = np.stack(mats[-7:])
+    stacked = apply_matrix(block.copy(), 4, stack, qubits)
+    assert stacked.tobytes() == plain_rows(block, stack, qubits).tobytes()
+    for g, step in enumerate(steps[-7:]):
+        lone = apply_matrix(block[:, g].copy(), 4, step, qubits)
+        assert stacked[:, g].tobytes() == lone.tobytes()
+
+
 @pytest.mark.parametrize("bench", sorted(DEFAULTS))
 def test_compiled_noisy_step_keeps_an_inf(monkeypatch, bench):
     # a skipped zero term never reads a column, so a non-finite amplitude
