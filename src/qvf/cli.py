@@ -153,7 +153,8 @@ def _cmd_campaign_run(args):
         **sweep,
         noise=_load_noise(args.noise),
         sites=tuple(args.sites) if args.sites else None,
-        jobs=getattr(args, "jobs", os.cpu_count() or 1),
+        jobs=getattr(args, "jobs", len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1),
     )
 
     baseline, blocks = campaign_blocks(circuit, config)
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--noise", default=None,
                      help="noise config path, or 'representative'")
     run.add_argument("--seed", type=int)
-    run.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    run.add_argument("--jobs", type=int, help="worker processes (default: the CPUs this process may run on)")
     run.add_argument("--sites", type=int, nargs="+", default=None,
                      help="restrict to these site indices")
     run.add_argument("--correct", nargs="+", default=None,

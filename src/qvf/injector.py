@@ -64,6 +64,7 @@ from .simulator import (
     initial_state,
     readout,
     require,
+    state_size,
 )
 
 import numpy as np
@@ -328,6 +329,7 @@ def campaign_blocks(circuit: Circuit, config: CampaignConfig = CampaignConfig())
     ``grid_degrees(config.grid_step)``.  Order and values depend only on the
     circuit and config, never on worker scheduling; at most one worker
     runs per site."""
+    state_size(circuit.n_qubits, config.noise)  # refused before the 2^m outcome mask
     mask = _correct_mask(circuit)
     all_sites = enumerate_sites(circuit)
     if not all_sites:

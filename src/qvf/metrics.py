@@ -17,9 +17,9 @@ Aggregations consume a campaign's :class:`~qvf.records.RecordTable`, as
 grid, grouped per circuit / qubit / site, cellwise grid differences,
 per-qubit depth series at a fixed fault, and histogram statistics.  They
 compute on the table's column arrays.  Axes and groups come from
-``np.unique``, and cell sums from ``np.add.at``, which adds in row order,
-so every mean is the one a record-by-record loop gives, bit for bit.
-Baseline rows (site_index < 0) are excluded from every aggregation.
+``np.unique``; ``np.bincount`` sums each flat cell index in row order, so
+every mean is the one a record-by-record loop gives, bit for bit.  No grid
+has more cells than rows, and baseline rows (site_index < 0) are left out.
 """
 
 from dataclasses import dataclass
@@ -108,39 +108,45 @@ class HeatmapGrid:
         object.__setattr__(self, "cells", cells)
 
 
+def _axis(column):
+    """``np.unique(column, return_inverse=True)`` in a third of its memory; counts keep
+    np.unique sorting a copy, not building a hash table that costs 1.4 MB on first use."""
+    return (values := np.unique(column, return_counts=True)[0]), np.searchsorted(values, column)
+
+
 def aggregate_heatmap(table, grouping: str = "circuit"):
     """Mean-QVF grids from the fault records of a RecordTable.
 
     grouping "circuit" returns one HeatmapGrid; "qubit" and "site" return a
     dict keyed by qubit index / site index.  Each cell's sum adds its
-    records in row order.
+    records in row order.  An empty cell raises for the first such group.
     """
     faults = table.site_index >= 0
     if not faults.any():
         raise MetricsError("no fault records to aggregate")
     if grouping == "circuit":
-        by = np.zeros(len(table), dtype=np.int64)
-    elif grouping == "qubit":
-        by = table.qubit
-    elif grouping == "site":
-        by = table.site_index
+        keys, cell = np.zeros(1, dtype=np.int64), 0
+    elif grouping in ("qubit", "site"):
+        keys, cell = _axis((table.qubit if grouping == "qubit" else table.site_index)[faults])
     else:
         raise MetricsError(f"unknown grouping {grouping!r}")
-    keys, ki = np.unique(by[faults], return_inverse=True)
-    thetas, ti = np.unique(table.theta_deg[faults], return_inverse=True)
-    phis, pj = np.unique(table.phi_deg[faults], return_inverse=True)
-    sums = np.zeros((len(keys), len(thetas), len(phis)))
-    counts = np.zeros_like(sums)
-    np.add.at(sums, (ki, ti, pj), table.qvf[faults])
-    np.add.at(counts, (ki, ti, pj), 1.0)
+    thetas, ti = _axis(table.theta_deg[faults])
+    phis, pj = _axis(table.phi_deg[faults])
+    size = len(thetas) * len(phis)  # cells per group
+    if len(keys) * size > len(pj):  # Python ints: some cell is empty, and int64 could wrap
+        pairs = np.unique(np.stack(np.broadcast_arrays(cell, ti * len(phis) + pj)), axis=1)
+        filled = np.bincount(pairs[0], minlength=len(keys))  # distinct cells per group
+    else:
+        cell = (cell * len(thetas) + ti) * len(phis) + pj
+        sums = np.bincount(cell, table.qvf[faults], len(keys) * size).reshape(len(keys), len(thetas), -1)
+        counts = np.bincount(cell, minlength=sums.size).reshape(sums.shape)
+        filled = np.count_nonzero(counts, axis=(1, 2))
+    names = ["circuit"] if grouping == "circuit" else [f"{grouping}:{k}" for k in keys.tolist()]
+    if (filled < size).any():
+        raise MetricsError(f"empty (theta, phi) cell in group {names[np.argmax(filled < size)]!r}")
     thetas, phis = tuple(thetas.tolist()), tuple(phis.tolist())
-    out = {}
-    for key, cell_sums, cell_counts in zip(keys.tolist(), sums, counts):
-        group = "circuit" if grouping == "circuit" else f"{grouping}:{key}"
-        if (cell_counts == 0).any():
-            raise MetricsError(f"empty (theta, phi) cell in group {group!r}")
-        out[key] = HeatmapGrid(thetas, phis, cell_sums / cell_counts, group)
-    return out[0] if grouping == "circuit" else out
+    grids = [HeatmapGrid(thetas, phis, s / c, name) for s, c, name in zip(sums, counts, names)]
+    return grids[0] if grouping == "circuit" else dict(zip(keys.tolist(), grids))
 
 
 def delta_qvf(grid_a: HeatmapGrid, grid_b: HeatmapGrid) -> HeatmapGrid:

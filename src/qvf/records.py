@@ -218,15 +218,13 @@ def _chunk_columns(rows, starts):
 #: improved_flag as int64, the key columns (object) as str
 _ROW = np.dtype([(name, convert(["0"]).dtype) for name, convert in zip(COLUMNS, _CONVERTERS)])
 
-def _loadtxt_columns(lines, size):
-    """Checked columns of ``lines``, ``size`` characters in all, parsed in C
-    by np.loadtxt; each key column holds its one value.  None when the rest of
-    the file needs the csv route: a blank line, a quoted newline, a row left
-    open at the chunk's end, a line over the csv field limit (loadtxt has
-    none), a value loadtxt refuses or warns about, a key that changes within
-    the chunk, or a failed check."""
-    limit = csv.field_size_limit()
-    if size > limit and max(map(len, lines)) > limit:
+def _loadtxt_columns(lines):
+    """Checked columns of ``lines``, parsed in C by np.loadtxt; each key column
+    holds its one value.  None when the rest of the file needs the csv route:
+    a blank line, a quoted newline, a row left open at the chunk's end, a line
+    over the csv field limit (loadtxt has none), a value loadtxt refuses or
+    warns about, a key that changes within the chunk, or a failed check."""
+    if max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
         # loadtxt closes a quote left open at the end of its input
@@ -275,7 +273,7 @@ def _chunks(stream):
     yield _columns([]) + [np.array([], int)]  # not range(0): that reads as float
     line = 3
     while (lines := list(islice(stream, CHUNK_ROWS))) and (
-            cols := _loadtxt_columns(lines, sum(map(len, lines)))):
+            cols := _loadtxt_columns(lines)):
         yield cols + [[line]]
         line += len(lines)
     # the refused chunk and the rest of the file: a quoted newline may cross chunks

@@ -92,16 +92,21 @@ def require(*checks):
 MAX_QUBITS = 20
 
 
-def initial_state(n_qubits: int, noise=None) -> np.ndarray:
-    """|0...0> as a 2^n amplitude vector, or under ``noise`` |0...0><0...0|
-    as a flat 4^n rho; a state beyond the budget is refused first."""
+def state_size(n_qubits: int, noise=None) -> int:
+    """Entries of an n-qubit state, 4^n under ``noise``; refused beyond the budget."""
     dims = 1 if noise is None else 2
     if n_qubits * dims > MAX_QUBITS:
         raise SimulationError(
             f"{n_qubits} qubits exceed the simulator's limit of "
             f"{MAX_QUBITS // dims} for a {'density matrix' if dims > 1 else 'state vector'}"
         )
-    state = np.zeros(2 ** (n_qubits * dims), dtype=complex)
+    return 2 ** (n_qubits * dims)
+
+
+def initial_state(n_qubits: int, noise=None) -> np.ndarray:
+    """|0...0> as a 2^n amplitude vector, or under ``noise`` |0...0><0...0|
+    as a flat 4^n rho; a state beyond the budget is refused first."""
+    state = np.zeros(state_size(n_qubits, noise), dtype=complex)
     state[0] = 1.0
     return state
 

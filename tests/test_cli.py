@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 import qvf
-from support import table_rows
+from support import QvfRecord, table_rows
 from qvf import cli, metrics, records, render
 from qvf.cli import EXIT_IO, EXIT_PARSE, EXIT_SIMULATION, EXIT_USAGE, main
 from qvf.metrics import HeatmapGrid, HistogramStats, delta_qvf
@@ -608,6 +608,35 @@ class TestExitCodes:
         assert main(["campaign", "run", "grover", "--grid-step", "90",
                      "--noise", str(bad_noise), "--out", str(out)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("report, grouping", [
+        (["heatmap"], "circuit"),
+        (["perqubit"], "qubit"),
+        (["delta", "--qubit-a", "0", "--qubit-b", "0"], "qubit"),
+    ], ids=["heatmap", "perqubit", "delta"])
+    def test_more_cells_than_rows_is_refused_in_row_memory(self, tmp_path, capsys,
+                                                           report, grouping):
+        # 2,000 fault rows at distinct angles: a 2,000 x 2,000 grid per
+        # group, 64 MB of sums and counts each, is never built
+        rows = [QvfRecord("toy", i, i, i % 2, i, i, "exact", 0, 0, 0.5, 0.25,
+                          1 / 3, 1 / 3, 0.0, False) for i in range(2000)]
+        src = tmp_path / "sparse.csv"
+        src.write_text(oracles.record_csv(rows))
+        with pytest.raises(ValueError) as oracle:
+            oracles.aggregate_heatmap(rows, grouping)
+        argv = ["report", *report, "--in", str(src), "--format", "csv",
+                "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == EXIT_PARSE  # first-call caches are not per-row memory
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_PARSE
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == f"error: {oracle.value}\n"
+        assert peak <= 1000 * len(rows), peak / len(rows)
+        assert list(tmp_path.iterdir()) == [src]
+
     def test_bad_grid_step(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         for step in ("0", "-15"):
@@ -642,7 +671,9 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: jobs must be >= 1\n"
         assert not out.exists()
 
-    def test_absent_jobs_means_all_cores(self, tmp_path, monkeypatch):
+    @staticmethod
+    def default_jobs(tmp_path, monkeypatch):
+        """The jobs of a campaign run without --jobs (run with one worker)."""
         configs = []
 
         def recorded(circuit, config):
@@ -651,10 +682,22 @@ class TestExitCodes:
 
         real = cli.campaign_blocks
         monkeypatch.setattr(cli, "campaign_blocks", recorded)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         out = tmp_path / "o.csv"
         assert main(["campaign", "run", "grover", "--grid-step", "90", "--out", str(out)]) == 0
-        assert [c.jobs for c in configs] == [3]
+        return [c.jobs for c in configs]
+
+    def test_absent_jobs_means_all_cores(self, tmp_path, monkeypatch):
+        # the CPUs this process may run on, not every CPU of the host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert self.default_jobs(tmp_path, monkeypatch) == [3]
+
+    @pytest.mark.parametrize("count, jobs", [(5, 5), (None, 1)])
+    def test_absent_jobs_without_affinity_means_cpu_count(self, tmp_path, monkeypatch,
+                                                          count, jobs):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert self.default_jobs(tmp_path, monkeypatch) == [jobs]
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_negative_seed(self, tmp_path, capsys, mode):
@@ -720,14 +763,18 @@ class TestExitCodes:
         (40, []),
         (40, ["--correct", "0"]),
         (12, ["--correct", "0", "--noise", "representative"]),
+        (40, ["--correct", "0" * 40]),
     ])
     def test_oversized_circuit(self, tmp_path, capsys, n_qubits, extra):
         # refused before any state is allocated: 2^40 amplitudes, or a
         # 4^12-entry density matrix under noise; the baseline's own error
-        # is not wrapped as a failing site
+        # is not wrapped as a failing site.  The circuit measures as many
+        # qubits as the correct state has bits: all 40 would need a 2^40
+        # entry outcome mask, which is not built either
+        measured = len(extra[1]) if extra else 1
         src = tmp_path / "wide.qasm"
-        src.write_text(f"qreg q[{n_qubits}]; creg c[1]; h q[0]; cx q[0],q[1]; "
-                       "measure q[0] -> c[0];")
+        src.write_text(f"qreg q[{n_qubits}]; creg c[{measured}]; h q[0]; cx q[0],q[1]; "
+                       + " ".join(f"measure q[{i}] -> c[{i}];" for i in range(measured)))
         out = tmp_path / "o.csv"
         code = main(["campaign", "run", str(src), "--grid-step", "90",
                      "--jobs", "1", "--out", str(out)] + extra)

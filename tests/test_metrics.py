@@ -3,6 +3,7 @@
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,42 @@ class TestAggregations:
         records = grid_records()[:-1]
         with pytest.raises(MetricsError):
             aggregate_heatmap(as_table(records), grouping="site")
+
+    @pytest.mark.parametrize("cells, named", [
+        # more cells than rows: qubit 0 holds two rows but repeats one cell,
+        # so the first group short of rows (qubit 1) is not the one named
+        ([(0, 0), (0, 0), (1, 180)], "qubit:0"),
+        ([(0, 0), (0, 180), (1, 0)], "qubit:1"),
+        ([(0, 0), (0, 0), (1, 0), (1, 180)], "qubit:0"),  # as many cells as rows
+    ], ids=["repeated-cell", "second-group", "no-more-cells-than-rows"])
+    def test_empty_cell_names_the_first_group_with_one(self, cells, named):
+        records = [rec(site_index=i, qubit=q, phi_deg=phi) for i, (q, phi) in enumerate(cells)]
+        for grouping in ("circuit", "qubit", "site"):
+            both(lambda: oracles.aggregate_heatmap(records, grouping),
+                 lambda: aggregate_heatmap(as_table(records), grouping))
+        with pytest.raises(MetricsError, match=re.escape(f"in group {named!r}")):
+            aggregate_heatmap(as_table(records), "qubit")
+
+    @pytest.mark.parametrize("grouping", ["circuit", "qubit", "site"])
+    def test_memory_is_bounded_by_the_rows(self, grouping):
+        # 2,000 fault rows at distinct angles span 2,000 x 2,000 cells per
+        # group: 64 MB of sums and counts per group if a grid were built
+        # (the site grouping has 2,000 groups)
+        rows = 2000
+        table = as_table([rec(site_index=i, qubit=i % 2, theta_deg=i, phi_deg=i)
+                          for i in range(rows)])
+        group = "circuit" if grouping == "circuit" else f"{grouping}:0"
+        expected = re.escape(f"empty (theta, phi) cell in group {group!r}")
+        with pytest.raises(MetricsError, match=expected):
+            aggregate_heatmap(table, grouping)  # first-call caches are not per-row memory
+        tracemalloc.start()
+        try:
+            with pytest.raises(MetricsError, match=expected):
+                aggregate_heatmap(table, grouping)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400 * rows, peak / rows  # one byte per cell would be 2,000
 
     def test_unknown_grouping(self):
         with pytest.raises(MetricsError):

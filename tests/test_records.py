@@ -178,7 +178,7 @@ def test_qvf_must_lie_in_the_unit_interval(circuit_id, line):
         if circuit_id == "grover-11":
             for table, refused in ((bad, True), (rows, False)):
                 chunk = oracles.record_csv(table).splitlines(keepends=True)[2:]
-                cols = records._loadtxt_columns(chunk, len("".join(chunk)))
+                cols = records._loadtxt_columns(chunk)
                 assert (cols is None) == refused
 
 
@@ -234,7 +234,7 @@ KEY = ("circuit_id", "mode", "shots", "seed")
 def test_chunks_take_the_loadtxt_route(circuit_id):
     rows = [r._replace(circuit_id=circuit_id) for r in sample_records()]
     lines = oracles.record_csv(rows).splitlines(keepends=True)[2:]
-    cols = records._loadtxt_columns(lines, len("".join(lines)))
+    cols = records._loadtxt_columns(lines)
     assert cols is not None
     assert len(cols[COLUMNS.index("qvf")]) == len(rows)
     for key in KEY:  # one value per chunk, not one per row
@@ -412,7 +412,7 @@ def test_loadtxt_route_agrees_with_csv_route(text, chunk_rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(records, "CHUNK_ROWS", chunk_rows)
         fast = parse_outcome(text)
-        mp.setattr(records, "_loadtxt_columns", lambda lines, size: None)
+        mp.setattr(records, "_loadtxt_columns", lambda lines: None)
         assert fast == parse_outcome(text)
 
 
