@@ -76,7 +76,7 @@ class NoiseModel:
         unit = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
         rules = {"t1": ("positive", lambda v: v > 0), "t2": ("positive", lambda v: v > 0),
                  "p01": unit, "p10": unit, "depolarizing": unit,
-                 "duration": (">= 0", lambda v: v >= 0)}
+                 "duration": ("finite and >= 0", lambda v: 0 <= v < math.inf)}
         for name, (what, ok) in rules.items():
             values = {"default": getattr(self, f"default_{name}"), **getattr(self, name)}
             for where, v in values.items():

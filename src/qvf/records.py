@@ -28,14 +28,15 @@ names the file line on which the first bad row starts.
 :func:`read_table` parses a file into a :class:`RecordTable`: the campaign
 key once and one array per other column, ``CHUNK_ROWS`` lines at a time.
 Each chunk goes to one ``np.loadtxt`` call, which parses it in C, quoted
-fields included; each key column (circuit_id, mode, shots, seed) must hold
-one text across the chunk, converted once to one value.  The first chunk
-that loadtxt refuses, or that fails a check, hands itself and the rest of
-the file to ``csv.reader``: a transpose, and each column converted with
-``int()`` or ``float()`` and checked as a whole.  Only a chunk with a bad
-value is parsed again row by row, to find the line to name, so every
-refused file raises the error of the csv route.  The key is compared with
-the first row's once every chunk has parsed, so a bad value is named first.
+fields and line breaks included; each key column (circuit_id, mode, shots,
+seed) must hold one text across the chunk, converted once to one value.
+A chunk that loadtxt refuses, or that fails a check, goes to its own
+``csv.reader``, read on only to the end of a row left open at its end: a
+transpose, and each column converted with ``int()`` or ``float()`` and
+checked as a whole.  Only a chunk with a bad value is parsed again row by
+row, to find the line to name, so every refused file raises the error of
+the csv route.  The key is compared with the first row's once every chunk
+has parsed, so a bad value is named first.
 """
 
 import csv
@@ -220,10 +221,10 @@ _ROW = np.dtype([(name, convert(["0"]).dtype) for name, convert in zip(COLUMNS, 
 
 def _loadtxt_columns(lines):
     """Checked columns of ``lines``, parsed in C by np.loadtxt; each key column
-    holds its one value.  None when the rest of the file needs the csv route:
-    a blank line, a quoted newline, a row left open at the chunk's end, a line
-    over the csv field limit (loadtxt has none), a value loadtxt refuses or
-    warns about, a key that changes within the chunk, or a failed check."""
+    holds its one value.  None when this chunk needs the csv route: a blank
+    line, a row left open at the chunk's end, a line over the csv field limit
+    (loadtxt has none), a value loadtxt refuses or warns about, a key that
+    changes within the chunk, or a failed check."""
     if max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
@@ -235,7 +236,8 @@ def _loadtxt_columns(lines):
             warnings.simplefilter("error")
             rows = np.loadtxt(lines, delimiter=",", dtype=_ROW, comments=None,
                               quotechar='"', ndmin=1)
-        if len(rows) != len(lines):  # it skips a blank line and joins a quoted newline
+        # it skips a blank line, and joins a quoted line break as csv does
+        if len(rows) != len(lines) and len(rows) != len(list(csv.reader(lines, strict=True))):
             return None
         cols = []
         for name, convert in zip(COLUMNS, _CONVERTERS):
@@ -251,35 +253,28 @@ def _loadtxt_columns(lines):
         return None
 
 
-def _csv_rows(reader, line):
-    """Up to CHUNK_ROWS rows and the file line each starts on, when the
-    reader's first line is file line ``line``; a csv.Error becomes a
-    RecordFileError naming the line the reader had reached."""
-    rows, ends = [], [reader.line_num]  # a quoted newline spans lines
-    try:
-        for row in islice(reader, CHUNK_ROWS):
-            rows.append(row)
-            ends.append(reader.line_num)
-    except csv.Error as exc:
-        raise RecordFileError(f"line {line + reader.line_num - 1}: {exc}") from None
-    return rows, line + np.array(ends[:-1])
-
-
 def _chunks(stream):
     """Typed, checked columns of the rows after the header, one list per
     chunk, and last the file line each key value starts on: a loadtxt chunk
-    holds one key value and a csv chunk one per row.  A header-only file
-    gives one list of empty columns."""
+    holds one key value and a csv chunk one per row.  A csv chunk holds the
+    rows that start in its lines, the last read on from ``stream`` to its
+    end.  A header-only file gives one list of empty columns."""
     yield _columns([]) + [np.array([], int)]  # not range(0): that reads as float
     line = 3
-    while (lines := list(islice(stream, CHUNK_ROWS))) and (
-            cols := _loadtxt_columns(lines)):
-        yield cols + [[line]]
-        line += len(lines)
-    # the refused chunk and the rest of the file: a quoted newline may cross chunks
-    reader = csv.reader(chain(lines, stream))
-    while (chunk := _csv_rows(reader, line))[0]:
-        yield _chunk_columns(*chunk) + [chunk[1]]
+    while lines := list(islice(stream, CHUNK_ROWS)):
+        if cols := _loadtxt_columns(lines):
+            yield cols + [[line]]
+            line += len(lines)
+            continue
+        reader, rows, starts = csv.reader(chain(lines, stream)), [], []
+        try:
+            while reader.line_num < len(lines):
+                starts.append(line + reader.line_num)
+                rows.append(next(reader))
+        except csv.Error as exc:
+            raise RecordFileError(f"line {line + reader.line_num - 1}: {exc}") from None
+        yield _chunk_columns(rows, starts) + [starts]
+        line += reader.line_num
 
 
 def read_table(stream):

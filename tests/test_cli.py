@@ -608,6 +608,24 @@ class TestExitCodes:
         assert main(["campaign", "run", "grover", "--grid-step", "90",
                      "--noise", str(bad_noise), "--out", str(out)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("qubits", ["", "t1 = 10\n"], ids=["ideal_t1", "finite_t1"])
+    def test_infinite_gate_duration(self, tmp_path, capsys, qubits):
+        # under t1 = inf such a gate used to pass as ideal, under t1 = 10
+        # as fully damped; both campaigns exited 0
+        noise = tmp_path / "noise.ini"
+        noise.write_text(f"[qubits]\n{qubits}[gates]\nduration = inf\n")
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"previous campaign\n")
+        code = main(["campaign", "run", "grover", "--grid-step", "90", "--noise", str(noise),
+                     "--jobs", "1", "--out", str(out)])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: duration[default] = inf must be finite and >= 0\n")
+        assert captured.out == ""
+        assert out.read_bytes() == b"previous campaign\n"
+        assert sorted(tmp_path.iterdir()) == [noise, out]
+
     @pytest.mark.parametrize("report, grouping", [
         (["heatmap"], "circuit"),
         (["perqubit"], "qubit"),

@@ -87,6 +87,12 @@ class TestModelValidation:
             NoiseModel(default_duration=-5.0)
         with pytest.raises(NoiseConfigError):
             NoiseModel(duration={"cx": float("nan")})
+        # an infinite duration read as no damping under t1 = inf (inf / inf
+        # is nan) and as full damping under a finite t1
+        for kwargs in ({"default_duration": math.inf}, {"duration": {"cx": math.inf}},
+                       {"default_t1": 10.0, "default_duration": math.inf}):
+            with pytest.raises(NoiseConfigError, match=r"= inf must be finite and >= 0"):
+                NoiseModel(**kwargs)
 
     def test_per_qubit_and_per_gate_overrides(self):
         m = NoiseModel(

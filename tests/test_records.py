@@ -168,18 +168,17 @@ def test_improved_flag_must_be_0_or_1():
                          ids=["loadtxt", "csv"])
 def test_qvf_must_lie_in_the_unit_interval(circuit_id, line):
     # a qvf of 1.5 was counted in report hist's mean but in none of its
-    # bins.  A quote-free chunk goes to np.loadtxt, whose check refuses it
-    # and leaves it to the csv route; a quoted newline goes there at once
+    # bins.  Each chunk goes to np.loadtxt, quoted newlines included, whose
+    # check refuses it and leaves it to the csv route, which names the line
     rows = [r._replace(circuit_id=circuit_id) for r in sample_records()]
     for column, value in (("qvf", 1.5), ("baseline_qvf", -0.25), ("qvf", -5e-324)):
         bad = rows[:4] + [rows[4]._replace(**{column: value})] + rows[5:]
         text = oracles.record_csv(bad)
         assert reject(text) == f"line {line}: {column} {value} is outside [0, 1]"
-        if circuit_id == "grover-11":
-            for table, refused in ((bad, True), (rows, False)):
-                chunk = oracles.record_csv(table).splitlines(keepends=True)[2:]
-                cols = records._loadtxt_columns(chunk)
-                assert (cols is None) == refused
+        for table, refused in ((bad, True), (rows, False)):
+            chunk = oracles.record_csv(table).splitlines(keepends=True)[2:]
+            cols = records._loadtxt_columns(chunk)
+            assert (cols is None) == refused
 
 
 def test_only_the_baseline_has_negative_indices():
@@ -230,8 +229,10 @@ def test_constant_key_above_the_csv_limit_is_a_record_error(circuit_id):
 KEY = ("circuit_id", "mode", "shots", "seed")
 
 
-@pytest.mark.parametrize("circuit_id", ["grover-11", 'a,"b"', 'say "hi"', "nul\0"])
+@pytest.mark.parametrize("circuit_id", ["grover-11", 'a,"b"', 'say "hi"', "nul\0",
+                                        "x\ny", "a\rb", "a\r\nb"])
 def test_chunks_take_the_loadtxt_route(circuit_id):
+    # a file splits lines at a lone CR too, as splitlines does
     rows = [r._replace(circuit_id=circuit_id) for r in sample_records()]
     lines = oracles.record_csv(rows).splitlines(keepends=True)[2:]
     cols = records._loadtxt_columns(lines)
@@ -291,10 +292,34 @@ def test_key_check_comes_after_every_chunk_parses(monkeypatch, chunk_rows):
 def test_crlf_file_reads_as_the_lf_file(tmp_path):
     text = campaign_csv(build_grover(), CampaignConfig(grid_step=15))
     path = tmp_path / "crlf.csv"
-    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
-    table = read_table_file(path)
-    assert table_rows(table) == read_rows(io.StringIO(text))
-    assert parse_outcome(text.replace("\n", "\r\n")) == parse_outcome(text)
+    for ending in ("\r\n", "\r"):  # a lone CR ends a line too
+        path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+        table = read_table_file(path)
+        assert table_rows(table) == read_rows(io.StringIO(text))
+        assert parse_outcome(text.replace("\n", ending)) == parse_outcome(text)
+
+
+@pytest.mark.parametrize("column, value", [("theta_deg", "1_0"), ("seed", "1")],
+                         ids=["underscore", "key"])
+def test_a_refused_chunk_leaves_later_chunks_to_loadtxt(monkeypatch, column, value):
+    # int() and float() take "1_0", which loadtxt refuses; a changed key
+    # refuses its chunk, and is reported once every chunk has parsed
+    rows = sample_records()
+    text = with_value(oracles.record_csv(rows).splitlines(), 3, column, value)
+    monkeypatch.setattr(records, "CHUNK_ROWS", 4)
+    loadtxt_columns, taken = records._loadtxt_columns, []
+
+    def counted(lines):
+        cols = loadtxt_columns(lines)
+        taken.append(cols is not None)
+        return cols
+
+    monkeypatch.setattr(records, "_loadtxt_columns", counted)
+    if column == "seed":
+        assert reject(text) == "line 4: circuit_id, mode, shots or seed differ from line 3"
+    else:
+        assert read_table(io.StringIO(text)).theta_deg[1] == 10.0
+    assert taken == [False] + [True] * ((len(rows) + 3) // 4 - 1)
 
 
 @pytest.mark.parametrize("value", ["0.9", "1e0"])
@@ -347,23 +372,27 @@ def test_errors_name_the_line_a_multi_line_row_starts_on(monkeypatch, chunk_rows
 
 
 @functools.cache
-def campaign_lines(sampled):
-    rows = sample_records()[:16]
+def campaign_lines(sampled, circuit_id="grover-11"):
+    """The schema line, the header, and the text of each of 16 rows without
+    its newline; a quoted line break in the circuit id stays in its row."""
+    rows = [r._replace(circuit_id=circuit_id) for r in sample_records()[:16]]
     if sampled:  # a seed beyond int64
         rows = [r._replace(mode="sampled", shots=64, seed=2**64 + 5)
                 for r in rows]
-    return oracles.record_csv(rows).splitlines()
+    head = oracles.record_csv([])
+    return head.splitlines() + [oracles.record_csv([r])[len(head):-1] for r in rows]
 
 
 MUTATIONS = ("nan", "inf", "x", "", "1_0", "\u0661", " 1", "2", "-1", "1.5",
              "-1.0", '"0"', str(2**63 + 1), 'a"b', '"ab"c', '"x\ny"', '"0\n"')
 OTHER_KEY = {"circuit_id": "other", "mode": "sampled", "shots": "65", "seed": "1"}
+CIRCUIT_IDS = ("grover-11", "x\ny", "a\rb", 'a,"b"')
 
 
 @st.composite
-def mutated_files(draw):
-    """Text of a campaign file with up to three fields or lines broken."""
-    lines = campaign_lines(draw(st.booleans()))
+def mutated_files(draw, circuit_ids=CIRCUIT_IDS):
+    """Text of a campaign file with up to three fields or rows broken."""
+    lines = campaign_lines(draw(st.booleans()), draw(st.sampled_from(circuit_ids)))
     start = draw(st.integers(2, 6))
     rows = lines[start:start + draw(st.integers(0, 12))]
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
@@ -390,7 +419,7 @@ def parse_outcome(text):
     """Columns with their dtypes and element types, the key values with their
     types, or the error text."""
     try:
-        table = read_table(io.StringIO(text))
+        table = read_table(io.StringIO(text, newline=""))  # lines end at a lone CR too
     except RecordFileError as exc:
         return str(exc)
     columns = [getattr(table, f.name) for f in dataclasses.fields(table)]
@@ -402,16 +431,23 @@ def parse_outcome(text):
 #: lines, the first of which ends a chunk of 1 or 3 rows; loadtxt closes a
 #: quote left open at the end of its input, so it would read that line as a row
 OPEN_AT_A_CHUNK_END = with_value(campaign_lines(False)[:7], 4, "improved_flag", '"0\n"')
+#: every row spans two lines, so each row crosses the end of a 1-line
+#: chunk, and the second row the end of the first 3-line chunk
+LINE_BREAK_ID = "\n".join(campaign_lines(False, "x\ny")[:8]) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_files(), st.sampled_from((1, 2, 3, 4, 1024)))
 @example(OPEN_AT_A_CHUNK_END, 1)
 @example(OPEN_AT_A_CHUNK_END, 3)
+@example(LINE_BREAK_ID, 1)
+@example(LINE_BREAK_ID, 3)
 def test_loadtxt_route_agrees_with_csv_route(text, chunk_rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(records, "CHUNK_ROWS", chunk_rows)
         fast = parse_outcome(text)
+        # the reference: one csv.reader over the whole file
+        mp.setattr(records, "CHUNK_ROWS", 2**31)
         mp.setattr(records, "_loadtxt_columns", lambda lines: None)
         assert fast == parse_outcome(text)
 
