@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import inspect
 import os
+import stat
 import sys
 from importlib import resources
 
@@ -50,21 +51,28 @@ def _write_file(path: str, write, binary: bool = False):
     """Call ``write(fh)`` on a temporary file beside ``path``, taken
     relative to $QVF_OUT_DIR when set, and move it into place only once
     ``write`` returns, so a failed write leaves no partial file and keeps
-    an existing one."""
+    an existing one.  A ``path`` that is neither a regular file nor a
+    directory (a device, a FIFO, a link to one) is written in place."""
     path = os.path.join(os.environ.get("QVF_OUT_DIR", ""), path)  # an absolute path wins
-    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        replace = stat.S_IFMT(os.stat(path).st_mode) in (stat.S_IFREG, stat.S_IFDIR)
+    except OSError:  # not there yet: the open below says why it cannot be
+        replace = True
+    tmp = f"{path}.{os.getpid()}.tmp" if replace else path
     text = {} if binary else {"encoding": "utf-8", "newline": ""}
     try:
-        fh = open(tmp, "xb" if binary else "x", **text)
+        fh = open(tmp, ("x" if replace else "w") + ("b" if binary else ""), **text)
         try:
             with fh:
                 write(fh)
-            os.replace(tmp, path)
+            if replace:
+                os.replace(tmp, path)
         except BaseException:
-            os.remove(tmp)
+            if replace:
+                os.remove(tmp)
             raise
     except OSError as exc:  # name the file asked for, not its temporary twin
-        if exc.filename != tmp:
+        if exc.filename not in (tmp, None):  # a failed write or flush names none
             raise
         raise OSError(exc.errno, exc.strerror, path) from None
     print(f"wrote {path}")

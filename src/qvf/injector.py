@@ -44,11 +44,12 @@ a site before the kept state (a descending ``sites``) starts again from
 |0...0>.  A pooled site keeps nothing and evolves its prefix from
 |0...0>.  Evolving on applies the very steps a fresh run would, in the
 same order, and the kept state goes with the serial sweep's iterator.
+Only a pooled sweep imports :mod:`concurrent.futures`, and with it
+:mod:`multiprocessing`, so a serial campaign or a report never loads them.
 """
 
 import math
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .circuit import Circuit, bitstring_to_index
@@ -315,7 +316,8 @@ def _sweep(jobs, workers):
     """The blocks of ``jobs``: in this process, each prefix evolved on from
     the last, or from a pool of ``workers``, each from |0...0>."""
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        import concurrent.futures  # loads multiprocessing: only a pooled sweep pays
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_site_worker, jobs)
     else:
         kept = [(0, None)]

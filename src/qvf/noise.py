@@ -35,7 +35,6 @@ Config document format (INI)::
     cx.depolarizing = 0.01
 """
 
-import configparser
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -144,6 +143,7 @@ def _parse_section(section, plain_keys, sub_parser, what):
 
 def load_noise_config(text: str) -> NoiseModel:
     """Parse an INI noise document; absent keys fall back to ideal values."""
+    import configparser  # only a noisy command reads a config
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         cp.read_string(text)

@@ -271,7 +271,8 @@ def _chunks(stream):
             while reader.line_num < len(lines):
                 starts.append(line + reader.line_num)
                 rows.append(next(reader))
-        except csv.Error as exc:
+        except csv.Error as exc:  # an earlier row's bad value is named first
+            _chunk_columns(rows, starts[:len(rows)])
             raise RecordFileError(f"line {line + reader.line_num - 1}: {exc}") from None
         yield _chunk_columns(rows, starts) + [starts]
         line += reader.line_num

@@ -6,10 +6,13 @@ import errno
 import gc
 import hashlib
 import inspect
+import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -991,6 +994,44 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
 
+class TestOutInPlace:
+    """An --out that is neither a regular file nor a directory is written in
+    place, so a link to a device or a FIFO survives the write."""
+
+    def test_a_link_to_a_fifo_is_written_through(self, tmp_path, grover_csv, capsys):
+        fifo, link = tmp_path / "fifo", tmp_path / "link"
+        os.mkfifo(fifo)
+        link.symlink_to(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            code = main(["campaign", "run", "grover", "--grid-step", "90", "--out", str(link)])
+        finally:
+            reader.join(5)
+            if reader.is_alive():  # nothing opened the fifo: release its reader
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(5)
+        assert not reader.is_alive()
+        assert code == 0
+        assert capsys.readouterr().out.startswith(f"wrote {link}\n")
+        assert link.is_symlink()
+        assert got == [grover_csv.read_bytes()]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full")
+                        or not stat.S_ISCHR(os.stat("/dev/full").st_mode),
+                        reason="no /dev/full device")
+    def test_a_failed_write_through_a_link_names_it(self, tmp_path, capsys):
+        link = tmp_path / "full"
+        link.symlink_to("/dev/full")
+        assert main(["campaign", "run", "grover", "--grid-step", "90",
+                     "--out", str(link)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{link}'\n")
+        assert link.is_symlink()
+        assert [p.name for p in tmp_path.iterdir()] == ["full"]
+
+
 class TestOutDir:
     """$QVF_OUT_DIR: a relative --out is resolved against it, and nothing else."""
 
@@ -1080,13 +1121,46 @@ def test_calls_leave_no_cyclic_garbage(tmp_path, capsys):
     assert garbage < 100, garbage
 
 
-def test_console_script_installed():
-    # the child imports the package under test, installed or not
+def child_run(*argv, **kwargs):
+    """Run this Python on ``argv`` with the package under test importable,
+    installed or not, and $QVF_OUT_DIR unset."""
     src = os.path.dirname(os.path.dirname(qvf.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qvf.cli", "bench", "list"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    env = {k: v for k, v in os.environ.items() if k != "QVF_OUT_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, **kwargs)
+
+
+def test_console_script_installed():
+    proc = child_run("-m", "qvf.cli", "bench", "list")
     assert proc.returncode == 0
     assert "grover" in proc.stdout
+
+
+#: each child command lists which of these it has loaded
+CHILD_COMMANDS = """
+import json, sys
+from qvf.cli import main
+lazy, calls = json.loads(sys.argv[1])
+loaded = [[m for m in lazy if m in sys.modules]]
+for argv in calls:
+    assert main(argv) == 0, argv
+    loaded.append([m for m in lazy if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_only_the_modules_they_use(tmp_path):
+    # in a fresh interpreter, the process pool is loaded only by a pooled
+    # campaign and the INI parser only by a noisy one
+    lazy = ["concurrent.futures", "multiprocessing", "configparser"]
+    grover = ["campaign", "run", "grover", "--grid-step", "90"]
+    calls = [grover + ["--jobs", "1", "--out", "serial.csv"],
+             ["report", "hist", "--in", "serial.csv", "--out", "hist.svg"],
+             grover + ["--noise", "representative", "--jobs", "1", "--out", "noisy.csv"],
+             grover + ["--jobs", "2", "--out", "pooled.csv"]]
+    proc = child_run("-c", CHILD_COMMANDS, json.dumps([lazy, calls]), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == [[], [], [], ["configparser"], lazy]
+    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()

@@ -213,7 +213,7 @@ class TestCampaign:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-        monkeypatch.setattr(injector, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         c = build_grover()
         pooled = campaign_csv(c, CampaignConfig(grid_step=90, sites=(0, 1), jobs=64))
         assert sizes == [2]
@@ -774,7 +774,7 @@ class TestPrefixMemo:
         # a kept state is as large as the campaign's states (16 MiB at 20
         # qubits), so it goes when the last block has been handed out.  The
         # pool maps in this process, so its prefixes are seen here too
-        monkeypatch.setattr(injector, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         states = self.prefix_states(monkeypatch)
         refs = []
         _, blocks = campaign_blocks(build_grover(), CampaignConfig(grid_step=45, jobs=jobs))
@@ -805,7 +805,7 @@ class TestFailureReport:
         # baseline is scored on the call, so the first failure is site 7's
         # single-column prefix, which has no grid point to name.  A forked
         # pool's workers see the patched tolerance
-        monkeypatch.setattr(injector, "ProcessPoolExecutor", functools.partial(
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
         c = build_deutsch_jozsa()
         config = CampaignConfig(grid_step=90, noise=representative_noise(), sites=(7, 2), jobs=jobs)

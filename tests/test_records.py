@@ -202,6 +202,17 @@ def test_first_bad_row_is_named():
     assert reject(text) == "line 4: could not convert string to float: 'nope'"
 
 
+@pytest.mark.parametrize("chunk_rows", [1, 2, 1024])
+def test_bad_value_is_named_before_a_later_csv_error(monkeypatch, chunk_rows):
+    # the later row's csv error falls in the earlier row's csv chunk
+    # unless chunks hold one line
+    monkeypatch.setattr(records, "CHUNK_ROWS", chunk_rows)
+    good = oracles.record_csv(sample_records()).splitlines()
+    text = with_value(good, 3, "pst", "nope")
+    text = with_value(text.splitlines(), 4, "mode", "m" * 140_000)
+    assert reject(text) == "line 4: could not convert string to float: 'nope'"
+
+
 @pytest.mark.parametrize("quoted", [True, False])
 def test_field_above_the_csv_limit_is_a_record_error(quoted):
     # csv.reader refuses fields over 131,072 characters; an unquoted one
